@@ -18,7 +18,7 @@ import time
 
 from dnscdn.analytics import classify_sets, per_website_median
 from dnscdn.cache import hit_rate_table
-from dnscdn.campaign import MeasurementSpec, is_usable, run_campaign
+from dnscdn.campaign import MeasurementSpec, ResolverEntry, is_usable, run_campaign
 from dnscdn.storage import CampaignRecord, read_records, write_records
 
 AUTH_TTL = 30
@@ -112,7 +112,7 @@ def main():
 
     spec = MeasurementSpec(
         websites=[("demo-cdn", "www.cached.demo"), ("demo-cdn", "www.fresh.demo")],
-        resolvers=[("scripted", "127.0.0.1", "::1")],
+        resolvers=[ResolverEntry("scripted", "127.0.0.1", "::1")],
         prewarm_gap_s=1.0,  # the real default is 15 s; shortened to keep the demo brisk
         per_query_timeout_ms=2000.0,
         resolver_port=resolver4.port,

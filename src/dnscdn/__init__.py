@@ -27,13 +27,14 @@ from .cache import (
 from .campaign import (
     MeasurementSet,
     MeasurementSpec,
+    ResolverEntry,
     completeness_filter,
     fill_in,
     is_usable,
     run_campaign,
     run_measurement_set,
 )
-from .config import ResolverEntry, ToolConfig, load_config, save_config
+from .config import ToolConfig, load_config, save_config
 from .discovery import CdnCatalog, CandidateSite, follow_cname_chain, scan_domain_list
 from .mapping import EdgeAssignment, HandshakeSample, mapping_latency, measure_handshake, select_edge
 from .resolve import TimedDnsResponse, resolve_once

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cache import ClassifiedPoint, Convention, TtlQuirk, classify
+from .cache import ClassifiedPoint, Convention, EmptyInputError, TtlQuirk, classify
 from .campaign import MeasurementSet, is_usable
 from .mapping import mapping_latency
 from .wire import IpVersion
@@ -34,10 +34,6 @@ class Metric(Enum):
 
 
 class TooFewResultsError(Exception):
-    pass
-
-
-class EmptyInputError(Exception):
     pass
 
 

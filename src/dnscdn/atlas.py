@@ -64,7 +64,6 @@ def _parse_dns_entry(entry: dict, payload: dict) -> TimedDnsResponse:
         qname=echo.name,
         qtype=RecordType(echo.qtype) if echo.qtype in set(RecordType) else RecordType.A,
         resolver_address=resolver,
-        transport_version=IpVersion.of_address(resolver),
     )
     return TimedDnsResponse(
         question=question,

@@ -167,39 +167,24 @@ def discover_authoritative_ttl(
     return AuthoritativeTtl(domain, cdn, default, TtlSource.STATIC_DEFAULT, time.time())
 
 
-def _ask(name, qtype, resolver, resolve_fn, timeout_ms):
-    question = DnsQuestion(
-        qname=name,
-        qtype=qtype,
-        resolver_address=resolver,
-        transport_version=IpVersion.of_address(resolver),
-        timeout_ms=timeout_ms,
-    )
-    return resolve_fn(question)
-
-
 def _direct_query_ttl(domain, recursive_resolver, resolve_fn, timeout_ms) -> int:
     # Walk up from the exact name until some zone yields NS records.
     labels = domain.rstrip(".").split(".")
     ns_name = None
     for start in range(len(labels) - 1):
         zone = ".".join(labels[start:])
-        reply = _ask(zone, RecordType.NS, recursive_resolver, resolve_fn, timeout_ms)
+        reply = resolve_fn(DnsQuestion(zone, RecordType.NS, recursive_resolver, timeout_ms=timeout_ms))
         names = [r.rdata for r in reply.answers if r.rtype == RecordType.NS]
         if names:
             ns_name = names[0]
             break
     if ns_name is None:
         raise NoAuthorityError(f"no NS records found above {domain}")
-    ns_reply = _ask(ns_name, RecordType.A, recursive_resolver, resolve_fn, timeout_ms)
-    ns_addr = None
-    for record in ns_reply.answers:
-        if record.rtype == RecordType.A:
-            ns_addr = record.rdata
-            break
+    ns_reply = resolve_fn(DnsQuestion(ns_name, RecordType.A, recursive_resolver, timeout_ms=timeout_ms))
+    ns_addr = ns_reply.first_address(IpVersion.V4)
     if ns_addr is None:
         raise NoAuthorityError(f"authoritative server {ns_name} has no A record")
-    direct = _ask(domain, RecordType.A, ns_addr, resolve_fn, timeout_ms)
+    direct = resolve_fn(DnsQuestion(domain, RecordType.A, ns_addr, timeout_ms=timeout_ms))
     for record in direct.answers:
         if record.rtype == RecordType.A:
             return record.ttl

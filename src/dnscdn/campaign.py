@@ -15,9 +15,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .cache import TtlQuirk
 from .mapping import HandshakeSample, NoAddressError, measure_handshake, select_edge
 from .resolve import ResolveError, TimedDnsResponse, resolve_once
-from .wire import DnsQuestion, IpVersion, RecordType
+from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
 log = logging.getLogger(__name__)
 
@@ -25,11 +26,27 @@ DEFAULT_PREWARM_GAP_S = 15.0
 
 
 @dataclass
+class ResolverEntry:
+    """One resolver service, reachable over both address families."""
+
+    label: str
+    v4_address: str
+    v6_address: str
+    ttl_quirk: TtlQuirk = TtlQuirk.NONE
+
+    def __post_init__(self):
+        if IpVersion.of_address(self.v4_address) is not IpVersion.V4:
+            raise ValueError(f"{self.label}: {self.v4_address} is not IPv4")
+        if IpVersion.of_address(self.v6_address) is not IpVersion.V6:
+            raise ValueError(f"{self.label}: {self.v6_address} is not IPv6")
+
+
+@dataclass
 class MeasurementSpec:
     """What to measure: websites (with their CDN), resolvers, and cadence."""
 
     websites: list[tuple[str, str]]  # (cdn, hostname)
-    resolvers: list[tuple[str, str, str]]  # (label, v4 address, v6 address)
+    resolvers: list[ResolverEntry]
     dns_repeats: int = 3
     prewarm_gap_s: float = DEFAULT_PREWARM_GAP_S
     handshake_repeats: int = 3
@@ -46,17 +63,11 @@ class MeasurementSpec:
             raise ValueError("handshake_repeats must be at least 1")
         if self.prewarm_gap_s < 0:
             raise ValueError("prewarm_gap_s must be non-negative")
-        for label, v4_addr, v6_addr in self.resolvers:
-            if not v4_addr or not v6_addr:
-                raise ValueError(f"resolver {label} must carry both family addresses")
-            if IpVersion.of_address(v4_addr) is not IpVersion.V4:
-                raise ValueError(f"resolver {label}: {v4_addr} is not an IPv4 address")
-            if IpVersion.of_address(v6_addr) is not IpVersion.V6:
-                raise ValueError(f"resolver {label}: {v6_addr} is not an IPv6 address")
+        self.websites = [tuple(w) for w in self.websites]
 
-    def resolver_by_label(self, label: str) -> tuple[str, str, str]:
+    def resolver_by_label(self, label: str) -> ResolverEntry:
         for entry in self.resolvers:
-            if entry[0] == label:
+            if entry.label == label:
                 return entry
         raise KeyError(label)
 
@@ -94,7 +105,7 @@ class MeasurementSet:
 def run_measurement_set(
     spec: MeasurementSpec,
     website: tuple[str, str],
-    resolver: tuple[str, str, str],
+    resolver: ResolverEntry,
     ip_version: IpVersion,
     *,
     vantage_id: str = "local",
@@ -104,19 +115,17 @@ def run_measurement_set(
 ) -> MeasurementSet:
     """Run one full set for (website, resolver, family).
 
-    Sub-measurement failures leave gaps rather than aborting: a dropped
-    query is simply absent from dns_results, an unreachable edge leaves
-    handshake_results empty, and the set is returned either way.
+    Sub-measurement failures leave gaps rather than aborting: a dropped or
+    undecodable reply is simply absent from dns_results, an unreachable
+    edge leaves handshake_results empty, and the set is returned either way.
     """
     cdn, hostname = website
-    label, v4_addr, v6_addr = resolver
-    resolver_address = v4_addr if ip_version is IpVersion.V4 else v6_addr
-    qtype = RecordType.A if ip_version is IpVersion.V4 else RecordType.AAAA
+    label = resolver.label
+    v4 = ip_version is IpVersion.V4
     question = DnsQuestion(
         qname=hostname,
-        qtype=qtype,
-        resolver_address=resolver_address,
-        transport_version=IpVersion.of_address(resolver_address),
+        qtype=RecordType.A if v4 else RecordType.AAAA,
+        resolver_address=resolver.v4_address if v4 else resolver.v6_address,
         timeout_ms=spec.per_query_timeout_ms,
         resolver_port=spec.resolver_port,
     )
@@ -127,7 +136,7 @@ def run_measurement_set(
         prewarm = resolve_fn(question)
         prewarm.is_prewarm = True
         dns_results.append(prewarm)
-    except ResolveError as exc:
+    except (ResolveError, MalformedMessageError) as exc:
         log.debug("prewarm for %s via %s failed: %s", hostname, label, exc)
 
     sleep_fn(spec.prewarm_gap_s)
@@ -135,7 +144,7 @@ def run_measurement_set(
     for attempt in range(spec.dns_repeats):
         try:
             dns_results.append(resolve_fn(question))
-        except ResolveError as exc:
+        except (ResolveError, MalformedMessageError) as exc:
             log.debug("query %d for %s via %s failed: %s", attempt + 1, hostname, label, exc)
 
     handshake_results: list[HandshakeSample] = []
@@ -167,10 +176,11 @@ def run_measurement_set(
 def is_usable(
     mset: MeasurementSet, *, dns_required: int = 3, handshake_required: int = 3
 ) -> bool:
-    """At least three DNS results (prewarm counts) and every handshake."""
+    """At least three DNS results (prewarm counts) and every handshake
+    succeeded; stored failed samples do not count."""
     return (
         len(mset.dns_results) >= dns_required
-        and len(mset.handshake_results) >= handshake_required
+        and sum(1 for h in mset.handshake_results if h.success) >= handshake_required
     )
 
 

@@ -15,10 +15,11 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import analytics, atlas, storage
 from .cache import hit_rate_table, load_ttl_table
-from .campaign import MeasurementSpec, fill_in, is_usable, run_campaign
+from .campaign import MeasurementSpec, ResolverEntry, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
 from .discovery import CdnCatalog, load_domain_list, scan_domain_list
 from .mapping import NoAddressError, select_edge
@@ -31,11 +32,14 @@ from .resolver_id import (
     enumerate_local_resolvers,
     is_isp_usable,
 )
-from .wire import DnsQuestion, IpVersion, RecordType
+from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
 log = logging.getLogger(__name__)
 
 PREFLIGHT_PROBE_NAME = "example.com"
+TABLE_COLUMNS = (
+    "metric", "region", "cdn", "resolver", "ip_version", "median_ms", "mean_ms", "region_vantages"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,12 +150,11 @@ def _cmd_discover(args) -> int:
     config = _load_tool_config(args.config)
     catalog = CdnCatalog.load(args.catalog or config.catalog_path)
     domains = load_domain_list(args.domains)
-    resolvers = [(r.label, r.v4_address, r.v6_address) for r in config.resolvers]
     result = scan_domain_list(
         domains,
         catalog,
         config.quotas,
-        resolvers,
+        config.resolvers,
         scan_embedded=not args.no_embedded,
         fanout=config.fanout,
         timeout_ms=config.per_query_timeout_ms,
@@ -218,64 +221,48 @@ def _cmd_detect_isp(args) -> int:
 
 
 def _preflight(resolvers, *, timeout_ms, resolver_port) -> tuple[list, list]:
-    """Drop resolvers that answer on neither family; they cannot be compared."""
+    """Drop resolvers that fail on either family; they cannot be compared."""
     kept, dropped = [], []
-    for label, v4_addr, v6_addr in resolvers:
-        ok = True
-        for address in (v4_addr, v6_addr):
-            question = DnsQuestion(
-                qname=PREFLIGHT_PROBE_NAME,
-                qtype=RecordType.A,
-                resolver_address=address,
-                transport_version=IpVersion.of_address(address),
-                timeout_ms=timeout_ms,
-                resolver_port=resolver_port,
-            )
-            try:
-                resolve_once(question)
-            except ResolveError:
-                ok = False
-                break
-        (kept if ok else dropped).append((label, v4_addr, v6_addr))
+    for resolver in resolvers:
+        try:
+            for address in (resolver.v4_address, resolver.v6_address):
+                resolve_once(
+                    DnsQuestion(
+                        qname=PREFLIGHT_PROBE_NAME,
+                        qtype=RecordType.A,
+                        resolver_address=address,
+                        timeout_ms=timeout_ms,
+                        resolver_port=resolver_port,
+                    )
+                )
+        except (ResolveError, MalformedMessageError):
+            dropped.append(resolver)
+        else:
+            kept.append(resolver)
     return kept, dropped
 
 
 def _spec_snapshot(spec: MeasurementSpec) -> dict:
-    return {
-        "websites": [list(w) for w in spec.websites],
-        "resolvers": [list(r) for r in spec.resolvers],
-        "dns_repeats": spec.dns_repeats,
-        "prewarm_gap_s": spec.prewarm_gap_s,
-        "handshake_repeats": spec.handshake_repeats,
-        "per_query_timeout_ms": spec.per_query_timeout_ms,
-        "resolver_port": spec.resolver_port,
-        "handshake_port": spec.handshake_port,
-    }
+    """The spec as stored with each record: resolvers as [label, v4, v6]."""
+    doc = asdict(spec)
+    doc["websites"] = [list(w) for w in spec.websites]
+    doc["resolvers"] = [[r.label, r.v4_address, r.v6_address] for r in spec.resolvers]
+    return doc
 
 
 def spec_from_snapshot(doc: dict) -> MeasurementSpec:
-    return MeasurementSpec(
-        websites=[tuple(w) for w in doc["websites"]],
-        resolvers=[tuple(r) for r in doc["resolvers"]],
-        dns_repeats=doc["dns_repeats"],
-        prewarm_gap_s=doc["prewarm_gap_s"],
-        handshake_repeats=doc["handshake_repeats"],
-        per_query_timeout_ms=doc["per_query_timeout_ms"],
-        resolver_port=doc["resolver_port"],
-        handshake_port=doc["handshake_port"],
-    )
+    return MeasurementSpec(**{**doc, "resolvers": [ResolverEntry(*r) for r in doc["resolvers"]]})
 
 
 def _run_one_campaign(config: ToolConfig, websites, output_path, *, preflight=True) -> tuple[int, str]:
-    resolvers = [(r.label, r.v4_address, r.v6_address) for r in config.resolvers]
     if preflight:
         kept, dropped = _preflight(
-            resolvers, timeout_ms=config.per_query_timeout_ms, resolver_port=config.resolver_port
+            config.resolvers, timeout_ms=config.per_query_timeout_ms, resolver_port=config.resolver_port
         )
     else:
-        kept, dropped = resolvers, []
-    for label, v4_addr, _ in dropped:
-        print(f"notice: resolver {label} ({v4_addr}) unreachable, dropped", file=sys.stderr)
+        kept, dropped = config.resolvers, []
+    for r in dropped:
+        print(f"notice: resolver {r.label} ({r.v4_address}) unreachable, dropped", file=sys.stderr)
     if not kept:
         print("error: no reachable resolvers", file=sys.stderr)
         return 1, ""
@@ -393,38 +380,40 @@ def _filtered_points(records, args, geo):
     return points
 
 
+def _table_rows(points, geo) -> list[list]:
+    """The regional median table, one row per key, in TABLE_COLUMNS order."""
+    table = analytics.regional_breakdown(points, geo)
+    rows = []
+    for key in sorted(table.medians, key=lambda k: (k[0].value, k[1], k[2], k[3], k[4].value)):
+        metric, region, cdn, resolver_label, ip_version = key
+        rows.append(
+            [
+                metric.value,
+                region,
+                cdn,
+                resolver_label,
+                ip_version.value,
+                round(table.medians[key], 3),
+                round(table.means[key], 3),
+                table.region_vantage_counts[region],
+            ]
+        )
+    return rows
+
+
 def _cmd_analyze(args) -> int:
     if not args.input and not args.data_dir:
         print("error: provide --input or --data-dir", file=sys.stderr)
         return 2
     records = _gather_records(args)
     geo = _load_geo(args.geo)
-    points = _filtered_points(records, args, geo)
-    table = analytics.regional_breakdown(points, geo)
-    rows = []
-    for key in sorted(table.medians, key=lambda k: (k[0].value, k[1], k[2], k[3], k[4].value)):
-        metric, region, cdn, resolver_label, ip_version = key
-        rows.append(
-            {
-                "metric": metric.value,
-                "region": region,
-                "cdn": cdn,
-                "resolver": resolver_label,
-                "ip_version": ip_version.value,
-                "median_ms": round(table.medians[key], 3),
-                "mean_ms": round(table.means[key], 3),
-                "region_vantages": table.region_vantage_counts[region],
-            }
-        )
+    rows = _table_rows(_filtered_points(records, args, geo), geo)
     if args.json:
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([dict(zip(TABLE_COLUMNS, row)) for row in rows], indent=2))
     else:
         writer = csv.writer(sys.stdout)
-        writer.writerow(
-            ["metric", "region", "cdn", "resolver", "ip_version", "median_ms", "mean_ms", "region_vantages"]
-        )
-        for row in rows:
-            writer.writerow(row.values())
+        writer.writerow(TABLE_COLUMNS)
+        writer.writerows(rows)
     return 0
 
 
@@ -444,16 +433,10 @@ def _cmd_report(args) -> int:
                 for value, fraction in series[key]:
                     writer.writerow([*key, round(value, 3), round(fraction, 6)])
         elif args.kind == "table":
-            points = analytics.build_latency_points(sets, geo=geo)
-            table = analytics.regional_breakdown(points, geo)
+            rows = _table_rows(analytics.build_latency_points(sets, geo=geo), geo)
             writer = csv.writer(out)
-            writer.writerow(["metric", "region", "cdn", "resolver", "ip_version", "median_ms"])
-            for key in sorted(
-                table.medians, key=lambda k: (k[0].value, k[1], k[2], k[3], k[4].value)
-            ):
-                writer.writerow(
-                    [key[0].value, key[1], key[2], key[3], key[4].value, round(table.medians[key], 3)]
-                )
+            writer.writerow(TABLE_COLUMNS[:6])  # through median_ms
+            writer.writerows(row[:6] for row in rows)
         elif args.kind == "penalty":
             points = analytics.build_latency_points(sets, geo=geo)
             rows = analytics.ipv6_penalty(points, config.happy_eyeballs_threshold_ms, geo)

@@ -10,23 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .analytics import HAPPY_EYEBALLS_THRESHOLD_MS
 from .cache import TtlQuirk
-from .campaign import MeasurementSpec
-from .wire import IpVersion
-
-
-@dataclass
-class ResolverEntry:
-    label: str
-    v4_address: str
-    v6_address: str
-    ttl_quirk: TtlQuirk = TtlQuirk.NONE
-
-    def __post_init__(self):
-        if IpVersion.of_address(self.v4_address) is not IpVersion.V4:
-            raise ValueError(f"{self.label}: {self.v4_address} is not IPv4")
-        if IpVersion.of_address(self.v6_address) is not IpVersion.V6:
-            raise ValueError(f"{self.label}: {self.v6_address} is not IPv6")
+from .campaign import DEFAULT_PREWARM_GAP_S, MeasurementSpec, ResolverEntry
 
 
 def default_resolvers() -> list[ResolverEntry]:
@@ -55,21 +41,21 @@ class ToolConfig:
     thresholds: dict[str, int] = field(default_factory=default_thresholds)
     dns_repeats: int = 3
     handshake_repeats: int = 3
-    prewarm_gap_s: float = 15.0
+    prewarm_gap_s: float = DEFAULT_PREWARM_GAP_S
     per_query_timeout_ms: float = 5000.0
     resolver_port: int = 53
     handshake_port: int = 443
     output_dir: str = "campaigns"
     recurrence_interval_s: float = 30 * 24 * 3600.0
     fanout: int = 4
-    happy_eyeballs_threshold_ms: float = 250.0
+    happy_eyeballs_threshold_ms: float = HAPPY_EYEBALLS_THRESHOLD_MS
     geo_path: str | None = None
     vantage_id: str = "local"
 
     def to_measurement_spec(self, websites: list[tuple[str, str]] | None = None) -> MeasurementSpec:
         return MeasurementSpec(
-            websites=[tuple(w) for w in (websites or self.websites)],
-            resolvers=[(r.label, r.v4_address, r.v6_address) for r in self.resolvers],
+            websites=websites or self.websites,
+            resolvers=list(self.resolvers),
             dns_repeats=self.dns_repeats,
             prewarm_gap_s=self.prewarm_gap_s,
             handshake_repeats=self.handshake_repeats,
@@ -86,7 +72,6 @@ def save_config(config: ToolConfig, path: str):
     doc = asdict(config)
     for entry in doc["resolvers"]:
         entry["ttl_quirk"] = entry["ttl_quirk"].value
-    doc["websites"] = [list(w) for w in doc["websites"]]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -17,8 +17,9 @@ from html.parser import HTMLParser
 from importlib import resources
 from urllib.parse import urlsplit
 
+from .campaign import ResolverEntry
 from .resolve import ResolveError, resolve_once
-from .wire import DnsQuestion, IpVersion, RecordType, validate_name
+from .wire import DnsQuestion, MalformedMessageError, RecordType, validate_name
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +124,6 @@ def follow_cname_chain(
         qname=name,
         qtype=RecordType.A,
         resolver_address=resolver_address,
-        transport_version=IpVersion.of_address(resolver_address),
         timeout_ms=timeout_ms,
     )
     reply = resolve_fn(question)
@@ -217,12 +217,11 @@ def _has_address(name, resolver_address, qtype, resolve_fn, timeout_ms) -> bool:
         qname=name,
         qtype=qtype,
         resolver_address=resolver_address,
-        transport_version=IpVersion.of_address(resolver_address),
         timeout_ms=timeout_ms,
     )
     try:
         reply = resolve_fn(question)
-    except ResolveError:
+    except (ResolveError, MalformedMessageError):
         return False
     return any(r.rtype == qtype for r in reply.answers)
 
@@ -231,7 +230,7 @@ def scan_domain_list(
     domains: list[str],
     catalog: CdnCatalog,
     quotas: dict[str, int],
-    resolvers: list[tuple[str, str, str]],
+    resolvers: list[ResolverEntry],
     *,
     resolve_fn=resolve_once,
     chain_fn=None,
@@ -242,11 +241,11 @@ def scan_domain_list(
 ) -> dict[str, list[CandidateSite]]:
     """Walk domains in rank order until each CDN's quota is filled.
 
-    resolvers are (label, v4_address, v6_address) triples.  A domain is
-    accepted for the first catalog match found along its own CNAME chain or
-    an embedded domain's chain, and only if both A and AAAA resolve through
-    every resolver.  Exhausting the list with quotas unmet logs a warning
-    and returns the partial result.
+    A domain is accepted for the first catalog match found along its own
+    CNAME chain or an embedded domain's chain, and only if both A and AAAA
+    resolve through every resolver's address of that family.  Exhausting
+    the list with quotas unmet logs a warning and returns the partial
+    result.
     """
     if any(q < 0 for q in quotas.values()):
         raise ValueError("quotas must be non-negative")
@@ -256,7 +255,7 @@ def scan_domain_list(
                 name, resolver_address, resolve_fn=resolve_fn, timeout_ms=timeout_ms
             )
 
-    chain_resolver = resolvers[0][1] if resolvers else "8.8.8.8"
+    chain_resolver = resolvers[0].v4_address if resolvers else "8.8.8.8"
     selected: dict[str, list[CandidateSite]] = {cdn: [] for cdn, q in quotas.items() if q > 0}
 
     def quotas_open():
@@ -273,7 +272,7 @@ def scan_domain_list(
         for probe in names:
             try:
                 chain = chain_fn(probe, chain_resolver)
-            except (ResolveError, ChainLoopError, ValueError):
+            except (ResolveError, MalformedMessageError, ChainLoopError, ValueError):
                 continue
             cdn = catalog.match(chain[-1])
             if cdn is not None:
@@ -316,9 +315,9 @@ def scan_domain_list(
 
 def _dual_stack_checks(domain, resolvers, resolve_fn, timeout_ms):
     checks: dict[str, dict[str, bool]] = {}
-    for label, v4_addr, v6_addr in resolvers:
-        checks[label] = {
-            "v4": _has_address(domain, v4_addr, RecordType.A, resolve_fn, timeout_ms),
-            "v6": _has_address(domain, v6_addr, RecordType.AAAA, resolve_fn, timeout_ms),
+    for r in resolvers:
+        checks[r.label] = {
+            "v4": _has_address(domain, r.v4_address, RecordType.A, resolve_fn, timeout_ms),
+            "v6": _has_address(domain, r.v6_address, RecordType.AAAA, resolve_fn, timeout_ms),
         }
     return checks

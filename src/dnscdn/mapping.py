@@ -77,22 +77,22 @@ def select_edge(
     dns_results is irrelevant.  Raises NoAddressError if no response
     carries an address record of the right family.
     """
-    want = RecordType.A if ip_version is IpVersion.V4 else RecordType.AAAA
     candidates = [
         (result.sent_at_monotonic, index, result)
         for index, result in enumerate(dns_results)
         if not result.is_prewarm
     ]
     for _, index, result in sorted(candidates, key=lambda item: item[0]):
-        for record in result.answers:
-            if record.rtype == want:
-                return EdgeAssignment(
-                    website=website or result.question.qname,
-                    resolver_label=resolver_label,
-                    ip_version=ip_version,
-                    address=record.rdata,  # type: ignore[arg-type]
-                    source_response=index,
-                )
+        address = result.first_address(ip_version)
+        if address is not None:
+            return EdgeAssignment(
+                website=website or result.question.qname,
+                resolver_label=resolver_label,
+                ip_version=ip_version,
+                address=address,
+                source_response=index,
+            )
+    want = RecordType.A if ip_version is IpVersion.V4 else RecordType.AAAA
     raise NoAddressError(f"no {want.name} record in any non-prewarm response")
 
 

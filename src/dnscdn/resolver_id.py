@@ -138,7 +138,6 @@ def whoami_egress(
             qname=service,
             qtype=RecordType.TXT,
             resolver_address=resolver_address,
-            transport_version=IpVersion.of_address(resolver_address),
             timeout_ms=timeout_ms,
         )
         try:
@@ -236,7 +235,6 @@ def asn_lookup(
         qname=cymru_query_name(ip),
         qtype=RecordType.TXT,
         resolver_address=resolver_address,
-        transport_version=IpVersion.of_address(resolver_address),
         timeout_ms=timeout_ms,
     )
     try:

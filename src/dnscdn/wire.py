@@ -88,19 +88,22 @@ def validate_name(name: str) -> str:
 
 @dataclass
 class DnsQuestion:
-    """One question: what to ask, whom to ask, and over which IP version."""
+    """One question: what to ask, whom to ask, and over which IP version
+    (by default the family of resolver_address; a mismatch raises)."""
 
     qname: str
     qtype: RecordType
     resolver_address: str
-    transport_version: IpVersion
+    transport_version: IpVersion | None = None
     timeout_ms: float = 5000.0
     resolver_port: int = 53
 
     def __post_init__(self):
         self.qname = validate_name(self.qname)
         family = IpVersion.of_address(self.resolver_address)
-        if family is not self.transport_version:
+        if self.transport_version is None:
+            self.transport_version = family
+        elif family is not self.transport_version:
             raise ValueError(
                 f"resolver {self.resolver_address} is {family.value} but "
                 f"transport is {self.transport_version.value}"

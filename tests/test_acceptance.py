@@ -31,6 +31,7 @@ from dnscdn.atlas import import_atlas
 from dnscdn.cache import Convention, TtlQuirk, Verdict, classify, load_ttl_table
 from dnscdn.campaign import (
     MeasurementSpec,
+    ResolverEntry,
     completeness_filter,
     fill_in,
     is_usable,
@@ -180,7 +181,7 @@ def test_data_rule_boundaries_at_scale():
         # second failure keeps the original, marked.
         spec = MeasurementSpec(
             websites=[("akamai", "www.w1.example")],
-            resolvers=[("google", "8.8.8.8", "2001:4860:4860::8888")],
+            resolvers=[ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888")],
         )
         healthy = _corpus_set("r1", "www.w1.example", "google")
         broken = _corpus_set("r1", "www.w1.example", "google", usable=False)
@@ -300,7 +301,7 @@ def test_mock_network_end_to_end():
                     ("fastly", "www.miss-a.test"),
                     ("fastly", "www.miss-b.test"),
                 ],
-                resolvers=[("local", "127.0.0.1", "::1")],
+                resolvers=[ResolverEntry("local", "127.0.0.1", "::1")],
                 prewarm_gap_s=0.25,
                 per_query_timeout_ms=2000.0,
                 resolver_port=dns4.port,

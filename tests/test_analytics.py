@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 from factories import make_response, make_set
+from dnscdn import cache
 from dnscdn.analytics import (
     EdgeObservation,
     EmptyInputError,
@@ -242,6 +243,12 @@ class TestKsTwoSample:
             ks_two_sample([], [1.0])
         with pytest.raises(EmptyInputError):
             ks_two_sample([1.0], [])
+
+    def test_empty_input_is_the_cache_error(self):
+        # One class, importable from both modules, so one except clause
+        # covers empty input anywhere in the analysis.
+        with pytest.raises(cache.EmptyInputError):
+            ks_two_sample([], [1.0])
 
 
 def dns_point(vantage, value, *, cdn="akamai", resolver="google",

@@ -7,22 +7,24 @@ import pytest
 
 import mocknet
 from factories import make_response, make_set
+from dnscdn.analytics import build_latency_points
 from dnscdn.campaign import (
     MeasurementSet,
     MeasurementSpec,
+    ResolverEntry,
     completeness_filter,
     fill_in,
     is_usable,
     run_campaign,
     run_measurement_set,
 )
-from dnscdn.mapping import HandshakeSample, measure_handshake
+from dnscdn.mapping import HandshakeFailure, HandshakeSample, measure_handshake
 from dnscdn.wire import IpVersion
 
 JITTER_MS = 5.0
 
 WEBSITE = ("akamai", "www.wide.example")
-RESOLVER = ("local", "127.0.0.1", "::1")
+RESOLVER = ResolverEntry("local", "127.0.0.1", "::1")
 
 
 def loopback_spec(server, **overrides):
@@ -55,9 +57,9 @@ class TestMeasurementSpec:
 
     def test_resolver_needs_both_families(self):
         with pytest.raises(ValueError):
-            MeasurementSpec(websites=[WEBSITE], resolvers=[("half", "8.8.8.8", "")])
+            MeasurementSpec(websites=[WEBSITE], resolvers=[ResolverEntry("half", "8.8.8.8", "")])
         with pytest.raises(ValueError):
-            MeasurementSpec(websites=[WEBSITE], resolvers=[("swapped", "::1", "127.0.0.1")])
+            MeasurementSpec(websites=[WEBSITE], resolvers=[ResolverEntry("swapped", "::1", "127.0.0.1")])
 
     def test_lookup_helpers(self):
         spec = MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER])
@@ -226,6 +228,19 @@ class TestIsUsable:
         mset = make_set(dns=((30.0, 1.0, True), (10.0, 16.0, False), (11.0, 16.1, False)))
         assert is_usable(mset)
 
+    def test_failed_handshake_samples_do_not_count(self):
+        # Atlas imports and hand-made files may store failed samples.
+        mset = make_set()
+        mset.handshake_results = [
+            HandshakeSample(
+                address="192.0.2.1", port=443, rtt_ms=None, success=False,
+                error_kind=HandshakeFailure.TIMEOUT,
+            )
+            for _ in range(3)
+        ]
+        assert not is_usable(mset)
+        assert build_latency_points([mset]) == []
+
 
 def usable_set(vantage, website, resolver, version, cdn="akamai"):
     return make_set(
@@ -294,7 +309,7 @@ class TestCompletenessFilter:
 
 SPEC = MeasurementSpec(
     websites=[("akamai", "www.example.com")],
-    resolvers=[("google", "8.8.8.8", "2001:4860:4860::8888")],
+    resolvers=[ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888")],
 )
 
 
@@ -305,7 +320,7 @@ class TestFillIn:
 
         def run_fn(spec, website, resolver, version, **kwargs):
             assert website == ("akamai", "www.example.com")
-            assert resolver[0] == "google"
+            assert resolver.label == "google"
             assert kwargs["vantage_id"] == "p1"
             return replacement
 
@@ -340,8 +355,8 @@ class TestFillIn:
 class TestRunCampaign:
     WEBSITES = [("akamai", f"w{i}.example") for i in range(6)]
     RESOLVERS = [
-        ("google", "8.8.8.8", "2001:4860:4860::8888"),
-        ("quad9", "9.9.9.9", "2620:fe::fe"),
+        ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888"),
+        ResolverEntry("quad9", "9.9.9.9", "2620:fe::fe"),
     ]
 
     def _spec(self):
@@ -350,12 +365,12 @@ class TestRunCampaign:
     @staticmethod
     def _recording_run_fn(order):
         def run_fn(spec, website, resolver, version, vantage_id="local", **kwargs):
-            order.append((website[1], resolver[0], version))
+            order.append((website[1], resolver.label, version))
             return MeasurementSet(
                 vantage_id=vantage_id,
                 website=website[1],
                 cdn=website[0],
-                resolver_label=resolver[0],
+                resolver_label=resolver.label,
                 ip_version=version,
             )
 
@@ -393,3 +408,23 @@ class TestRunCampaign:
         )
         assert {s.key for s in serial} == {s.key for s in pooled}
         assert len(pooled) == len(serial)
+
+
+def test_malformed_reply_leaves_a_gap_instead_of_aborting():
+    broken = "www.broken.example"
+
+    def script(qname, qtype, count):
+        if qname == broken:
+            return mocknet.MockReply(raw_tail=b"\x81\x80\x00\x01")  # 6 bytes with the txid
+        return mocknet.MockReply(answers=[(qname, mocknet.A, 20, "127.0.0.1")])
+
+    with mocknet.MockDnsServer(script) as server:
+        spec = loopback_spec(
+            server, websites=[WEBSITE, ("akamai", broken)], per_query_timeout_ms=300.0
+        )
+        sets = run_campaign(spec, handshake_fn=ok_handshake, sleep_fn=lambda s: None)
+    v4 = {s.website: s for s in sets if s.ip_version is IpVersion.V4}
+    assert len(sets) == 4
+    assert v4[broken].dns_results == []
+    assert len(v4["www.wide.example"].dns_results) == 4
+    assert is_usable(v4["www.wide.example"])

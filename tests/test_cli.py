@@ -115,6 +115,20 @@ class TestMeasure:
         assert "dead" in capsys.readouterr().err
         assert {r.mset.resolver_label for r in read_records(output)} == {"local"}
 
+    def test_malformed_preflight_reply_drops_the_resolver(self, tmp_path, capsys):
+        def script(qname, qtype, count):
+            if qname == cli.PREFLIGHT_PROBE_NAME:
+                return mocknet.MockReply(raw_tail=b"\x81\x80\x00\x01")
+            return dual_family_script()(qname, qtype, count)
+
+        with mock_network(script) as (dns_port, tcp_port):
+            config = write_config(tmp_path, dns_port, tcp_port)
+            output = str(tmp_path / "camp.jsonl")
+            assert cli.main(["measure", "--config", config, "--output", output]) == 1
+        err = capsys.readouterr().err
+        assert "resolver local" in err
+        assert "no reachable resolvers" in err
+
     def test_skip_preflight_records_the_failures(self, tmp_path):
         with mock_network() as (dns_port, tcp_port):
             config = write_config(

@@ -6,6 +6,7 @@ import pytest
 
 import mocknet
 from factories import make_response
+from dnscdn.campaign import ResolverEntry
 from dnscdn.discovery import (
     CatalogError,
     CdnCatalog,
@@ -14,9 +15,10 @@ from dnscdn.discovery import (
     follow_cname_chain,
     load_domain_list,
     scan_domain_list,
+    _has_address,
 )
 from dnscdn.resolve import QueryTimeoutError, resolve_once
-from dnscdn.wire import RecordType, ResourceRecord
+from dnscdn.wire import MalformedMessageError, RecordType, ResourceRecord
 
 
 def chain_answers(qname, links, terminal_address="192.0.2.1"):
@@ -164,8 +166,8 @@ def test_load_domain_list(tmp_path):
 
 
 RESOLVERS = [
-    ("google", "8.8.8.8", "2001:4860:4860::8888"),
-    ("quad9", "9.9.9.9", "2620:fe::fe"),
+    ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888"),
+    ResolverEntry("quad9", "9.9.9.9", "2620:fe::fe"),
 ]
 
 
@@ -279,3 +281,30 @@ class TestScanDomainList:
         assert first == second
         assert first == sorted(first)
         assert len(first) == 4
+
+
+def malformed_for(bad_name):
+    """resolve_fn that fails to decode every reply about bad_name."""
+    _, resolve_fn = make_scan_fixture({})
+
+    def fake(question):
+        if question.qname == bad_name:
+            raise MalformedMessageError("message of 6 bytes (header needs 12)")
+        return resolve_fn(question)
+
+    return fake
+
+
+def test_malformed_reply_means_no_address():
+    fake = malformed_for("d1.example")
+    assert not _has_address("d1.example", "8.8.8.8", RecordType.A, fake, 100.0)
+    assert _has_address("d2.example", "8.8.8.8", RecordType.A, fake, 100.0)
+
+
+def test_malformed_chain_reply_skips_the_domain():
+    catalog = CdnCatalog.parse("akamai example\n")
+    result = scan_domain_list(
+        ["d1.example", "d2.example"], catalog, {"akamai": 2}, RESOLVERS,
+        resolve_fn=malformed_for("d1.example"), scan_embedded=False,
+    )
+    assert [s.site_domain for s in result["akamai"]] == ["d2.example"]

@@ -186,6 +186,19 @@ class TestDecodeResponse:
         assert message.answers[1].rdata == "z.cdn.example"
 
 
+class TestDnsQuestionFamily:
+    @pytest.mark.parametrize(
+        "address, family",
+        [("192.0.2.53", IpVersion.V4), ("2001:db8::53", IpVersion.V6)],
+    )
+    def test_defaults_to_the_address_family(self, address, family):
+        assert DnsQuestion("x.example", RecordType.A, address).transport_version is family
+
+    def test_explicit_disagreement_still_raises(self):
+        with pytest.raises(ValueError):
+            DnsQuestion("x.example", RecordType.A, "192.0.2.53", transport_version=IpVersion.V6)
+
+
 def random_name(rng):
     labels = []
     for _ in range(rng.randint(1, 5)):
