@@ -5,19 +5,50 @@ back-to-back DNS queries, then three timed TCP handshakes against the
 edge address those answers assigned.  Downstream rules decide which sets
 are usable, which (vantage, website) pairs are complete across every
 resolver, and which vantages carry enough complete pairs to keep.
+
+The set protocol is written once, as a generator of steps (query, gap,
+connect).  run_campaign runs all the sets of a campaign on one
+single-threaded selectors loop, with one heap of gap ends and timeouts:
+
+- Each resolver address is a lane with at most one DNS query in flight.
+  A set holds its lane for its prewarm, and again for its dns_repeats
+  queries, which go back to back.
+- When a set's prewarm ends, the set books its lane from the end of its
+  gap for dns_repeats + 1 times as long as the prewarm held the lane:
+  its own queries, and one other set's prewarm.  The lane starts the
+  next set's prewarm only once that set's gap cannot end before the
+  booking does, so when a gap ends the lane is busy with at most one
+  other set's prewarm.
+- Hence every set waits at least prewarm_gap_s after its prewarm's
+  answer, and overshoots that by at most one query latency.
+- A DNS reading's clock stops at the select() return that reported its
+  socket readable, before the reply is read or decoded.  A handshake is
+  a non-blocking connect on the same loop, timed to the return that
+  reported it writable; handshakes do not hold a lane.
+
+A campaign therefore takes about one gap plus the busiest lane's query
+time, not sets x gap.  run_measurement_set drives the same steps for one
+set with the blocking resolve_once and measure_handshake; fill_in uses
+it.  There is no thread pool; ToolConfig.fanout applies only to
+`discover`.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
+import math
 import random
+import selectors
+import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 
 from .cache import TtlQuirk
-from .mapping import HandshakeSample, NoAddressError, measure_handshake, select_edge
-from .resolve import ResolveError, TimedDnsResponse, resolve_once
+from .mapping import HandshakeAttempt, HandshakeSample, NoAddressError, measure_handshake, select_edge
+from .resolve import DnsExchange, QueryTimeoutError, ResolveError, TimedDnsResponse, resolve_once
 from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
 log = logging.getLogger(__name__)
@@ -102,18 +133,19 @@ class MeasurementSet:
         return (self.vantage_id, self.website, self.resolver_label, self.ip_version)
 
 
-def run_measurement_set(
-    spec: MeasurementSpec,
-    website: tuple[str, str],
-    resolver: ResolverEntry,
-    ip_version: IpVersion,
-    *,
-    vantage_id: str = "local",
-    resolve_fn=resolve_once,
-    handshake_fn=measure_handshake,
-    sleep_fn=time.sleep,
-) -> MeasurementSet:
-    """Run one full set for (website, resolver, family).
+_QUERY, _GAP, _CONNECT = "query", "gap", "connect"
+
+# What a failed query raises; each leaves a gap in dns_results.
+_QUERY_FAILURES = (ResolveError, MalformedMessageError, OSError)
+
+
+def _set_steps(spec, website, resolver, ip_version, vantage_id):
+    """One measurement set as a generator of steps.
+
+    It yields (_QUERY, question), (_GAP, seconds) and (_CONNECT, address),
+    and is sent each step's outcome: a TimedDnsResponse or the exception
+    of a failed query, None after the gap, a HandshakeSample after a
+    connect.  It returns the MeasurementSet.
 
     Sub-measurement failures leave gaps rather than aborting: a dropped or
     undecodable reply is simply absent from dns_results, an unreachable
@@ -132,20 +164,21 @@ def run_measurement_set(
     created_at = time.time()
     dns_results: list[TimedDnsResponse] = []
 
-    try:
-        prewarm = resolve_fn(question)
+    prewarm = yield _QUERY, question
+    if isinstance(prewarm, Exception):
+        log.debug("prewarm for %s via %s failed: %s", hostname, label, prewarm)
+    else:
         prewarm.is_prewarm = True
         dns_results.append(prewarm)
-    except (ResolveError, MalformedMessageError) as exc:
-        log.debug("prewarm for %s via %s failed: %s", hostname, label, exc)
 
-    sleep_fn(spec.prewarm_gap_s)
+    yield _GAP, spec.prewarm_gap_s
 
     for attempt in range(spec.dns_repeats):
-        try:
-            dns_results.append(resolve_fn(question))
-        except (ResolveError, MalformedMessageError) as exc:
-            log.debug("query %d for %s via %s failed: %s", attempt + 1, hostname, label, exc)
+        reply = yield _QUERY, question
+        if isinstance(reply, Exception):
+            log.debug("query %d for %s via %s failed: %s", attempt + 1, hostname, label, reply)
+        else:
+            dns_results.append(reply)
 
     handshake_results: list[HandshakeSample] = []
     try:
@@ -154,9 +187,7 @@ def run_measurement_set(
         edge = None
     if edge is not None:
         for _ in range(spec.handshake_repeats):
-            sample = handshake_fn(
-                edge.address, spec.handshake_port, timeout_ms=spec.per_query_timeout_ms
-            )
+            sample = yield _CONNECT, edge.address
             # failures are recorded as absent, not as failed samples
             if sample.success:
                 handshake_results.append(sample)
@@ -171,6 +202,41 @@ def run_measurement_set(
         handshake_results=handshake_results,
         created_at=created_at,
     )
+
+
+def run_measurement_set(
+    spec: MeasurementSpec,
+    website: tuple[str, str],
+    resolver: ResolverEntry,
+    ip_version: IpVersion,
+    *,
+    vantage_id: str = "local",
+    resolve_fn=resolve_once,
+    handshake_fn=measure_handshake,
+) -> MeasurementSet:
+    """Run one full set for (website, resolver, family), blocking.
+
+    This is a one-job campaign without the loop: the same steps, with
+    resolve_fn for each query, a sleep for the gap and handshake_fn for
+    each connect.  Failures leave gaps, as in _set_steps.
+    """
+    steps = _set_steps(spec, website, resolver, ip_version, vantage_id)
+    outcome = None
+    while True:
+        try:
+            kind, arg = steps.send(outcome)
+        except StopIteration as done:
+            return done.value
+        if kind == _QUERY:
+            try:
+                outcome = resolve_fn(arg)
+            except _QUERY_FAILURES as exc:
+                outcome = exc
+        elif kind == _GAP:
+            time.sleep(arg)
+            outcome = None
+        else:
+            outcome = handshake_fn(arg, spec.handshake_port, timeout_ms=spec.per_query_timeout_ms)
 
 
 def is_usable(
@@ -272,21 +338,238 @@ def fill_in(
     return out
 
 
+class _Job:
+    """One set on the loop: its steps, its lane and what it waits on."""
+
+    __slots__ = ("index", "steps", "lane", "question", "io", "watched", "timer")
+
+    def __init__(self, index: int, steps, lane: _Lane):
+        self.index = index
+        self.steps = steps
+        self.lane = lane
+        self.question: DnsQuestion | None = None  # the query waiting for the lane
+        self.io: DnsExchange | HandshakeAttempt | None = None  # in flight
+        self.watched = None  # the socket registered with the selector
+        self.timer: int | None = None  # sequence number of the timer that applies
+
+
+class _Lane:
+    """One resolver address: at most one query in flight, and sets started
+    no faster than it can serve their queries when their gaps end."""
+
+    def __init__(self, spec: MeasurementSpec):
+        self.waiting: deque[_Job] = deque()  # not started yet, in job order
+        self.due: deque[_Job] = deque()  # gap over, waiting for the lane
+        self.owner: _Job | None = None  # whose query, or run of queries, holds the lane
+        self._gap = spec.prewarm_gap_s
+        self._queries_per_set = spec.dns_repeats + 1
+        self._last_held = 0.0  # how long the latest query held the lane
+        self._fastest = math.inf  # the shortest any query held it
+        self._booked_until = 0.0
+
+    def record(self, seconds: float) -> None:
+        self._last_held = seconds
+        self._fastest = min(self._fastest, seconds)
+
+    def gap_started(self, gap_end: float) -> None:
+        """Book the lane for a set whose prewarm (the latest query) just ended."""
+        self._booked_until = max(self._booked_until, gap_end + self._queries_per_set * self._last_held)
+
+    def start_at(self) -> float:
+        """When the next set may send its prewarm: even if it is answered
+        as fast as any query here so far, its gap must not end before the
+        booking does."""
+        return self._booked_until - self._gap - self._fastest
+
+
+class _CampaignLoop:
+    """Runs the steps of many sets interleaved on one selectors loop."""
+
+    def __init__(self, spec: MeasurementSpec, socket_factory):
+        self._spec = spec
+        self._socket_factory = socket_factory
+        self._selector = selectors.DefaultSelector()
+        self._timers: list[tuple[float, int, _Job]] = []
+        self._seq = itertools.count()
+        self._results: list[MeasurementSet | None] = []
+        self._left = 0
+
+    def run(self, jobs, vantage_id: str) -> list[MeasurementSet]:
+        lanes: dict[str, _Lane] = {}
+        for index, (website, resolver, version) in enumerate(jobs):
+            address = resolver.v4_address if version is IpVersion.V4 else resolver.v6_address
+            lane = lanes.get(address)
+            if lane is None:
+                lane = lanes[address] = _Lane(self._spec)
+            steps = _set_steps(self._spec, website, resolver, version, vantage_id)
+            lane.waiting.append(_Job(index, steps, lane))
+        self._results = [None] * len(jobs)
+        self._left = len(jobs)
+        try:
+            while True:
+                self._expire(time.perf_counter())
+                wake = self._dispatch(lanes.values())
+                if not self._left:
+                    break
+                if self._timers:
+                    wake = min(wake, self._timers[0][0])
+                timeout = None if wake == math.inf else max(0.0, wake - time.perf_counter())
+                ready = self._selector.select(timeout)
+                stamp = time.perf_counter()
+                for key, _ in ready:
+                    self._on_ready(key.data, stamp)
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.data.io.close()
+            self._selector.close()
+        return self._results
+
+    def _dispatch(self, lanes) -> float:
+        """Hand every idle lane its next query; return the earliest time a
+        lane held back by pacing may start its next set."""
+        wake = math.inf
+        for lane in lanes:
+            while lane.owner is None and (lane.due or lane.waiting):
+                if lane.due:
+                    job = lane.owner = lane.due.popleft()
+                    self._query(job, job.question)
+                elif time.perf_counter() >= (start_at := lane.start_at()):
+                    job = lane.owner = lane.waiting.popleft()
+                    self._advance(job, None)
+                else:
+                    wake = min(wake, start_at)
+                    break
+        return wake
+
+    def _advance(self, job: _Job, outcome) -> None:
+        try:
+            kind, arg = job.steps.send(outcome)
+        except StopIteration as done:
+            self._results[job.index] = done.value
+            self._left -= 1
+            self._release(job)
+            return
+        if kind == _QUERY:
+            if job.lane.owner is job:
+                self._query(job, arg)
+            else:
+                job.question = arg
+                job.lane.due.append(job)
+            return
+        self._release(job)
+        if kind == _GAP:
+            gap_end = time.perf_counter() + arg
+            job.lane.gap_started(gap_end)
+            self._set_timer(job, gap_end)
+        else:
+            self._connect(job, arg)
+
+    def _query(self, job: _Job, question: DnsQuestion) -> None:
+        exchange = DnsExchange(question)
+        try:
+            exchange.start()
+        except _QUERY_FAILURES as exc:
+            exchange.close()
+            job.lane.record(0.0)
+            self._advance(job, exc)
+            return
+        self._begin(job, exchange, exchange.events, exchange.deadline)
+
+    def _connect(self, job: _Job, address: str) -> None:
+        attempt = HandshakeAttempt(
+            address,
+            self._spec.handshake_port,
+            self._spec.per_query_timeout_ms,
+            socket_factory=self._socket_factory,
+        )
+        attempt.start()
+        if attempt.sample is None:
+            self._begin(job, attempt, selectors.EVENT_WRITE, attempt.deadline)
+        else:
+            attempt.close()
+            self._advance(job, attempt.sample)
+
+    def _on_ready(self, job: _Job, stamp: float) -> None:
+        io = job.io
+        self._unwatch(job)
+        if isinstance(io, HandshakeAttempt):
+            outcome = io.finish(stamp)
+        else:
+            try:
+                outcome = io.on_ready(stamp)
+            except _QUERY_FAILURES as exc:
+                outcome = exc
+            if outcome is None:  # not yet: a stray reply, or on to TCP
+                self._watch(job, io.sock, io.events)
+                return
+            job.lane.record(stamp - io.sent_at)
+        self._end(job)
+        self._advance(job, outcome)
+
+    def _expire(self, now: float) -> None:
+        while self._timers and self._timers[0][0] <= now:
+            _, seq, job = heapq.heappop(self._timers)
+            if job.timer != seq:
+                continue  # set for a step that is over
+            io = job.io
+            if io is None:
+                job.timer = None
+                self._advance(job, None)  # the gap is over
+                continue
+            if isinstance(io, HandshakeAttempt):
+                outcome = io.finish(None)
+            else:
+                job.lane.record(now - io.sent_at)
+                outcome = QueryTimeoutError("query timed out")
+            self._end(job)
+            self._advance(job, outcome)
+
+    def _begin(self, job: _Job, io, events: int, deadline: float) -> None:
+        job.io = io
+        self._watch(job, io.sock, events)
+        self._set_timer(job, deadline)
+
+    def _end(self, job: _Job) -> None:
+        self._unwatch(job)
+        job.io.close()
+        job.io = job.timer = None
+
+    def _watch(self, job: _Job, sock, events: int) -> None:
+        self._selector.register(sock, events, job)
+        job.watched = sock
+
+    def _unwatch(self, job: _Job) -> None:
+        if job.watched is not None:
+            self._selector.unregister(job.watched)
+            job.watched = None
+
+    def _set_timer(self, job: _Job, when: float) -> None:
+        job.timer = next(self._seq)
+        heapq.heappush(self._timers, (when, job.timer, job))
+
+    @staticmethod
+    def _release(job: _Job) -> None:
+        if job.lane.owner is job:
+            job.lane.owner = None
+
+
 def run_campaign(
     spec: MeasurementSpec,
     *,
     vantage_id: str = "local",
     rng: random.Random | None = None,
-    fanout: int = 1,
     run_fn=run_measurement_set,
-    **run_kwargs,
+    socket_factory=socket.socket,
 ) -> list[MeasurementSet]:
     """Measure every (website, resolver, family) combination once.
 
     Website order is shuffled independently per resolver so that cache
     warming from one resolver's pass does not systematically lead or trail
-    another's.  Distinct combinations may run concurrently up to fanout;
-    each set is internally serial.
+    another's.  Sets come back in that job order.  They run interleaved on
+    one selectors loop, as the module docstring describes; socket_factory
+    makes the loop's handshake sockets, as in measure_handshake.  A run_fn
+    other than run_measurement_set replaces the loop: each job goes
+    through it in turn, with fill_in's calling convention.
     """
     rng = rng or random.Random()
     jobs = []
@@ -296,12 +579,6 @@ def run_campaign(
         for website in ordered:
             for version in (IpVersion.V4, IpVersion.V6):
                 jobs.append((website, resolver, version))
-
-    def run_one(job):
-        website, resolver, version = job
-        return run_fn(spec, website, resolver, version, vantage_id=vantage_id, **run_kwargs)
-
-    if fanout <= 1:
-        return [run_one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=fanout) as pool:
-        return list(pool.map(run_one, jobs))
+    if run_fn is not run_measurement_set:
+        return [run_fn(spec, *job, vantage_id=vantage_id) for job in jobs]
+    return _CampaignLoop(spec, socket_factory).run(jobs, vantage_id)

@@ -269,7 +269,7 @@ def _run_one_campaign(config: ToolConfig, websites, output_path, *, preflight=Tr
     spec = config.to_measurement_spec(websites)
     spec.resolvers = kept
     campaign_id = time.strftime("%Y%m%d-%H%M%S")
-    sets = run_campaign(spec, vantage_id=config.vantage_id, fanout=config.fanout)
+    sets = run_campaign(spec, vantage_id=config.vantage_id)
     if output_path is None:
         os.makedirs(config.output_dir, exist_ok=True)
         output_path = os.path.join(config.output_dir, f"campaign-{campaign_id}.jsonl")
@@ -313,7 +313,11 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_fill_in(args) -> int:
-    records = storage.read_records(args.input)
+    # fill-in rewrites whole files, so it must not drop a damaged line
+    gathered = _read_inputs([args.input], salvage=False)
+    if gathered is None:
+        return 2
+    records, _ = gathered
     if not records:
         print("error: no records in input", file=sys.stderr)
         return 1
@@ -346,14 +350,40 @@ def _campaign_files(data_dir: str, month: str | None) -> list[str]:
     return [os.path.join(data_dir, n) for n in names if n.endswith(".jsonl")]
 
 
-def _gather_records(args) -> list[storage.CampaignRecord]:
+def _read_inputs(paths, *, salvage: bool) -> tuple[list[storage.CampaignRecord], bool] | None:
+    """Every file's records, and whether any file was cut short.
+
+    With salvage, a truncated file contributes the records before its
+    damaged line, and one damage line goes to stderr.  A file that cannot
+    be used gets an error line on stderr, and the result is None.
+    """
+    records = []
+    damaged = False
+    for path in paths:
+        try:
+            records.extend(storage.read_records(path))
+        except storage.TruncatedFileError as exc:
+            if not salvage:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return None
+            print(
+                f"damaged input: {path}: truncated at line {exc.line_number}; "
+                f"salvaged {len(exc.records)} record(s)",
+                file=sys.stderr,
+            )
+            records.extend(exc.records)
+            damaged = True
+        except (storage.SchemaMismatchError, storage.IoFailureError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return None
+    return records, damaged
+
+
+def _gather_records(args) -> tuple[list[storage.CampaignRecord], bool] | None:
     paths = list(args.input)
     if getattr(args, "data_dir", None):
         paths.extend(_campaign_files(args.data_dir, getattr(args, "month", None)))
-    records = []
-    for path in paths:
-        records.extend(storage.read_records(path))
-    return records
+    return _read_inputs(paths, salvage=True)
 
 
 def _load_geo(path) -> dict[str, str]:
@@ -405,7 +435,10 @@ def _cmd_analyze(args) -> int:
     if not args.input and not args.data_dir:
         print("error: provide --input or --data-dir", file=sys.stderr)
         return 2
-    records = _gather_records(args)
+    gathered = _gather_records(args)
+    if gathered is None:
+        return 2
+    records, damaged = gathered
     geo = _load_geo(args.geo)
     rows = _table_rows(_filtered_points(records, args, geo), geo)
     if args.json:
@@ -414,11 +447,14 @@ def _cmd_analyze(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(TABLE_COLUMNS)
         writer.writerows(rows)
-    return 0
+    return 1 if damaged else 0
 
 
 def _cmd_report(args) -> int:
-    records = _gather_records(args)
+    gathered = _gather_records(args)
+    if gathered is None:
+        return 2
+    records, damaged = gathered
     config = _load_tool_config(args.config)
     geo = _load_geo(args.geo)
     sets = [r.mset for r in records]
@@ -519,7 +555,7 @@ def _cmd_report(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0
+    return 1 if damaged else 0
 
 
 def _cmd_import_atlas(args) -> int:

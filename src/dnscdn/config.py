@@ -47,7 +47,7 @@ class ToolConfig:
     handshake_port: int = 443
     output_dir: str = "campaigns"
     recurrence_interval_s: float = 30 * 24 * 3600.0
-    fanout: int = 4
+    fanout: int = 4  # domains `discover` checks at once; campaigns run on one event loop
     happy_eyeballs_threshold_ms: float = HAPPY_EYEBALLS_THRESHOLD_MS
     geo_path: str | None = None
     vantage_id: str = "local"

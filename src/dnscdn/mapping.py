@@ -3,19 +3,23 @@
 The edge server a client is mapped to is whatever address the first
 non-prewarming DNS response handed back; mapping latency is the median of
 timed TCP handshakes to that address.  Kernel connect() completion is the
-portable stand-in for the SYN to SYN/ACK round trip.
+portable stand-in for the SYN to SYN/ACK round trip: a HandshakeAttempt
+starts a non-blocking connect and stops its clock at the select() return
+that reports the socket writable, reading the outcome from SO_ERROR.  The
+campaign loop runs many attempts at once; measure_handshake drives one.
 """
 
 from __future__ import annotations
 
 import errno
+import selectors
 import socket
 import statistics
 import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .resolve import TimedDnsResponse
+from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, wait_ready
 from .wire import IpVersion, RecordType
 
 
@@ -96,6 +100,66 @@ def select_edge(
     raise NoAddressError(f"no {want.name} record in any non-prewarm response")
 
 
+class HandshakeAttempt:
+    """One timed TCP connect, as a start step and an on-writable step.
+
+    start() opens the socket through socket_factory, starts the clock and
+    initiates a non-blocking connect.  If the connect settles at once,
+    `sample` is set there; otherwise the driver watches `sock` for
+    writability until `deadline` (a perf_counter reading) and calls
+    finish(stamp) with the select() return time, or finish(None) when the
+    deadline passed.  Failures are folded into success=False with an
+    error kind, never raised.  close() releases the socket.
+    """
+
+    def __init__(self, address: str, port: int = 443, timeout_ms: float = 5000.0, *, socket_factory=socket.socket):
+        self.address = address
+        self.port = port
+        self._timeout_s = timeout_ms / 1000.0
+        self._socket_factory = socket_factory
+        self.sock = None
+        self.sample: HandshakeSample | None = None
+        self.started_at = self.deadline = 0.0
+
+    def start(self) -> None:
+        v4 = IpVersion.of_address(self.address) is IpVersion.V4
+        try:
+            self.sock = self._socket_factory(socket.AF_INET if v4 else socket.AF_INET6, socket.SOCK_STREAM)
+            self.sock.setblocking(False)
+            self.started_at = time.perf_counter()
+            self.deadline = self.started_at + self._timeout_s
+            err = self.sock.connect_ex((self.address, self.port))
+        except OSError as exc:
+            err = exc.errno
+        if err == 0:
+            self.finish(time.perf_counter())
+        elif err not in IN_PROGRESS_ERRNOS:
+            self.sample = self._failed(err)
+
+    def finish(self, stamp: float | None) -> HandshakeSample:
+        if stamp is None:
+            self.sample = self._failed(errno.ETIMEDOUT)
+        else:
+            err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            self.sample = (
+                self._failed(err)
+                if err
+                else HandshakeSample(self.address, self.port, (stamp - self.started_at) * 1000.0, True)
+            )
+        return self.sample
+
+    def _failed(self, err: int | None) -> HandshakeSample:
+        kind = {
+            errno.ETIMEDOUT: HandshakeFailure.TIMEOUT,
+            errno.ECONNREFUSED: HandshakeFailure.REFUSED,
+        }.get(err, HandshakeFailure.UNREACHABLE)
+        return HandshakeSample(self.address, self.port, None, False, kind)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+
+
 def measure_handshake(
     address: str,
     port: int = 443,
@@ -103,36 +167,24 @@ def measure_handshake(
     *,
     socket_factory=socket.socket,
 ) -> HandshakeSample:
-    """Time TCP connection establishment to (address, port).
+    """Time TCP connection establishment to (address, port), blocking.
 
     The clock runs from connect initiation to connect completion on a
     monotonic source; the socket is closed immediately after.  Failures are
     folded into success=False with an error kind, never raised.
 
     socket_factory exists so tests can interpose delay or fault injection;
-    production callers leave it alone.
+    production callers leave it alone.  What it returns must offer
+    setblocking, connect_ex, fileno, getsockopt(SO_ERROR) and close.
     """
-    family = socket.AF_INET if IpVersion.of_address(address) is IpVersion.V4 else socket.AF_INET6
-    sock = socket_factory(family, socket.SOCK_STREAM)
+    attempt = HandshakeAttempt(address, port, timeout_ms, socket_factory=socket_factory)
     try:
-        sock.settimeout(timeout_ms / 1000.0)
-        start = time.perf_counter()
-        try:
-            sock.connect((address, port))
-        except socket.timeout:
-            return HandshakeSample(address, port, None, False, HandshakeFailure.TIMEOUT)
-        except ConnectionRefusedError:
-            return HandshakeSample(address, port, None, False, HandshakeFailure.REFUSED)
-        except OSError as exc:
-            if exc.errno in (errno.ETIMEDOUT,):
-                return HandshakeSample(address, port, None, False, HandshakeFailure.TIMEOUT)
-            if exc.errno == errno.ECONNREFUSED:
-                return HandshakeSample(address, port, None, False, HandshakeFailure.REFUSED)
-            return HandshakeSample(address, port, None, False, HandshakeFailure.UNREACHABLE)
-        rtt_ms = (time.perf_counter() - start) * 1000.0
+        attempt.start()
+        if attempt.sample is None:
+            attempt.finish(wait_ready(attempt.sock, selectors.EVENT_WRITE, attempt.deadline))
+        return attempt.sample
     finally:
-        sock.close()
-    return HandshakeSample(address, port, rtt_ms, True)
+        attempt.close()
 
 
 def mapping_latency(samples: list[HandshakeSample]) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .resolve import ResolveError, resolve_once
-from .wire import DnsQuestion, IpVersion, RecordType
+from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
 WHOAMI_V4 = "whoami.ipv4.akahelp.net"
 WHOAMI_V6 = "whoami.ipv6.akahelp.net"
@@ -142,7 +142,7 @@ def whoami_egress(
         )
         try:
             reply = resolve_fn(question)
-        except ResolveError:
+        except (ResolveError, MalformedMessageError):
             continue
         strings: list[str] = []
         for record in reply.answers:
@@ -239,7 +239,7 @@ def asn_lookup(
     )
     try:
         reply = resolve_fn(question)
-    except ResolveError as exc:
+    except (ResolveError, MalformedMessageError) as exc:
         raise NoAnswerError(f"Cymru lookup for {ip} failed: {exc}") from exc
     if reply.rcode == 3:  # NXDOMAIN
         raise NoMappingError(f"no origin mapping for {ip}")

@@ -3,13 +3,16 @@
 One CampaignRecord per line, UTF-8.  Keys are written in a fixed
 documented order (schema_version, campaign_id, provenance, spec, set;
 nested objects likewise follow their dataclass field order), so identical
-records serialize byte-identically.  Readers reject unknown major schema
-versions and salvage everything before a truncated final line.
+records serialize byte-identically.  write_records replaces a file only
+once the whole new content is written.  Readers reject unknown major
+schema versions and salvage everything before a truncated final line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -193,11 +196,24 @@ def record_from_dict(d: dict) -> CampaignRecord:
 
 
 def write_records(records: list[CampaignRecord], path: str):
+    """Write records to path, all or nothing.
+
+    The lines go to a temporary file in the same directory, which replaces
+    path only once every record is written; a write that fails part way
+    leaves whatever was at path untouched.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-                fh.write("\n")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for record in records:
+                    fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
+                    fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 

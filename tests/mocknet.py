@@ -5,6 +5,10 @@ struct, on purpose: they must not reuse the package's own encoder, so a
 round-trip through them is an independent check rather than a tautology.
 """
 
+import errno
+import heapq
+import itertools
+import os
 import socket
 import struct
 import threading
@@ -152,20 +156,22 @@ class MockDnsServer:
         reply = self.script(qname, qtype, self._next_count(qname, qtype))
         if reply is None:
             return None, None
+        if reply.raw_tail is not None:
+            wire = struct.pack("!H", txid) + reply.raw_tail
+        else:
+            wire = build_response(
+                txid,
+                qname,
+                qtype,
+                reply.answers if not (reply.tc and allow_tc) else [],
+                rcode=reply.rcode,
+                tc=reply.tc and allow_tc,
+                compress_answer_names=reply.compress_answer_names,
+            )
+        # The reply is built before the hold, so the hold ends in a bare send.
         total_delay = (self.delay_ms + reply.delay_ms) / 1000.0
         if total_delay:
             time.sleep(total_delay)
-        if reply.raw_tail is not None:
-            return struct.pack("!H", txid) + reply.raw_tail, reply
-        wire = build_response(
-            txid,
-            qname,
-            qtype,
-            reply.answers if not (reply.tc and allow_tc) else [],
-            rcode=reply.rcode,
-            tc=reply.tc and allow_tc,
-            compress_answer_names=reply.compress_answer_names,
-        )
         return wire, reply
 
     def _udp_loop(self):
@@ -229,6 +235,7 @@ class MockTcpListener:
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._sock = socket.socket(family, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(16)
         self._sock.settimeout(0.05)
@@ -259,31 +266,100 @@ class MockTcpListener:
         return False
 
 
+class _Timers:
+    """One daemon thread that runs callbacks at perf_counter deadlines."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._due = []  # heap of (when, seq, fn)
+        self._seq = itertools.count()
+        threading.Thread(target=self._run, daemon=True).start()
+
+    def call_at(self, when, fn):
+        with self._cond:
+            heapq.heappush(self._due, (when, next(self._seq), fn))
+            self._cond.notify()
+
+    def _run(self):
+        while True:
+            with self._cond:
+                while not self._due or self._due[0][0] > time.perf_counter():
+                    self._cond.wait(self._due[0][0] - time.perf_counter() if self._due else None)
+                _, _, fn = heapq.heappop(self._due)
+            fn()
+
+
+_timers = None
+
+
+def _shared_timers() -> _Timers:
+    global _timers
+    if _timers is None:
+        _timers = _Timers()
+    return _timers
+
+
 class _DelayedConnectSocket:
-    """Wraps a real socket, sleeping before connect.
+    """A TCP socket whose non-blocking connect completes delay_s late.
 
     The loopback kernel answers SYNs itself, so an accept-side delay never
-    shows up in connect timing; injecting the delay on the client side is
-    the only portable way to script a handshake RTT.
+    shows up in connect timing; the delay has to be injected on the client
+    side, and without blocking the caller's event loop.  connect_ex()
+    starts the real connect and reports it in progress.  fileno() is the
+    write end of a pipe kept full until a timer drains it delay_s later,
+    so a selector sees the socket writable only then; SO_ERROR is the real
+    connect's outcome.
     """
 
     def __init__(self, sock, delay_s: float):
         self._sock = sock
         self._delay_s = delay_s
+        self._error = 0
+        self._lock = threading.Lock()
+        self._read_fd, self._write_fd = os.pipe()
+        os.set_blocking(self._read_fd, False)
+        os.set_blocking(self._write_fd, False)
+        try:
+            while True:
+                os.write(self._write_fd, bytes(65536))
+        except BlockingIOError:
+            pass
 
-    def connect(self, address):
-        time.sleep(self._delay_s)
-        return self._sock.connect(address)
+    def setblocking(self, flag):
+        self._sock.setblocking(flag)
 
-    def __getattr__(self, item):
-        return getattr(self._sock, item)
+    def connect_ex(self, address):
+        err = self._sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS):
+            self._error = err
+        _shared_timers().call_at(time.perf_counter() + self._delay_s, self._fire)
+        return errno.EINPROGRESS
 
-    def __enter__(self):
-        return self
+    def _fire(self):
+        with self._lock:
+            if self._read_fd is None:
+                return  # closed before its time
+            try:
+                while os.read(self._read_fd, 65536):
+                    pass
+            except BlockingIOError:
+                pass
 
-    def __exit__(self, *exc):
+    def fileno(self):
+        return self._write_fd
+
+    def getsockopt(self, level, option, *args):
+        if (level, option) == (socket.SOL_SOCKET, socket.SO_ERROR) and self._error:
+            return self._error
+        return self._sock.getsockopt(level, option, *args)
+
+    def close(self):
+        with self._lock:
+            if self._read_fd is not None:
+                os.close(self._read_fd)
+                os.close(self._write_fd)
+                self._read_fd = None
         self._sock.close()
-        return False
 
 
 def delayed_socket_factory(delay_ms: float):

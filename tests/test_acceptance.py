@@ -13,7 +13,6 @@ import random
 import statistics
 import string
 import time
-from functools import partial
 
 import mocknet
 from factories import make_set
@@ -37,7 +36,6 @@ from dnscdn.campaign import (
     is_usable,
     run_campaign,
 )
-from dnscdn.mapping import measure_handshake
 from dnscdn.storage import read_records, write_records
 from dnscdn.wire import (
     DnsQuestion,
@@ -311,9 +309,7 @@ def test_mock_network_end_to_end():
                 spec,
                 vantage_id="mock-e2e",
                 rng=random.Random(5),
-                handshake_fn=partial(
-                    measure_handshake, socket_factory=mocknet.delayed_socket_factory(25.0)
-                ),
+                socket_factory=mocknet.delayed_socket_factory(25.0),
             )
 
         assert len(sets) == 8  # 4 websites x 1 resolver x 2 families

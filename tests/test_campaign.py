@@ -1,13 +1,18 @@
 """Measurement-set orchestration and the usable/complete/fill-in rules."""
 
+import contextlib
 import functools
 import random
+import socket
+import statistics
+import time
 
 import pytest
 
 import mocknet
 from factories import make_response, make_set
-from dnscdn.analytics import build_latency_points
+from dnscdn import resolve
+from dnscdn.analytics import build_latency_points, per_website_median
 from dnscdn.campaign import (
     MeasurementSet,
     MeasurementSpec,
@@ -18,7 +23,7 @@ from dnscdn.campaign import (
     run_campaign,
     run_measurement_set,
 )
-from dnscdn.mapping import HandshakeFailure, HandshakeSample, measure_handshake
+from dnscdn.mapping import HandshakeFailure, HandshakeSample, mapping_latency, measure_handshake
 from dnscdn.wire import IpVersion
 
 JITTER_MS = 5.0
@@ -31,11 +36,24 @@ def loopback_spec(server, **overrides):
     defaults = dict(
         websites=[WEBSITE],
         resolvers=[RESOLVER],
+        prewarm_gap_s=0.0,
         per_query_timeout_ms=2000.0,
         resolver_port=server.port,
     )
     defaults.update(overrides)
     return MeasurementSpec(**defaults)
+
+
+def free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def gap_s(mset):
+    """Seconds from the prewarm's answer to the first query after it."""
+    prewarm, first = mset.dns_results[:2]
+    return first.sent_at_monotonic - (prewarm.sent_at_monotonic + prewarm.latency_ms / 1000.0)
 
 
 def ok_handshake(address, port, timeout_ms=0.0):
@@ -96,23 +114,21 @@ class TestMeasurementSetInvariants:
 class TestRunMeasurementSet:
     def test_full_set_shape_and_timing(self):
         script = mocknet.constant_script([("www.wide.example", mocknet.A, 20, "127.0.0.1")])
-        gaps = []
         with mocknet.MockDnsServer(script, delay_ms=20.0) as server:
             mset = run_measurement_set(
-                loopback_spec(server),
+                loopback_spec(server, prewarm_gap_s=0.1),
                 WEBSITE,
                 RESOLVER,
                 IpVersion.V4,
                 vantage_id="probe-7",
                 handshake_fn=ok_handshake,
-                sleep_fn=gaps.append,
             )
         assert len(mset.dns_results) == 4
         assert mset.dns_results[0].is_prewarm
         assert sum(1 for r in mset.dns_results if r.is_prewarm) == 1
         for result in mset.dns_results:
             assert 20.0 <= result.latency_ms <= 20.0 + JITTER_MS
-        assert gaps == [15.0]
+        assert 0.1 <= gap_s(mset) <= 0.1 + JITTER_MS / 1000.0
         assert len(mset.handshake_results) == 3
         assert mset.key == ("probe-7", "www.wide.example", "local", IpVersion.V4)
         assert mset.cdn == "akamai"
@@ -130,7 +146,6 @@ class TestRunMeasurementSet:
                 RESOLVER,
                 IpVersion.V4,
                 handshake_fn=ok_handshake,
-                sleep_fn=lambda s: None,
             )
         assert len(mset.dns_results) == 3
         assert sum(1 for r in mset.dns_results if r.is_prewarm) == 1
@@ -148,7 +163,6 @@ class TestRunMeasurementSet:
                 RESOLVER,
                 IpVersion.V4,
                 handshake_fn=ok_handshake,
-                sleep_fn=lambda s: None,
             )
         assert len(mset.dns_results) == 3
         assert not any(r.is_prewarm for r in mset.dns_results)
@@ -162,7 +176,6 @@ class TestRunMeasurementSet:
                 RESOLVER,
                 IpVersion.V6,
                 handshake_fn=ok_handshake,
-                sleep_fn=lambda s: None,
             )
         assert len(mset.dns_results) == 4
         assert mset.ip_version is IpVersion.V6
@@ -183,7 +196,6 @@ class TestRunMeasurementSet:
                 RESOLVER,
                 IpVersion.V4,
                 handshake_fn=forbidden,
-                sleep_fn=lambda s: None,
             )
         assert len(mset.dns_results) == 4
         assert mset.handshake_results == []
@@ -201,7 +213,6 @@ class TestRunMeasurementSet:
                 RESOLVER,
                 IpVersion.V4,
                 handshake_fn=handshake_fn,
-                sleep_fn=lambda s: None,
             )
         assert len(mset.handshake_results) == 3
         for sample in mset.handshake_results:
@@ -352,62 +363,173 @@ class TestFillIn:
         assert any("legacy.example" in rec.getMessage() for rec in caplog.records)
 
 
+def dual_family_script(tc_site=None, **reply_kwargs):
+    """A for 127.0.0.1 and AAAA for ::1, so handshakes come back to the loopback."""
+
+    def script(qname, qtype, count):
+        rtype, address = (mocknet.AAAA, "::1") if qtype == mocknet.AAAA else (mocknet.A, "127.0.0.1")
+        return mocknet.MockReply(answers=[(qname, rtype, 20, address)], tc=qname == tc_site, **reply_kwargs)
+
+    return script
+
+
+@contextlib.contextmanager
+def loopback_network(script, delay_ms=0.0, tcp=False):
+    """DNS servers on 127.0.0.1 and ::1 sharing a port, and TCP edges likewise."""
+    with mocknet.MockDnsServer(script, delay_ms=delay_ms, tcp=tcp) as dns4, \
+            mocknet.MockDnsServer(script, delay_ms=delay_ms, host="::1", port=dns4.port, tcp=tcp), \
+            mocknet.MockTcpListener() as tcp4, \
+            mocknet.MockTcpListener(host="::1", port=tcp4.port):
+        yield dns4.port, tcp4.port
+
+
+def by_address(sets):
+    """Every DNS reading's (sent, answered) interval, per resolver address."""
+    out = {}
+    for mset in sets:
+        for r in mset.dns_results:
+            end = r.sent_at_monotonic + r.latency_ms / 1000.0
+            out.setdefault(r.question.resolver_address, []).append((r.sent_at_monotonic, end))
+    return out
+
+
 class TestRunCampaign:
     WEBSITES = [("akamai", f"w{i}.example") for i in range(6)]
     RESOLVERS = [
-        ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888"),
-        ResolverEntry("quad9", "9.9.9.9", "2620:fe::fe"),
+        ResolverEntry("google", "127.0.0.1", "::1"),
+        ResolverEntry("quad9", "127.0.0.1", "::1"),
     ]
 
-    def _spec(self):
-        return MeasurementSpec(websites=self.WEBSITES, resolvers=self.RESOLVERS)
+    def _spec(self, dns_port, tcp_port, **overrides):
+        defaults = dict(
+            websites=self.WEBSITES,
+            resolvers=self.RESOLVERS,
+            prewarm_gap_s=0.02,
+            per_query_timeout_ms=2000.0,
+            resolver_port=dns_port,
+            handshake_port=tcp_port,
+        )
+        defaults.update(overrides)
+        return MeasurementSpec(**defaults)
 
-    @staticmethod
-    def _recording_run_fn(order):
-        def run_fn(spec, website, resolver, version, vantage_id="local", **kwargs):
-            order.append((website[1], resolver.label, version))
-            return MeasurementSet(
-                vantage_id=vantage_id,
-                website=website[1],
-                cdn=website[0],
-                resolver_label=resolver.label,
-                ip_version=version,
-            )
+    def _run(self, seed, script=None, **overrides):
+        with loopback_network(script or dual_family_script()) as (dns_port, tcp_port):
+            return run_campaign(self._spec(dns_port, tcp_port, **overrides), rng=random.Random(seed))
 
-        return run_fn
+    def _job_order(self, seed):
+        """The job order run_campaign promises, drawn from the rng as documented."""
+        rng = random.Random(seed)
+        order = []
+        for resolver in self.RESOLVERS:
+            websites = list(self.WEBSITES)
+            rng.shuffle(websites)
+            order += [(w[1], resolver.label, v) for w in websites for v in (IpVersion.V4, IpVersion.V6)]
+        return order
 
     def test_covers_every_combination_once(self):
-        order = []
-        sets = run_campaign(self._spec(), rng=random.Random(1), run_fn=self._recording_run_fn(order))
+        sets = self._run(1)
+        keys = [(s.website, s.resolver_label, s.ip_version) for s in sets]
         assert len(sets) == 6 * 2 * 2
-        assert len(set(order)) == len(order)
+        assert len(set(keys)) == len(keys)
+        assert all(is_usable(s) for s in sets)
 
     def test_seeded_order_is_reproducible(self):
-        first, second = [], []
-        run_campaign(self._spec(), rng=random.Random(7), run_fn=self._recording_run_fn(first))
-        run_campaign(self._spec(), rng=random.Random(7), run_fn=self._recording_run_fn(second))
-        assert first == second
+        first = [(s.website, s.resolver_label, s.ip_version) for s in self._run(7)]
+        second = [(s.website, s.resolver_label, s.ip_version) for s in self._run(7)]
+        assert first == second == self._job_order(7)
 
     def test_website_order_is_shuffled_per_resolver(self):
-        order = []
-        run_campaign(self._spec(), rng=random.Random(0), run_fn=self._recording_run_fn(order))
         per_resolver = {}
-        for website, resolver, version in order:
-            if version is IpVersion.V4:
-                per_resolver.setdefault(resolver, []).append(website)
+        for s in self._run(0):
+            if s.ip_version is IpVersion.V4:
+                per_resolver.setdefault(s.resolver_label, []).append(s.website)
         assert set(per_resolver["google"]) == set(per_resolver["quad9"])
         assert per_resolver["google"] != per_resolver["quad9"]
 
-    def test_fanout_covers_the_same_combinations(self):
-        serial_order, pooled_order = [], []
-        serial = run_campaign(
-            self._spec(), rng=random.Random(3), run_fn=self._recording_run_fn(serial_order)
-        )
-        pooled = run_campaign(
-            self._spec(), rng=random.Random(3), fanout=4, run_fn=self._recording_run_fn(pooled_order)
-        )
-        assert {s.key for s in serial} == {s.key for s in pooled}
-        assert len(pooled) == len(serial)
+    def test_send_stamps_strictly_increase_within_a_set(self):
+        for mset in self._run(2):
+            stamps = [r.sent_at_monotonic for r in mset.dns_results]
+            assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
+            assert mset.dns_results[0].is_prewarm
+
+    def test_one_query_in_flight_per_resolver_address(self):
+        with loopback_network(dual_family_script(), delay_ms=5.0) as (dns_port, tcp_port):
+            sets = run_campaign(self._spec(dns_port, tcp_port), rng=random.Random(3))
+        intervals = by_address(sets)
+        assert set(intervals) == {"127.0.0.1", "::1"}
+        for spans in intervals.values():
+            spans.sort()
+            assert len(spans) == 6 * 2 * 4
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert start >= end - 1e-9
+
+    def test_every_gap_is_kept_and_barely_overshot(self):
+        gap = 0.1
+        with loopback_network(dual_family_script(), delay_ms=10.0) as (dns_port, tcp_port):
+            sets = run_campaign(self._spec(dns_port, tcp_port, prewarm_gap_s=gap), rng=random.Random(4))
+        slowest_s = max(r.latency_ms for s in sets for r in s.dns_results) / 1000.0
+        for mset in sets:
+            assert len(mset.dns_results) == 4
+            assert gap <= gap_s(mset) <= gap + slowest_s + JITTER_MS / 1000.0
+
+    def test_truncated_site_retries_over_tcp(self):
+        tc_site = self.WEBSITES[2][1]
+        with loopback_network(dual_family_script(tc_site=tc_site), delay_ms=2.0, tcp=True) as ports:
+            sets = run_campaign(self._spec(*ports), rng=random.Random(5))
+        for mset in sets:
+            assert is_usable(mset)
+            for r in mset.dns_results:
+                assert r.truncated_retried == (mset.website == tc_site)
+                assert r.first_address(mset.ip_version) is not None
+
+    def test_mismatched_txid_is_dropped_and_the_wait_goes_on(self):
+        sets = self._run(6, dual_family_script(wrong_txid_first=True))
+        assert all(len(s.dns_results) == 4 and is_usable(s) for s in sets)
+
+    def test_unreachable_resolver_and_edge_leave_gaps(self):
+        # Nothing listens on the handshake port, and no DNS server on ::1.
+        with mocknet.MockDnsServer(dual_family_script()) as dns4:
+            spec = self._spec(dns4.port, free_port(), per_query_timeout_ms=300.0)
+            sets = run_campaign(spec, rng=random.Random(8))
+        for mset in sets:
+            assert mset.handshake_results == []
+            if mset.ip_version is IpVersion.V4:
+                assert len(mset.dns_results) == 4
+            else:
+                assert mset.dns_results == []
+
+    def test_no_address_answer_skips_handshakes(self):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("handshake attempted with no edge address")
+
+        script = mocknet.constant_script([("www.wide.example", mocknet.CNAME, 300, "edge.cdn.example")])
+        with loopback_network(script) as (dns_port, tcp_port):
+            spec = self._spec(dns_port, tcp_port, websites=[WEBSITE])
+            sets = run_campaign(spec, rng=random.Random(9), socket_factory=forbidden)
+        assert len(sets) == 4
+        assert all(len(s.dns_results) == 4 and s.handshake_results == [] for s in sets)
+
+    def test_scripted_handshake_rtt_is_recovered(self):
+        with loopback_network(dual_family_script(), delay_ms=20.0) as (dns_port, tcp_port):
+            spec = self._spec(dns_port, tcp_port, websites=[WEBSITE], resolvers=[RESOLVER])
+            sets = run_campaign(spec, socket_factory=mocknet.delayed_socket_factory(25.0))
+        for mset in sets:
+            assert len(mset.handshake_results) == 3
+            assert all(sample.rtt_ms >= 25.0 for sample in mset.handshake_results)
+            assert mapping_latency(mset.handshake_results) <= 25.0 + JITTER_MS
+            assert all(r.latency_ms >= 20.0 for r in mset.dns_results)
+            assert per_website_median(mset) <= 20.0 + JITTER_MS
+
+    def test_a_run_fn_replaces_the_loop_in_job_order(self):
+        calls = []
+
+        def run_fn(spec, website, resolver, version, vantage_id="local"):
+            calls.append((website[1], resolver.label, version))
+            return MeasurementSet(vantage_id, website[1], website[0], resolver.label, version)
+
+        spec = MeasurementSpec(websites=self.WEBSITES, resolvers=self.RESOLVERS)
+        sets = run_campaign(spec, rng=random.Random(7), run_fn=run_fn)
+        assert calls == [(s.website, s.resolver_label, s.ip_version) for s in sets] == self._job_order(7)
 
 
 def test_malformed_reply_leaves_a_gap_instead_of_aborting():
@@ -418,13 +540,40 @@ def test_malformed_reply_leaves_a_gap_instead_of_aborting():
             return mocknet.MockReply(raw_tail=b"\x81\x80\x00\x01")  # 6 bytes with the txid
         return mocknet.MockReply(answers=[(qname, mocknet.A, 20, "127.0.0.1")])
 
-    with mocknet.MockDnsServer(script) as server:
+    with mocknet.MockDnsServer(script) as server, mocknet.MockTcpListener() as edge:
         spec = loopback_spec(
-            server, websites=[WEBSITE, ("akamai", broken)], per_query_timeout_ms=300.0
+            server,
+            websites=[WEBSITE, ("akamai", broken)],
+            per_query_timeout_ms=300.0,
+            handshake_port=edge.port,
         )
-        sets = run_campaign(spec, handshake_fn=ok_handshake, sleep_fn=lambda s: None)
+        sets = run_campaign(spec)
     v4 = {s.website: s for s in sets if s.ip_version is IpVersion.V4}
     assert len(sets) == 4
     assert v4[broken].dns_results == []
     assert len(v4["www.wide.example"].dns_results) == 4
     assert is_usable(v4["www.wide.example"])
+
+
+def slow_decode(monkeypatch, delay_s):
+    """Make every decode in the measuring code take delay_s longer."""
+    decode = resolve.decode_response
+
+    def slow(data):
+        time.sleep(delay_s)
+        return decode(data)
+
+    monkeypatch.setattr(resolve, "decode_response", slow)
+
+
+def test_decode_cost_stays_out_of_campaign_readings(monkeypatch):
+    slow_decode(monkeypatch, 0.02)
+    script = mocknet.constant_script([("www.wide.example", mocknet.A, 20, "127.0.0.1")])
+    # Only the v4 resolver answers, so no reply waits on another's decode.
+    with mocknet.MockDnsServer(script, delay_ms=20.0) as server, mocknet.MockTcpListener() as edge:
+        sets = run_campaign(loopback_spec(server, per_query_timeout_ms=300.0, handshake_port=edge.port))
+    readings = [r.latency_ms for s in sets for r in s.dns_results]
+    assert len(readings) == 4
+    # A clock that ran through the decode would read at least 20 + 20 ms.
+    assert all(20.0 <= ms < 20.0 + 20.0 for ms in readings)
+    assert statistics.median(readings) <= 20.0 + JITTER_MS

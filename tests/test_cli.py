@@ -329,6 +329,57 @@ class TestAnalyze:
         assert {r["region"] for r in rows} == {"asia"}
 
 
+class TestDamagedInput:
+    @staticmethod
+    def _cut(tmp_path, path, size=3000):
+        cut = tmp_path / "cut.jsonl"
+        with open(path, "rb") as fh:
+            cut.write_bytes(fh.read()[:size])
+        return str(cut)
+
+    def test_analyze_uses_what_a_truncated_file_salvages(self, tmp_path, capsys):
+        path, geo = analysis_fixture(tmp_path)
+        cut = self._cut(tmp_path, path)  # one whole record, then half of the next
+        assert cli.main(["analyze", "--input", cut, "--geo", geo]) == 1
+        out, err = capsys.readouterr()
+        _, rows = csv_rows(out)
+        assert {(r["region"], r["ip_version"]) for r in rows} == {("asia", "v4")}
+        assert err.splitlines() == [f"damaged input: {cut}: truncated at line 2; salvaged 1 record(s)"]
+
+    def test_report_uses_what_a_truncated_file_salvages(self, tmp_path, capsys):
+        path, geo = analysis_fixture(tmp_path)
+        cut = self._cut(tmp_path, path)
+        assert cli.main(["report", "--input", cut, "--kind", "table", "--geo", geo]) == 1
+        out, err = capsys.readouterr()
+        _, rows = csv_rows(out)
+        assert len(rows) == 2  # dns + mapping for p1's v4 set
+        assert "truncated at line 2" in err
+
+    def test_fill_in_refuses_to_rewrite_a_truncated_file(self, tmp_path, capsys):
+        path, _ = analysis_fixture(tmp_path)
+        cut = self._cut(tmp_path, path)
+        with open(cut, "rb") as fh:
+            before = fh.read()
+        assert cli.main(["fill-in", "--input", cut]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cut}: truncated record at line 2")
+        with open(cut, "rb") as fh:
+            assert fh.read() == before
+
+    def test_schema_mismatch_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "future.jsonl"
+        path.write_text(json.dumps({"schema_version": 99}) + "\n")
+        for argv in (["analyze", "--input", str(path)], ["report", "--input", str(path)],
+                     ["fill-in", "--input", str(path)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "schema version" in err
+
+    def test_missing_file_is_an_error_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere.jsonl")
+        assert cli.main(["analyze", "--input", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestReport:
     def test_cdf_series(self, tmp_path, capsys):
         path, geo = analysis_fixture(tmp_path)

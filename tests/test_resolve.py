@@ -5,11 +5,13 @@ Loopback delivery adds some scheduling jitter; latency assertions allow
 """
 
 import socket
+import statistics
 import time
 
 import pytest
 
 import mocknet
+from dnscdn import resolve
 from dnscdn.resolve import (
     NetworkUnreachableError,
     QueryTimeoutError,
@@ -50,6 +52,21 @@ def test_latency_tracks_injected_delay():
     assert 30.0 <= response.latency_ms <= 30.0 + JITTER_MS
     assert response.sent_at_wall > 0
     assert not response.truncated_retried
+
+
+def test_decode_cost_stays_out_of_the_reading(monkeypatch):
+    decode = resolve.decode_response
+
+    def slow_decode(data):
+        time.sleep(0.02)
+        return decode(data)
+
+    monkeypatch.setattr(resolve, "decode_response", slow_decode)
+    with mocknet.MockDnsServer(answer_script(), delay_ms=20.0) as server:
+        readings = [resolve_once(loopback_question(server)).latency_ms for _ in range(3)]
+    # A clock that ran through the decode would read at least 20 + 20 ms.
+    assert all(20.0 <= ms < 20.0 + 20.0 for ms in readings)
+    assert statistics.median(readings) <= 20.0 + JITTER_MS
 
 
 def test_timeout_when_server_stays_silent():

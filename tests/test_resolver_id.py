@@ -25,7 +25,7 @@ from dnscdn.resolver_id import (
     parse_cymru_answer,
     whoami_egress,
 )
-from dnscdn.wire import IpVersion, RecordType, ResourceRecord
+from dnscdn.wire import IpVersion, MalformedMessageError, RecordType, ResourceRecord
 
 
 def txt_response(qname, strings):
@@ -272,6 +272,24 @@ class TestClassifyResolver:
 
         decision = classify_resolver(LocalResolver.of("8.8.8.8"), VANTAGE_IP, resolve_fn=fake)
         assert decision.verdict is Classification.INDETERMINATE
+
+    def test_malformed_reply_is_indeterminate(self):
+        def fake(question):
+            raise MalformedMessageError("message of 3 bytes (header needs 12)")
+
+        public = classify_resolver(LocalResolver.of("8.8.8.8"), VANTAGE_IP, resolve_fn=fake)
+        private = classify_resolver(LocalResolver.of("192.168.1.1"), VANTAGE_IP, resolve_fn=fake)
+        assert public.verdict is Classification.INDETERMINATE
+        assert private.verdict is Classification.INDETERMINATE
+
+    def test_malformed_whoami_reply_is_no_answer(self):
+        def fake(question):
+            raise MalformedMessageError("name runs past end of message")
+
+        with pytest.raises(NoAnswerError):
+            whoami_egress("192.168.1.1", IpVersion.V4, resolve_fn=fake)
+        with pytest.raises(NoAnswerError):
+            asn_lookup("203.0.113.1", resolve_fn=fake)
 
     def test_unrelated_resolvers_do_not_interact(self):
         fake = routing_fake(resolver_asns={"9.9.9.9": 64500, "8.8.8.8": 15169})

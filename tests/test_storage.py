@@ -119,6 +119,21 @@ class TestRoundTrip:
         append_records(tail, path)
         assert read_records(path) == head + tail
 
+    def test_failed_write_leaves_the_old_file_untouched(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        rng = random.Random(2)
+        write_records([random_record(rng, i) for i in range(3)], str(path))
+        before = path.read_bytes()
+        unserializable = CampaignRecord(campaign_id="c2", mset=make_set(), spec_snapshot={"x": object()})
+        with pytest.raises(TypeError):
+            write_records([random_record(rng, 3), unserializable], str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["campaign.jsonl"]
+
+    def test_unwritable_directory_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailureError):
+            write_records([], str(tmp_path / "no-such-dir" / "out.jsonl"))
+
     def test_empty_file_reads_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
