@@ -6,21 +6,30 @@ edge address those answers assigned.  Downstream rules decide which sets
 are usable, which (vantage, website) pairs are complete across every
 resolver, and which vantages carry enough complete pairs to keep.
 
-The set protocol is written once, as a generator of steps (query, gap,
-connect).  run_campaign runs all the sets of a campaign on one
-single-threaded selectors loop, with one heap of gap ends and timeouts:
+The set protocol is written once, as a generator of steps (prewarm,
+gap, query, connect).  run_campaign runs all the sets of a campaign on
+one single-threaded selectors loop, with one heap of gap ends and
+timeouts:
 
 - Each resolver address is a lane with at most one DNS query in flight.
   A set holds its lane for its prewarm, and again for its dns_repeats
   queries, which go back to back.
-- When a set's prewarm ends, the set books its lane from the end of its
-  gap for dns_repeats + 1 times as long as the prewarm held the lane:
-  its own queries, and one other set's prewarm.  The lane starts the
-  next set's prewarm only once that set's gap cannot end before the
-  booking does, so when a gap ends the lane is busy with at most one
-  other set's prewarm.
-- Hence every set waits at least prewarm_gap_s after its prewarm's
-  answer, and overshoots that by at most one query latency.
+- Pacing: when a set's prewarm ends, the set books its lane from the end
+  of its gap for dns_repeats + 1 times as long as the prewarm held the
+  lane: its own queries, and one other set's prewarm.  The lane starts
+  the next set's prewarm only once that set's gap cannot end before the
+  booking does, so when a gap ends the lane is usually free, or busy
+  with one other set's prewarm.
+- The gap bound: a set sends its first query only if that is no later
+  after its gap's end than the slowest answer its address has given so
+  far, plus 5 ms for the loop's own lag.  Otherwise (a lost query held
+  the lane until its timeout, two sets' queries queued up because
+  answers came slower than the pacing assumed, or the loop stalled) the
+  set starts over with a new prewarm.  After five restarts it gives up
+  and keeps only its prewarm, so it is unusable and fill_in retries it.
+  Every set that reaches its queries therefore waited at least
+  prewarm_gap_s after its prewarm's answer, and at most that plus the
+  slowest answer from its address plus 5 ms.
 - A DNS reading's clock stops at the select() return that reported its
   socket readable, before the reply is read or decoded.  A handshake is
   a non-blocking connect on the same loop, timed to the return that
@@ -133,7 +142,16 @@ class MeasurementSet:
         return (self.vantage_id, self.website, self.resolver_label, self.ip_version)
 
 
-_QUERY, _GAP, _CONNECT = "query", "gap", "connect"
+_PREWARM, _QUERY, _GAP, _CONNECT = "prewarm", "query", "gap", "connect"
+
+# Sent in place of the first query's outcome when the gap ran too long:
+# the query was not sent, and the set starts over.
+_LATE = object()
+_MAX_RESTARTS = 5
+
+# How far past one query latency a gap may run: room for the loop's own
+# lag in waking for the gap's end and handing the lane over.
+_GAP_SLACK_S = 0.005
 
 # What a failed query raises; each leaves a gap in dns_results.
 _QUERY_FAILURES = (ResolveError, MalformedMessageError, OSError)
@@ -142,10 +160,15 @@ _QUERY_FAILURES = (ResolveError, MalformedMessageError, OSError)
 def _set_steps(spec, website, resolver, ip_version, vantage_id):
     """One measurement set as a generator of steps.
 
-    It yields (_QUERY, question), (_GAP, seconds) and (_CONNECT, address),
-    and is sent each step's outcome: a TimedDnsResponse or the exception
-    of a failed query, None after the gap, a HandshakeSample after a
-    connect.  It returns the MeasurementSet.
+    It yields (_PREWARM, question), (_GAP, seconds), (_QUERY, question)
+    and (_CONNECT, address), and is sent each step's outcome: a
+    TimedDnsResponse or the exception of a failed query, None after the
+    gap, a HandshakeSample after a connect.  It returns the MeasurementSet.
+
+    In place of the first query's outcome a driver may send _LATE: that
+    query was not sent, because the gap ran too long.  The set then starts
+    over from its prewarm; after _MAX_RESTARTS restarts it gives up and
+    returns its prewarm alone, with no handshakes.
 
     Sub-measurement failures leave gaps rather than aborting: a dropped or
     undecodable reply is simply absent from dns_results, an unreachable
@@ -162,29 +185,39 @@ def _set_steps(spec, website, resolver, ip_version, vantage_id):
         resolver_port=spec.resolver_port,
     )
     created_at = time.time()
-    dns_results: list[TimedDnsResponse] = []
 
-    prewarm = yield _QUERY, question
-    if isinstance(prewarm, Exception):
-        log.debug("prewarm for %s via %s failed: %s", hostname, label, prewarm)
-    else:
-        prewarm.is_prewarm = True
-        dns_results.append(prewarm)
-
-    yield _GAP, spec.prewarm_gap_s
-
-    for attempt in range(spec.dns_repeats):
-        reply = yield _QUERY, question
-        if isinstance(reply, Exception):
-            log.debug("query %d for %s via %s failed: %s", attempt + 1, hostname, label, reply)
+    for _ in range(_MAX_RESTARTS + 1):
+        dns_results: list[TimedDnsResponse] = []
+        prewarm = yield _PREWARM, question
+        if isinstance(prewarm, Exception):
+            log.debug("prewarm for %s via %s failed: %s", hostname, label, prewarm)
         else:
-            dns_results.append(reply)
+            prewarm.is_prewarm = True
+            dns_results.append(prewarm)
+        yield _GAP, spec.prewarm_gap_s
+        reply = yield _QUERY, question
+        if reply is not _LATE:
+            break
+        log.debug("gap for %s via %s overran; starting over", hostname, label)
+
+    edge = None
+    if reply is _LATE:
+        log.info("gap for %s via %s overran %d times; leaving it to fill-in",
+                 hostname, label, _MAX_RESTARTS + 1)
+    else:
+        for attempt in range(spec.dns_repeats):
+            if attempt:
+                reply = yield _QUERY, question
+            if isinstance(reply, Exception):
+                log.debug("query %d for %s via %s failed: %s", attempt + 1, hostname, label, reply)
+            else:
+                dns_results.append(reply)
+        try:
+            edge = select_edge(dns_results, ip_version, website=hostname, resolver_label=label)
+        except NoAddressError:
+            pass
 
     handshake_results: list[HandshakeSample] = []
-    try:
-        edge = select_edge(dns_results, ip_version, website=hostname, resolver_label=label)
-    except NoAddressError:
-        edge = None
     if edge is not None:
         for _ in range(spec.handshake_repeats):
             sample = yield _CONNECT, edge.address
@@ -227,7 +260,7 @@ def run_measurement_set(
             kind, arg = steps.send(outcome)
         except StopIteration as done:
             return done.value
-        if kind == _QUERY:
+        if kind in (_PREWARM, _QUERY):
             try:
                 outcome = resolve_fn(arg)
             except _QUERY_FAILURES as exc:
@@ -341,13 +374,14 @@ def fill_in(
 class _Job:
     """One set on the loop: its steps, its lane and what it waits on."""
 
-    __slots__ = ("index", "steps", "lane", "question", "io", "watched", "timer")
+    __slots__ = ("index", "steps", "lane", "question", "gap_end", "io", "watched", "timer")
 
     def __init__(self, index: int, steps, lane: _Lane):
         self.index = index
         self.steps = steps
         self.lane = lane
         self.question: DnsQuestion | None = None  # the query waiting for the lane
+        self.gap_end = 0.0
         self.io: DnsExchange | HandshakeAttempt | None = None  # in flight
         self.watched = None  # the socket registered with the selector
         self.timer: int | None = None  # sequence number of the timer that applies
@@ -365,11 +399,19 @@ class _Lane:
         self._queries_per_set = spec.dns_repeats + 1
         self._last_held = 0.0  # how long the latest query held the lane
         self._fastest = math.inf  # the shortest any query held it
+        self._slowest = 0.0  # the longest any answered query held it
         self._booked_until = 0.0
 
-    def record(self, seconds: float) -> None:
+    def record(self, seconds: float, *, answered: bool = True) -> None:
         self._last_held = seconds
         self._fastest = min(self._fastest, seconds)
+        if answered:
+            self._slowest = max(self._slowest, seconds)
+
+    def overran(self, gap_end: float) -> bool:
+        """Whether a query sent now would follow gap_end by more than the
+        slowest answer from this address so far, plus _GAP_SLACK_S."""
+        return time.perf_counter() - gap_end > self._slowest + _GAP_SLACK_S
 
     def gap_started(self, gap_end: float) -> None:
         """Book the lane for a set whose prewarm (the latest query) just ended."""
@@ -431,11 +473,18 @@ class _CampaignLoop:
         for lane in lanes:
             while lane.owner is None and (lane.due or lane.waiting):
                 if lane.due:
-                    job = lane.owner = lane.due.popleft()
-                    self._query(job, job.question)
+                    job = lane.due.popleft()
+                    if lane.overran(job.gap_end):
+                        self._advance(job, _LATE)
+                    else:
+                        lane.owner = job
+                        self._query(job)
                 elif time.perf_counter() >= (start_at := lane.start_at()):
                     job = lane.owner = lane.waiting.popleft()
-                    self._advance(job, None)
+                    if job.question is None:  # not started yet
+                        self._advance(job, None)
+                    else:  # starting over
+                        self._query(job)
                 else:
                     wake = min(wake, start_at)
                     break
@@ -449,28 +498,31 @@ class _CampaignLoop:
             self._left -= 1
             self._release(job)
             return
-        if kind == _QUERY:
+        if kind in (_PREWARM, _QUERY):
+            job.question = arg
             if job.lane.owner is job:
-                self._query(job, arg)
+                self._query(job)
+            elif kind == _PREWARM:
+                job.lane.waiting.appendleft(job)
             else:
-                job.question = arg
                 job.lane.due.append(job)
             return
         self._release(job)
         if kind == _GAP:
-            gap_end = time.perf_counter() + arg
-            job.lane.gap_started(gap_end)
-            self._set_timer(job, gap_end)
+            job.gap_end = time.perf_counter() + arg
+            job.lane.gap_started(job.gap_end)
+            self._set_timer(job, job.gap_end)
         else:
             self._connect(job, arg)
 
-    def _query(self, job: _Job, question: DnsQuestion) -> None:
-        exchange = DnsExchange(question)
+    def _query(self, job: _Job) -> None:
+        exchange = DnsExchange(job.question)
+        job.question = None
         try:
             exchange.start()
         except _QUERY_FAILURES as exc:
             exchange.close()
-            job.lane.record(0.0)
+            job.lane.record(0.0, answered=False)
             self._advance(job, exc)
             return
         self._begin(job, exchange, exchange.events, exchange.deadline)
@@ -519,7 +571,7 @@ class _CampaignLoop:
             if isinstance(io, HandshakeAttempt):
                 outcome = io.finish(None)
             else:
-                job.lane.record(now - io.sent_at)
+                job.lane.record(now - io.sent_at, answered=False)
                 outcome = QueryTimeoutError("query timed out")
             self._end(job)
             self._advance(job, outcome)
@@ -567,9 +619,11 @@ def run_campaign(
     warming from one resolver's pass does not systematically lead or trail
     another's.  Sets come back in that job order.  They run interleaved on
     one selectors loop, as the module docstring describes; socket_factory
-    makes the loop's handshake sockets, as in measure_handshake.  A run_fn
-    other than run_measurement_set replaces the loop: each job goes
-    through it in turn, with fill_in's calling convention.
+    makes the loop's handshake sockets, as in measure_handshake.
+
+    run_fn is not called.  It stays only because perfbench's span recorder
+    reads this keyword default; it goes when the recorder gets spans for
+    the loop's steps.
     """
     rng = rng or random.Random()
     jobs = []
@@ -579,6 +633,4 @@ def run_campaign(
         for website in ordered:
             for version in (IpVersion.V4, IpVersion.V6):
                 jobs.append((website, resolver, version))
-    if run_fn is not run_measurement_set:
-        return [run_fn(spec, *job, vantage_id=vantage_id) for job in jobs]
     return _CampaignLoop(spec, socket_factory).run(jobs, vantage_id)

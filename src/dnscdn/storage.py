@@ -198,9 +198,9 @@ def record_from_dict(d: dict) -> CampaignRecord:
 def write_records(records: list[CampaignRecord], path: str):
     """Write records to path, all or nothing.
 
-    The lines go to a temporary file in the same directory, which replaces
-    path only once every record is written; a write that fails part way
-    leaves whatever was at path untouched.
+    The lines go to a temporary file in the same directory, which is
+    flushed to disk and then replaces path; a write that fails part way,
+    or a crash, leaves whatever was at path untouched.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -209,6 +209,8 @@ def write_records(records: list[CampaignRecord], path: str):
                 for record in records:
                     fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
                     fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):

@@ -11,7 +11,7 @@ import pytest
 
 import mocknet
 from factories import make_response, make_set
-from dnscdn import resolve
+from dnscdn import campaign, resolve
 from dnscdn.analytics import build_latency_points, per_website_median
 from dnscdn.campaign import (
     MeasurementSet,
@@ -386,11 +386,34 @@ def dual_family_script(tc_site=None, **reply_kwargs):
 @contextlib.contextmanager
 def loopback_network(script, delay_ms=0.0, tcp=False):
     """DNS servers on 127.0.0.1 and ::1 sharing a port, and TCP edges likewise."""
-    with mocknet.MockDnsServer(script, delay_ms=delay_ms, tcp=tcp) as dns4, \
-            mocknet.MockDnsServer(script, delay_ms=delay_ms, host="::1", port=dns4.port, tcp=tcp), \
-            mocknet.MockTcpListener() as tcp4, \
-            mocknet.MockTcpListener(host="::1", port=tcp4.port):
-        yield dns4.port, tcp4.port
+
+    def dns(host, port):
+        return mocknet.MockDnsServer(script, delay_ms=delay_ms, host=host, port=port, tcp=tcp)
+
+    with contextlib.ExitStack() as stack:
+        yield bind_pair(stack, dns), bind_pair(stack, mocknet.MockTcpListener)
+
+
+def bind_pair(stack, make, attempts=5):
+    """Servers on 127.0.0.1 and ::1 sharing a port, entered on stack.
+
+    The port the first one draws may be taken for TCP, or on ::1, by some
+    other socket; then both are closed and the pair is tried again.
+    """
+    for _ in range(attempts):
+        try:
+            first = make("127.0.0.1", 0)
+        except OSError:
+            continue
+        try:
+            second = make("::1", first.port)
+        except OSError:
+            first.close()
+            continue
+        stack.enter_context(first)
+        stack.enter_context(second)
+        return first.port
+    raise OSError("no port free on both loopback addresses")
 
 
 def by_address(sets):
@@ -482,6 +505,40 @@ class TestRunCampaign:
             assert len(mset.dns_results) == 4
             assert gap <= gap_s(mset) <= gap + slowest_s + JITTER_MS / 1000.0
 
+    def test_a_dropped_query_does_not_stretch_other_gaps(self):
+        # One lost query holds its address until its timeout; the sets whose
+        # gaps end meanwhile must start over rather than run late.
+        gap = 0.1
+        dropped = []
+        answer = dual_family_script()
+
+        def script(qname, qtype, count):
+            if qtype == mocknet.A and count == 1 and not dropped:
+                dropped.append(qname)  # the first query after a gap
+                return None
+            return answer(qname, qtype, count)
+
+        websites = [("akamai", f"w{i}.example") for i in range(16)]
+        with loopback_network(script, delay_ms=10.0) as (dns_port, tcp_port):
+            spec = self._spec(
+                dns_port, tcp_port, websites=websites, resolvers=[RESOLVER],
+                prewarm_gap_s=gap, per_query_timeout_ms=300.0,
+            )
+            sets = run_campaign(spec, rng=random.Random(10))
+        assert len(dropped) == 1
+        slowest_s = max(r.latency_ms for s in sets for r in s.dns_results) / 1000.0
+        for mset in sets:
+            assert is_usable(mset)
+            if (mset.website, mset.ip_version) == (dropped[0], IpVersion.V4):
+                assert len(mset.dns_results) == 3
+                continue
+            assert len(mset.dns_results) == 4
+            assert gap <= gap_s(mset) <= gap + slowest_s + JITTER_MS / 1000.0
+        for spans in by_address(sets).values():
+            spans.sort()
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert start >= end - 1e-9
+
     def test_truncated_site_retries_over_tcp(self):
         tc_site = self.WEBSITES[2][1]
         with loopback_network(dual_family_script(tc_site=tc_site), delay_ms=2.0, tcp=True) as ports:
@@ -530,16 +587,46 @@ class TestRunCampaign:
             assert all(r.latency_ms >= 20.0 for r in mset.dns_results)
             assert per_website_median(mset) <= 20.0 + JITTER_MS
 
-    def test_a_run_fn_replaces_the_loop_in_job_order(self):
-        calls = []
 
-        def run_fn(spec, website, resolver, version, vantage_id="local"):
-            calls.append((website[1], resolver.label, version))
-            return MeasurementSet(vantage_id, website[1], website[0], resolver.label, version)
+def drive_steps(late_times):
+    """Run one set's steps by hand, answering its first query after the gap
+    with _LATE late_times times; return the step kinds and the set."""
+    spec = MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER])
+    steps = campaign._set_steps(spec, WEBSITE, RESOLVER, IpVersion.V4, "local")
+    kinds, outcome, clock = [], None, 0.0
+    while True:
+        try:
+            kind, arg = steps.send(outcome)
+        except StopIteration as done:
+            return kinds, done.value
+        kinds.append(kind)
+        clock += 1.0
+        if kind == campaign._GAP:
+            outcome = None
+        elif kind == campaign._CONNECT:
+            outcome = ok_handshake(arg, 443)
+        elif kind == campaign._QUERY and kinds[-2] == campaign._GAP and late_times:
+            late_times -= 1
+            outcome = campaign._LATE
+        else:
+            outcome = make_response(10.0, clock, qname=WEBSITE[1])
 
-        spec = MeasurementSpec(websites=self.WEBSITES, resolvers=self.RESOLVERS)
-        sets = run_campaign(spec, rng=random.Random(7), run_fn=run_fn)
-        assert calls == [(s.website, s.resolver_label, s.ip_version) for s in sets] == self._job_order(7)
+
+def test_a_late_set_starts_over_from_its_prewarm():
+    kinds, mset = drive_steps(late_times=1)
+    assert kinds[:4] == [campaign._PREWARM, campaign._GAP, campaign._QUERY, campaign._PREWARM]
+    # Only the second attempt's readings are kept.
+    assert [r.sent_at_monotonic for r in mset.dns_results] == [4.0, 6.0, 7.0, 8.0]
+    assert mset.dns_results[0].is_prewarm
+    assert is_usable(mset)
+
+
+def test_a_set_late_past_its_restarts_gives_up():
+    kinds, mset = drive_steps(late_times=campaign._MAX_RESTARTS + 1)
+    assert kinds == [campaign._PREWARM, campaign._GAP, campaign._QUERY] * (campaign._MAX_RESTARTS + 1)
+    assert len(mset.dns_results) == 1 and mset.dns_results[0].is_prewarm
+    assert mset.handshake_results == []
+    assert not is_usable(mset)
 
 
 def test_malformed_reply_leaves_a_gap_instead_of_aborting():
