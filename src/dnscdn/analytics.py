@@ -371,8 +371,6 @@ def build_latency_points(
     sets: list[MeasurementSet],
     *,
     geo: dict[str, str] | None = None,
-    dns_required: int = 3,
-    handshake_required: int = 3,
 ) -> list[LatencyPoint]:
     """Run the aggregation ladder over usable sets.
 
@@ -384,7 +382,7 @@ def build_latency_points(
     geo = geo or {}
     ladder: dict[tuple, dict[str, dict[Metric, float]]] = {}
     for mset in sets:
-        if not is_usable(mset, dns_required=dns_required, handshake_required=handshake_required):
+        if not is_usable(mset):
             continue
         key = (mset.vantage_id, mset.cdn, mset.resolver_label, mset.ip_version)
         per_site = ladder.setdefault(key, {}).setdefault(mset.website, {})
@@ -416,8 +414,6 @@ def classify_sets(
     *,
     quirks: dict[str, TtlQuirk] | None = None,
     convention: Convention = Convention.EQUAL_IS_HIT,
-    dns_required: int = 3,
-    handshake_required: int = 3,
 ) -> list[ClassifiedPoint]:
     """Cache verdicts paired with the latencies they explain.
 
@@ -430,7 +426,7 @@ def classify_sets(
     quirks = quirks or {}
     points = []
     for mset in sets:
-        if not is_usable(mset, dns_required=dns_required, handshake_required=handshake_required):
+        if not is_usable(mset):
             continue
         auth = auth_ttls.get(mset.website, auth_ttls.get(mset.cdn))
         if auth is None:

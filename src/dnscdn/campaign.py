@@ -36,10 +36,10 @@ timeouts:
   reported it writable; handshakes do not hold a lane.
 
 A campaign therefore takes about one gap plus the busiest lane's query
-time, not sets x gap.  run_measurement_set drives the same steps for one
-set with the blocking resolve_once and measure_handshake; fill_in uses
-it.  There is no thread pool; ToolConfig.fanout applies only to
-`discover`.
+time, not sets x gap.  fill_in runs its retries on the same loop, so
+they too share one gap.  run_measurement_set drives the same steps for
+one set with the blocking resolve_once and measure_handshake.  There is
+no thread pool; ToolConfig.fanout applies only to `discover`.
 """
 
 from __future__ import annotations
@@ -272,24 +272,13 @@ def run_measurement_set(
             outcome = handshake_fn(arg, spec.handshake_port, timeout_ms=spec.per_query_timeout_ms)
 
 
-def is_usable(
-    mset: MeasurementSet, *, dns_required: int = 3, handshake_required: int = 3
-) -> bool:
-    """At least three DNS results (prewarm counts) and every handshake
-    succeeded; stored failed samples do not count."""
-    return (
-        len(mset.dns_results) >= dns_required
-        and sum(1 for h in mset.handshake_results if h.success) >= handshake_required
-    )
+def is_usable(mset: MeasurementSet) -> bool:
+    """At least three DNS results (the prewarm counts) and at least three
+    successful handshakes; stored failed samples do not count."""
+    return len(mset.dns_results) >= 3 and sum(1 for h in mset.handshake_results if h.success) >= 3
 
 
-def completeness_filter(
-    sets: list[MeasurementSet],
-    thresholds: dict[str, int],
-    *,
-    dns_required: int = 3,
-    handshake_required: int = 3,
-) -> set[tuple[str, str]]:
+def completeness_filter(sets: list[MeasurementSet], thresholds: dict[str, int]) -> set[tuple[str, str]]:
     """Retained (vantage, website) pairs under the completeness rules.
 
     A pair is complete when a usable set exists for every
@@ -306,7 +295,7 @@ def completeness_filter(
     for s in sets:
         pair = (s.vantage_id, s.website)
         pair_cdn.setdefault(pair, s.cdn)
-        if is_usable(s, dns_required=dns_required, handshake_required=handshake_required):
+        if is_usable(s):
             usable_combos.setdefault(pair, set()).add((s.resolver_label, s.ip_version))
 
     complete_pairs = {pair for pair, combos in usable_combos.items() if combos == universe}
@@ -325,24 +314,18 @@ def completeness_filter(
     return {pair for pair in complete_pairs if pair[0] in retained_vantages}
 
 
-def fill_in(
-    sets: list[MeasurementSet],
-    spec: MeasurementSpec,
-    *,
-    run_fn=run_measurement_set,
-    dns_required: int = 3,
-    handshake_required: int = 3,
-    **run_kwargs,
-) -> list[MeasurementSet]:
+def fill_in(sets: list[MeasurementSet], spec: MeasurementSpec) -> list[MeasurementSet]:
     """Retry every combination that lacks a usable set.
 
-    A usable retry replaces the original set wholesale; a retry that also
-    fails leaves the original in place, marked failed_twice.
+    All the retries run together on one loop, as a campaign's sets do.  A
+    usable retry replaces the original set wholesale; a retry that also
+    fails leaves the original in place, marked failed_twice.  Usable sets,
+    and sets the spec no longer covers, come back as they went in.
     """
-    out: list[MeasurementSet] = []
-    for original in sets:
-        if is_usable(original, dns_required=dns_required, handshake_required=handshake_required):
-            out.append(original)
+    out = list(sets)
+    retried, jobs = [], []
+    for index, original in enumerate(sets):
+        if is_usable(original):
             continue
         try:
             website = spec.website_by_name(original.website)
@@ -353,21 +336,14 @@ def fill_in(
                 original.website,
                 original.resolver_label,
             )
-            out.append(original)
             continue
-        retry = run_fn(
-            spec,
-            website,
-            resolver,
-            original.ip_version,
-            vantage_id=original.vantage_id,
-            **run_kwargs,
-        )
-        if is_usable(retry, dns_required=dns_required, handshake_required=handshake_required):
-            out.append(retry)
+        retried.append(index)
+        jobs.append((website, resolver, original.ip_version, original.vantage_id))
+    for index, retry in zip(retried, _CampaignLoop(spec, socket.socket).run(jobs)):
+        if is_usable(retry):
+            out[index] = retry
         else:
-            original.failed_twice = True
-            out.append(original)
+            sets[index].failed_twice = True
     return out
 
 
@@ -436,9 +412,11 @@ class _CampaignLoop:
         self._results: list[MeasurementSet | None] = []
         self._left = 0
 
-    def run(self, jobs, vantage_id: str) -> list[MeasurementSet]:
+    def run(self, jobs) -> list[MeasurementSet]:
+        """Run (website, resolver, family, vantage_id) jobs; sets come back
+        in job order."""
         lanes: dict[str, _Lane] = {}
-        for index, (website, resolver, version) in enumerate(jobs):
+        for index, (website, resolver, version, vantage_id) in enumerate(jobs):
             address = resolver.v4_address if version is IpVersion.V4 else resolver.v6_address
             lane = lanes.get(address)
             if lane is None:
@@ -632,5 +610,5 @@ def run_campaign(
         rng.shuffle(ordered)
         for website in ordered:
             for version in (IpVersion.V4, IpVersion.V6):
-                jobs.append((website, resolver, version))
-    return _CampaignLoop(spec, socket_factory).run(jobs, vantage_id)
+                jobs.append((website, resolver, version, vantage_id))
+    return _CampaignLoop(spec, socket_factory).run(jobs)

@@ -279,7 +279,7 @@ def _run_one_campaign(config: ToolConfig, websites, output_path, *, preflight=Tr
         for s in sets
     ]
     storage.write_records(records, output_path)
-    usable = sum(1 for s in sets if is_usable(s, handshake_required=spec.handshake_repeats))
+    usable = sum(1 for s in sets if is_usable(s))
     print(f"wrote {len(sets)} sets ({usable} usable) to {output_path}")
     return (1 if dropped else 0), output_path
 
@@ -325,7 +325,7 @@ def _cmd_fill_in(args) -> int:
     snapshot = records[0].spec_snapshot
     spec = spec_from_snapshot(snapshot) if snapshot else config.to_measurement_spec()
     sets = [r.mset for r in records]
-    before = sum(1 for s in sets if not is_usable(s, handshake_required=spec.handshake_repeats))
+    before = sum(1 for s in sets if not is_usable(s))
     updated = fill_in(sets, spec)
     out_records = [
         storage.CampaignRecord(
@@ -337,7 +337,7 @@ def _cmd_fill_in(args) -> int:
         for i in range(len(updated))
     ]
     storage.write_records(out_records, args.output or args.input)
-    after = sum(1 for s in updated if not is_usable(s, handshake_required=spec.handshake_repeats))
+    after = sum(1 for s in updated if not is_usable(s))
     print(f"unusable sets: {before} before, {after} after fill-in")
     return 0 if after == 0 else 1
 

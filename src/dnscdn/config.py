@@ -49,7 +49,6 @@ class ToolConfig:
     recurrence_interval_s: float = 30 * 24 * 3600.0
     fanout: int = 4  # domains `discover` checks at once; campaigns run on one event loop
     happy_eyeballs_threshold_ms: float = HAPPY_EYEBALLS_THRESHOLD_MS
-    geo_path: str | None = None
     vantage_id: str = "local"
 
     def to_measurement_spec(self, websites: list[tuple[str, str]] | None = None) -> MeasurementSpec:

@@ -116,6 +116,15 @@ def enumerate_local_resolvers(config_path: str = "/etc/resolv.conf") -> list[Loc
     return out
 
 
+def _txt_strings(reply) -> list[str]:
+    """Every string of every TXT answer in the reply, in order."""
+    strings: list[str] = []
+    for record in reply.answers:
+        if record.rtype == RecordType.TXT and isinstance(record.rdata, list):
+            strings.extend(record.rdata)
+    return strings
+
+
 def whoami_egress(
     resolver_address: str,
     family: IpVersion,
@@ -144,10 +153,7 @@ def whoami_egress(
             reply = resolve_fn(question)
         except (ResolveError, MalformedMessageError):
             continue
-        strings: list[str] = []
-        for record in reply.answers:
-            if record.rtype == RecordType.TXT and isinstance(record.rdata, list):
-                strings.extend(record.rdata)
+        strings = _txt_strings(reply)
         if not strings:
             continue
         for key, value in zip(strings, strings[1:]):
@@ -243,10 +249,7 @@ def asn_lookup(
         raise NoAnswerError(f"Cymru lookup for {ip} failed: {exc}") from exc
     if reply.rcode == 3:  # NXDOMAIN
         raise NoMappingError(f"no origin mapping for {ip}")
-    strings: list[str] = []
-    for record in reply.answers:
-        if record.rtype == RecordType.TXT and isinstance(record.rdata, list):
-            strings.extend(record.rdata)
+    strings = _txt_strings(reply)
     if not strings:
         raise NoAnswerError(f"empty Cymru answer for {ip}")
     asn, prefix = parse_cymru_answer(strings)

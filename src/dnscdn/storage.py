@@ -19,7 +19,7 @@ from enum import Enum
 from .campaign import MeasurementSet
 from .mapping import HandshakeFailure, HandshakeSample
 from .resolve import TimedDnsResponse
-from .wire import DnsQuestion, IpVersion, QuestionEcho, RecordType, ResourceRecord
+from .wire import DnsQuestion, IpVersion, RecordType, ResourceRecord
 
 SCHEMA_VERSION = 1
 

@@ -175,23 +175,35 @@ def test_data_rule_boundaries_at_scale():
         assert {vantage for vantage, _ in kept} == {"big-x"}
         assert len(kept) == 30
 
-        # Retry semantics: a usable retry replaces the set wholesale; a
-        # second failure keeps the original, marked.
-        spec = MeasurementSpec(
-            websites=[("akamai", "www.w1.example")],
-            resolvers=[ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888")],
-        )
+        # Retry semantics, against a loopback resolver and edge: a usable
+        # retry replaces the set wholesale; a second failure keeps the
+        # original, marked.
         healthy = _corpus_set("r1", "www.w1.example", "google")
         broken = _corpus_set("r1", "www.w1.example", "google", usable=False)
-        replacement = _corpus_set("r1", "www.w1.example", "google")
-        out = fill_in([healthy, broken], spec, run_fn=lambda *a, **kw: replacement)
+        answers = mocknet.constant_script([("www.w1.example", mocknet.A, 20, "127.0.0.1")])
+        with mocknet.MockDnsServer(answers) as server, mocknet.MockTcpListener() as edge:
+            out = fill_in([healthy, broken], _retry_spec(server.port, edge.port))
         assert out[0] is healthy
-        assert out[1] is replacement
+        assert out[1] is not broken and is_usable(out[1]) and out[1].key == broken.key
+        assert not broken.failed_twice
 
-        still_bad = _corpus_set("r1", "www.w1.example", "google", usable=False)
-        out = fill_in([broken], spec, run_fn=lambda *a, **kw: still_bad)
+        # No address in the answer, so no handshakes: the retry fails too.
+        with mocknet.MockDnsServer(mocknet.constant_script([])) as server, \
+                mocknet.MockTcpListener() as edge:
+            out = fill_in([broken], _retry_spec(server.port, edge.port))
         assert out[0] is broken
         assert broken.failed_twice
+
+
+def _retry_spec(dns_port, tcp_port):
+    return MeasurementSpec(
+        websites=[("akamai", "www.w1.example")],
+        resolvers=[ResolverEntry("google", "127.0.0.1", "::1")],
+        prewarm_gap_s=0.0,
+        per_query_timeout_ms=300.0,
+        resolver_port=dns_port,
+        handshake_port=tcp_port,
+    )
 
 
 # --- 3. aggregation vs. an independent sort oracle --------------------------

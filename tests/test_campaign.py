@@ -328,49 +328,76 @@ class TestCompletenessFilter:
         assert completeness_filter([], {"akamai": 1}) == set()
 
 
-SPEC = MeasurementSpec(
-    websites=[("akamai", "www.example.com")],
-    resolvers=[ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888")],
-)
-
-
 class TestFillIn:
     def test_usable_retry_replaces_wholesale(self):
-        original = broken_set("p1", "www.example.com", "google", IpVersion.V4)
-        replacement = usable_set("p1", "www.example.com", "google", IpVersion.V4)
-
-        def run_fn(spec, website, resolver, version, **kwargs):
-            assert website == ("akamai", "www.example.com")
-            assert resolver.label == "google"
-            assert kwargs["vantage_id"] == "p1"
-            return replacement
-
-        out = fill_in([original], SPEC, run_fn=run_fn)
-        assert out == [replacement]
-        assert out[0] is replacement
-        assert not original.failed_twice
+        original = broken_set("p1", WEBSITE[1], "local", IpVersion.V4)
+        with mocknet.MockDnsServer(dual_family_script()) as server, mocknet.MockTcpListener() as edge:
+            out = fill_in([original], loopback_spec(server, handshake_port=edge.port))
+        [retry] = out
+        assert retry is not original and is_usable(retry)
+        assert retry.key == original.key and retry.cdn == original.cdn
+        assert len(retry.dns_results) == 4 and len(retry.handshake_results) == 3
+        assert not original.failed_twice and not retry.failed_twice
 
     def test_usable_sets_are_not_retried(self):
-        original = usable_set("p1", "www.example.com", "google", IpVersion.V4)
+        queried = []
+        answer = dual_family_script()
 
-        def run_fn(*args, **kwargs):
-            raise AssertionError("retried a usable set")
+        def script(qname, qtype, count):
+            queried.append(qname)
+            return answer(qname, qtype, count)
 
-        assert fill_in([original], SPEC, run_fn=run_fn) == [original]
+        websites = [WEBSITE, ("akamai", "www.other.example")]
+        usable = usable_set("p1", websites[0][1], "local", IpVersion.V4)
+        broken = broken_set("p1", websites[1][1], "local", IpVersion.V4)
+        with mocknet.MockDnsServer(script) as server, mocknet.MockTcpListener() as edge:
+            spec = loopback_spec(server, websites=websites, handshake_port=edge.port)
+            out = fill_in([usable, broken], spec)
+        assert out[0] is usable and is_usable(out[1])
+        assert queried and set(queried) == {websites[1][1]}
 
     def test_double_failure_marks_the_original(self):
-        original = broken_set("p1", "www.example.com", "google", IpVersion.V4)
-        retry = broken_set("p1", "www.example.com", "google", IpVersion.V4)
-        out = fill_in([original], SPEC, run_fn=lambda *a, **k: retry)
-        assert out == [original]
+        # Nothing listens on either port.
+        original = broken_set("p1", WEBSITE[1], "local", IpVersion.V4)
+        spec = MeasurementSpec(
+            websites=[WEBSITE], resolvers=[RESOLVER], prewarm_gap_s=0.0,
+            per_query_timeout_ms=300.0, resolver_port=free_port(), handshake_port=free_port(),
+        )
+        out = fill_in([original], spec)
+        assert out == [original] and out[0] is original
         assert original.failed_twice
 
     def test_combo_outside_spec_is_kept_with_warning(self, caplog):
-        original = broken_set("p1", "legacy.example", "google", IpVersion.V4)
-        with caplog.at_level("WARNING", logger="dnscdn.campaign"):
-            out = fill_in([original], SPEC, run_fn=lambda *a, **k: None)
-        assert out == [original]
+        queried = []
+        original = broken_set("p1", "legacy.example", "local", IpVersion.V4)
+        with mocknet.MockDnsServer(lambda *query: queried.append(query)) as server:
+            with caplog.at_level("WARNING", logger="dnscdn.campaign"):
+                out = fill_in([original], loopback_spec(server))
+        assert out == [original] and out[0] is original
+        assert not original.failed_twice
+        assert queried == []
         assert any("legacy.example" in rec.getMessage() for rec in caplog.records)
+
+    def test_retries_share_one_gap(self):
+        # Every retry's prewarm goes out before any retry's first query after
+        # its gap, so the retries wait out the gap together, not one by one.
+        # One address has at most one query in flight, so the server sees the
+        # queries in send order.  A set whose gap overran sends its prewarm
+        # again later, so each name's first query is what counts.
+        received = []
+        answer = dual_family_script()
+
+        def script(qname, qtype, count):
+            received.append((qname, count))
+            return answer(qname, qtype, count)
+
+        websites = [("akamai", f"w{i}.example") for i in range(4)]
+        originals = [broken_set("p1", w[1], "local", IpVersion.V4) for w in websites]
+        with mocknet.MockDnsServer(script) as server, mocknet.MockTcpListener() as edge:
+            spec = loopback_spec(server, websites=websites, prewarm_gap_s=0.2, handshake_port=edge.port)
+            out = fill_in(originals, spec)
+        assert all(is_usable(s) and s is not o for s, o in zip(out, originals))
+        assert sorted(received[:4]) == [(w[1], 0) for w in websites]
 
 
 def dual_family_script(tc_site=None, **reply_kwargs):

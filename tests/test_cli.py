@@ -223,6 +223,20 @@ class TestFillIn:
         assert read_records(path) == originals
         assert all(is_usable(r.mset) for r in read_records(out))
 
+    def test_counts_match_the_sets_it_retried(self, tmp_path, capsys):
+        # Two successful handshakes are not usable, even when the snapshot's
+        # spec asks for only two; the printed counts must say what was retried.
+        mset = make_set(website="www.wide.example", resolver_label="local", handshakes=(25.0, 25.5))
+        with mock_network() as (dns_port, tcp_port):
+            snapshot = {**snapshot_for(dns_port, tcp_port), "handshake_repeats": 2}
+            path = str(tmp_path / "campaign.jsonl")
+            write_records([CampaignRecord(campaign_id="c1", mset=mset, spec_snapshot=snapshot)], path)
+            status = cli.main(["fill-in", "--input", path])
+        marked = sum(r.mset.failed_twice for r in read_records(path))
+        assert marked == 1
+        assert f"unusable sets: {marked} before, {marked} after" in capsys.readouterr().out
+        assert status == 1
+
     def test_empty_input_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

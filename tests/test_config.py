@@ -72,6 +72,13 @@ class TestConfigFile:
         assert not hasattr(config, "no_such_option")
         assert config.resolvers == default_resolvers()
 
+    def test_config_with_the_retired_geo_path_still_loads(self, tmp_path):
+        # Regions reach the CLI through --geo only; older configs carry geo_path.
+        path = write_json(tmp_path, {"geo_path": "regions.json", "vantage_id": "desk"})
+        config = load_config(path)
+        assert config.vantage_id == "desk"
+        assert not hasattr(config, "geo_path")
+
     def test_threshold_defaults_to_the_analytics_constant(self):
         assert ToolConfig().happy_eyeballs_threshold_ms == analytics.HAPPY_EYEBALLS_THRESHOLD_MS
 
