@@ -24,6 +24,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PAIRING_WINDOW_S = 900.0
 
+# A question echo of any other type is stored as an A question.
+_KNOWN_QTYPES = frozenset(RecordType)
+
 
 @dataclass
 class ImportResult:
@@ -62,7 +65,7 @@ def _parse_dns_entry(entry: dict, payload: dict) -> TimedDnsResponse:
     timestamp = float(payload.get("timestamp") or entry["timestamp"])
     question = DnsQuestion(
         qname=echo.name,
-        qtype=RecordType(echo.qtype) if echo.qtype in set(RecordType) else RecordType.A,
+        qtype=RecordType(echo.qtype) if echo.qtype in _KNOWN_QTYPES else RecordType.A,
         resolver_address=resolver,
     )
     return TimedDnsResponse(

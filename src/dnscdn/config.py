@@ -8,7 +8,7 @@ measurements run dual-stack.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .analytics import HAPPY_EYEBALLS_THRESHOLD_MS
 from .cache import TtlQuirk
@@ -52,16 +52,9 @@ class ToolConfig:
     vantage_id: str = "local"
 
     def to_measurement_spec(self, websites: list[tuple[str, str]] | None = None) -> MeasurementSpec:
-        return MeasurementSpec(
-            websites=websites or self.websites,
-            resolvers=list(self.resolvers),
-            dns_repeats=self.dns_repeats,
-            prewarm_gap_s=self.prewarm_gap_s,
-            handshake_repeats=self.handshake_repeats,
-            per_query_timeout_ms=self.per_query_timeout_ms,
-            resolver_port=self.resolver_port,
-            handshake_port=self.handshake_port,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(MeasurementSpec)}
+        shared.update(websites=websites or self.websites, resolvers=list(self.resolvers))
+        return MeasurementSpec(**shared)
 
     def quirk_map(self) -> dict[str, TtlQuirk]:
         return {r.label: r.ttl_quirk for r in self.resolvers}

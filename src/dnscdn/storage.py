@@ -1,25 +1,30 @@
 """JSON-lines persistence for campaign records.
 
 One CampaignRecord per line, UTF-8.  Keys are written in a fixed
-documented order (schema_version, campaign_id, provenance, spec, set;
-nested objects likewise follow their dataclass field order), so identical
-records serialize byte-identically.  write_records replaces a file only
-once the whole new content is written.  Readers reject unknown major
-schema versions and salvage everything before a truncated final line.
+documented order (schema_version, campaign_id, provenance, spec, set),
+so identical records serialize byte-identically.  The set is stored by
+one rule, applied to the type annotations of the dataclass fields: a
+dataclass becomes an object with its fields in declaration order, a list
+an array, an Enum its value, and bytes {"hex": "<hex digits>"}; anything
+else is stored as it is.  The reader reverses the same rule.
+write_records replaces a file only once the whole new content is
+written.  Readers reject unknown major schema versions and salvage
+everything before a truncated final line.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
+import operator
 import os
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .campaign import MeasurementSet
-from .mapping import HandshakeFailure, HandshakeSample
-from .resolve import TimedDnsResponse
-from .wire import DnsQuestion, IpVersion, RecordType, ResourceRecord
 
 SCHEMA_VERSION = 1
 
@@ -57,122 +62,58 @@ class CampaignRecord:
     schema_version: int = SCHEMA_VERSION
 
 
-def _question_to_dict(q: DnsQuestion) -> dict:
-    return {
-        "qname": q.qname,
-        "qtype": int(q.qtype),
-        "resolver_address": q.resolver_address,
-        "transport_version": q.transport_version.value,
-        "timeout_ms": q.timeout_ms,
-        "resolver_port": q.resolver_port,
-    }
+def _to_hex(value):
+    return {"hex": value.hex()} if isinstance(value, bytes) else value
 
 
-def _question_from_dict(d: dict) -> DnsQuestion:
-    return DnsQuestion(
-        qname=d["qname"],
-        qtype=RecordType(d["qtype"]),
-        resolver_address=d["resolver_address"],
-        transport_version=IpVersion(d["transport_version"]),
-        timeout_ms=d["timeout_ms"],
-        resolver_port=d["resolver_port"],
-    )
+def _from_hex(value):
+    return bytes.fromhex(value["hex"]) if isinstance(value, dict) else value
 
 
-def _rdata_to_json(rdata):
-    if isinstance(rdata, bytes):
-        return {"hex": rdata.hex()}
-    return rdata
+def _mapped(convert):
+    return None if convert is None else lambda items: [convert(item) for item in items]
 
 
-def _rdata_from_json(value):
-    if isinstance(value, dict):
-        return bytes.fromhex(value["hex"])
-    return value
+def _or_none(convert):
+    return None if convert is None else lambda value: None if value is None else convert(value)
 
 
-def _record_to_dict(r: ResourceRecord) -> dict:
-    return {"name": r.name, "rtype": int(r.rtype), "ttl": r.ttl, "rdata": _rdata_to_json(r.rdata)}
+@functools.cache
+def _codec(tp):
+    """(encode, decode) for values of type tp: functions to and from the
+    stored form, each None where the stored form is the value itself.
 
+    A stored value of the wrong shape makes decoding raise KeyError,
+    ValueError or TypeError, which read_records reports as damage.
+    """
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        steps = [(f.name, *_codec(hints[f.name])) for f in dataclasses.fields(tp)]
 
-def _record_from_dict(d: dict) -> ResourceRecord:
-    return ResourceRecord(
-        name=d["name"], rtype=d["rtype"], ttl=d["ttl"], rdata=_rdata_from_json(d["rdata"])
-    )
+        def encode(obj):
+            out = {}
+            for name, enc, _ in steps:
+                value = getattr(obj, name)
+                out[name] = value if enc is None else enc(value)
+            return out
 
+        def decode(d):
+            return tp(*[d[name] if dec is None else dec(d[name]) for name, _, dec in steps])
 
-def _response_to_dict(r: TimedDnsResponse) -> dict:
-    return {
-        "question": _question_to_dict(r.question),
-        "rcode": r.rcode,
-        "answers": [_record_to_dict(a) for a in r.answers],
-        "latency_ms": r.latency_ms,
-        "sent_at_monotonic": r.sent_at_monotonic,
-        "sent_at_wall": r.sent_at_wall,
-        "truncated_retried": r.truncated_retried,
-        "is_prewarm": r.is_prewarm,
-    }
-
-
-def _response_from_dict(d: dict) -> TimedDnsResponse:
-    return TimedDnsResponse(
-        question=_question_from_dict(d["question"]),
-        rcode=d["rcode"],
-        answers=[_record_from_dict(a) for a in d["answers"]],
-        latency_ms=d["latency_ms"],
-        sent_at_monotonic=d["sent_at_monotonic"],
-        sent_at_wall=d["sent_at_wall"],
-        truncated_retried=d["truncated_retried"],
-        is_prewarm=d["is_prewarm"],
-    )
-
-
-def _handshake_to_dict(h: HandshakeSample) -> dict:
-    return {
-        "address": h.address,
-        "port": h.port,
-        "rtt_ms": h.rtt_ms,
-        "success": h.success,
-        "error_kind": h.error_kind.value if h.error_kind else None,
-    }
-
-
-def _handshake_from_dict(d: dict) -> HandshakeSample:
-    return HandshakeSample(
-        address=d["address"],
-        port=d["port"],
-        rtt_ms=d["rtt_ms"],
-        success=d["success"],
-        error_kind=HandshakeFailure(d["error_kind"]) if d["error_kind"] else None,
-    )
-
-
-def set_to_dict(mset: MeasurementSet) -> dict:
-    return {
-        "vantage_id": mset.vantage_id,
-        "website": mset.website,
-        "cdn": mset.cdn,
-        "resolver_label": mset.resolver_label,
-        "ip_version": mset.ip_version.value,
-        "dns_results": [_response_to_dict(r) for r in mset.dns_results],
-        "handshake_results": [_handshake_to_dict(h) for h in mset.handshake_results],
-        "created_at": mset.created_at,
-        "failed_twice": mset.failed_twice,
-    }
-
-
-def set_from_dict(d: dict) -> MeasurementSet:
-    return MeasurementSet(
-        vantage_id=d["vantage_id"],
-        website=d["website"],
-        cdn=d["cdn"],
-        resolver_label=d["resolver_label"],
-        ip_version=IpVersion(d["ip_version"]),
-        dns_results=[_response_from_dict(r) for r in d["dns_results"]],
-        handshake_results=[_handshake_from_dict(h) for h in d["handshake_results"]],
-        created_at=d["created_at"],
-        failed_twice=d["failed_twice"],
-    )
+        return encode, decode
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        enc, dec = _codec(args[0])
+        return _mapped(enc), _mapped(dec)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return operator.attrgetter("value"), tp
+    if bytes in args:  # ResourceRecord.rdata: str | list[str] | bytes
+        return _to_hex, _from_hex
+    if type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _codec(inner)
+        return _or_none(enc), _or_none(dec)
+    return None, None
 
 
 def record_to_dict(record: CampaignRecord) -> dict:
@@ -181,18 +122,22 @@ def record_to_dict(record: CampaignRecord) -> dict:
         "campaign_id": record.campaign_id,
         "provenance": record.provenance.value,
         "spec": record.spec_snapshot,
-        "set": set_to_dict(record.mset),
+        "set": _codec(MeasurementSet)[0](record.mset),
     }
 
 
 def record_from_dict(d: dict) -> CampaignRecord:
     return CampaignRecord(
         campaign_id=d["campaign_id"],
-        mset=set_from_dict(d["set"]),
+        mset=_codec(MeasurementSet)[1](d["set"]),
         spec_snapshot=d["spec"],
         provenance=Provenance(d["provenance"]),
         schema_version=d["schema_version"],
     )
+
+
+def _record_line(record: CampaignRecord) -> str:
+    return json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
 
 
 def write_records(records: list[CampaignRecord], path: str):
@@ -206,9 +151,7 @@ def write_records(records: list[CampaignRecord], path: str):
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-                    fh.write("\n")
+                fh.writelines(map(_record_line, records))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -223,9 +166,7 @@ def write_records(records: list[CampaignRecord], path: str):
 def append_records(records: list[CampaignRecord], path: str):
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-                fh.write("\n")
+            fh.writelines(map(_record_line, records))
     except OSError as exc:
         raise IoFailureError(f"cannot append to {path}: {exc}") from exc
 

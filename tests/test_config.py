@@ -1,6 +1,7 @@
 """Tool config file round trips and the stored spec snapshot format."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -87,6 +88,27 @@ class TestConfigFile:
         spec = config.to_measurement_spec()
         assert spec.resolvers == config.resolvers
         assert spec.websites == [("akamai", "www.example.com")]
+
+    def test_spec_carries_every_shared_field(self):
+        shared = {
+            "websites": [("fastly", "img.example.net")],
+            "resolvers": [ResolverEntry("local", "127.0.0.1", "::1")],
+            "dns_repeats": 5,
+            "prewarm_gap_s": 2.5,
+            "handshake_repeats": 4,
+            "per_query_timeout_ms": 750.0,
+            "resolver_port": 5353,
+            "handshake_port": 8443,
+        }
+        assert set(shared) == {f.name for f in fields(MeasurementSpec)}
+        assert all(value != getattr(ToolConfig(), name) for name, value in shared.items())
+        spec = ToolConfig(**shared).to_measurement_spec()
+        assert {name: getattr(spec, name) for name in shared} == shared
+
+    def test_websites_argument_overrides_the_config(self):
+        config = ToolConfig(websites=[("akamai", "www.example.com")])
+        spec = config.to_measurement_spec([("fastly", "img.example.net")])
+        assert spec.websites == [("fastly", "img.example.net")]
 
 
 class TestSpecSnapshot:

@@ -87,6 +87,104 @@ def random_record(rng: random.Random, index: int) -> CampaignRecord:
     )
 
 
+def golden_record() -> CampaignRecord:
+    """One record holding every kind of stored field."""
+    question = make_question(qname="www.example.com", qtype=RecordType.AAAA, resolver="2001:db8::53")
+    cname = ResourceRecord(
+        name="www.example.com", rtype=int(RecordType.CNAME), ttl=300, rdata="edge.cdn.example"
+    )
+    aaaa = ResourceRecord(name="edge.cdn.example", rtype=int(RecordType.AAAA), ttl=20, rdata="2001:db8::1")
+    txt = ResourceRecord(name="edge.cdn.example", rtype=int(RecordType.TXT), ttl=60, rdata=["k=v", "x"])
+    opaque = ResourceRecord(name="edge.cdn.example", rtype=99, ttl=5, rdata=b"\x00\xffab")
+    mset = MeasurementSet(
+        vantage_id="probe-7",
+        website="www.example.com",
+        cdn="akamai",
+        resolver_label="google",
+        ip_version=IpVersion.V6,
+        dns_results=[
+            TimedDnsResponse(question, 0, [cname, aaaa], 41.5, 1.0, 1_650_000_001.0, is_prewarm=True),
+            TimedDnsResponse(
+                question,
+                0,
+                [cname, aaaa, txt, opaque],
+                12.25,
+                16.0,
+                1_650_000_016.0,
+                truncated_retried=True,
+            ),
+            TimedDnsResponse(question, 3, [], 11.0, 16.5, 1_650_000_016.5),
+        ],
+        handshake_results=[
+            HandshakeSample(address="2001:db8::1", port=443, rtt_ms=25.5, success=True),
+            HandshakeSample(
+                address="2001:db8::1",
+                port=443,
+                rtt_ms=None,
+                success=False,
+                error_kind=HandshakeFailure.TIMEOUT,
+            ),
+        ],
+        created_at=1_650_000_000.0,
+        failed_twice=True,
+    )
+    return CampaignRecord(
+        campaign_id="c7", mset=mset, spec_snapshot={"dns_repeats": 3, "prewarm_gap_s": 15.0}
+    )
+
+
+# golden_record() as stored; files already on disk hold this shape, so it must not drift.
+GOLDEN_LINE = (
+    '{"schema_version":1,"campaign_id":"c7","provenance":"native",'
+    '"spec":{"dns_repeats":3,"prewarm_gap_s":15.0},'
+    '"set":{"vantage_id":"probe-7","website":"www.example.com","cdn":"akamai","resolver_label":"google",'
+    '"ip_version":"v6",'
+    '"dns_results":['
+    '{"question":{"qname":"www.example.com","qtype":28,"resolver_address":"2001:db8::53",'
+    '"transport_version":"v6","timeout_ms":5000.0,"resolver_port":53},"rcode":0,'
+    '"answers":['
+    '{"name":"www.example.com","rtype":5,"ttl":300,"rdata":"edge.cdn.example"},'
+    '{"name":"edge.cdn.example","rtype":28,"ttl":20,"rdata":"2001:db8::1"}],'
+    '"latency_ms":41.5,"sent_at_monotonic":1.0,"sent_at_wall":1650000001.0,'
+    '"truncated_retried":false,"is_prewarm":true},'
+    '{"question":{"qname":"www.example.com","qtype":28,"resolver_address":"2001:db8::53",'
+    '"transport_version":"v6","timeout_ms":5000.0,"resolver_port":53},"rcode":0,'
+    '"answers":['
+    '{"name":"www.example.com","rtype":5,"ttl":300,"rdata":"edge.cdn.example"},'
+    '{"name":"edge.cdn.example","rtype":28,"ttl":20,"rdata":"2001:db8::1"},'
+    '{"name":"edge.cdn.example","rtype":16,"ttl":60,"rdata":["k=v","x"]},'
+    '{"name":"edge.cdn.example","rtype":99,"ttl":5,"rdata":{"hex":"00ff6162"}}],'
+    '"latency_ms":12.25,"sent_at_monotonic":16.0,"sent_at_wall":1650000016.0,'
+    '"truncated_retried":true,"is_prewarm":false},'
+    '{"question":{"qname":"www.example.com","qtype":28,"resolver_address":"2001:db8::53",'
+    '"transport_version":"v6","timeout_ms":5000.0,"resolver_port":53},"rcode":3,'
+    '"answers":[],'
+    '"latency_ms":11.0,"sent_at_monotonic":16.5,"sent_at_wall":1650000016.5,'
+    '"truncated_retried":false,"is_prewarm":false}],'
+    '"handshake_results":['
+    '{"address":"2001:db8::1","port":443,"rtt_ms":25.5,"success":true,"error_kind":null},'
+    '{"address":"2001:db8::1","port":443,"rtt_ms":null,"success":false,"error_kind":"timeout"}],'
+    '"created_at":1650000000.0,"failed_twice":true}}'
+)
+
+# Damage to one value nested inside a stored set, applied to golden_record's "set" object.
+NESTED_DAMAGE = [
+    pytest.param(lambda s: s.update(ip_version="v5"), id="unknown-enum-value"),
+    pytest.param(lambda s: s["dns_results"][0]["question"].pop("qname"), id="missing-nested-key"),
+    pytest.param(
+        lambda s: s["dns_results"][1]["answers"][3].update(rdata={"hx": "00ff6162"}),
+        id="misspelled-hex-key",
+    ),
+    pytest.param(lambda s: s.update(dns_results=3), id="list-field-is-a-number"),
+]
+
+
+def damaged_golden_line(damage) -> str:
+    obj = json.loads(GOLDEN_LINE)
+    damage(obj["set"])
+    return json.dumps(obj)
+
+
 class TestRoundTrip:
     def test_structural_equality_over_varied_records(self, tmp_path):
         rng = random.Random(0x5709)
@@ -94,6 +192,10 @@ class TestRoundTrip:
         path = str(tmp_path / "campaign.jsonl")
         write_records(records, path)
         assert read_records(path) == records
+        rewritten = str(tmp_path / "rewritten.jsonl")
+        write_records(read_records(path), rewritten)
+        with open(path, "rb") as fa, open(rewritten, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_serialization_is_byte_deterministic(self, tmp_path):
         records = [CampaignRecord(campaign_id="c1", mset=make_set())]
@@ -109,6 +211,23 @@ class TestRoundTrip:
         with open(path, encoding="utf-8") as fh:
             line = fh.readline()
         assert list(json.loads(line)) == ["schema_version", "campaign_id", "provenance", "spec", "set"]
+
+    def test_golden_line_is_written_byte_for_byte(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        write_records([golden_record()], str(path))
+        assert path.read_bytes() == (GOLDEN_LINE + "\n").encode("utf-8")
+
+    def test_golden_line_reads_back_typed(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        path.write_text(GOLDEN_LINE + "\n")
+        [record] = read_records(str(path))
+        assert record == golden_record()
+        response = record.mset.dns_results[1]
+        assert response.question.qtype is RecordType.AAAA
+        assert response.question.transport_version is IpVersion.V6
+        assert type(response.answers[1].rtype) is int
+        assert response.answers[3].rdata == b"\x00\xffab"
+        assert record.mset.handshake_results[1].error_kind is HandshakeFailure.TIMEOUT
 
     def test_append_extends_file(self, tmp_path):
         path = str(tmp_path / "grow.jsonl")
@@ -192,6 +311,24 @@ class TestSchemaHandling:
         with pytest.raises(SchemaMismatchError) as excinfo:
             read_records(str(path))
         assert excinfo.value.line_number == 1
+
+
+    @pytest.mark.parametrize("damage", NESTED_DAMAGE)
+    def test_damaged_nested_value_midfile_is_schema_mismatch(self, tmp_path, damage):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{damaged_golden_line(damage)}\n{GOLDEN_LINE}\n")
+        with pytest.raises(SchemaMismatchError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("damage", NESTED_DAMAGE)
+    def test_damaged_nested_value_on_the_last_line_is_truncated(self, tmp_path, damage):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{GOLDEN_LINE}\n{damaged_golden_line(damage)}\n")
+        with pytest.raises(TruncatedFileError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 3
+        assert excinfo.value.records == [golden_record(), golden_record()]
 
 
 def dns_abuf(qname: str, address: str = "192.0.2.7", qtype: int = mocknet.A) -> str:
@@ -334,6 +471,12 @@ class TestAtlasImport:
         result = import_atlas(*write_atlas(tmp_path, dns, []), catalog=catalog)
         cdns = {s.website: s.cdn for s in result.sets}
         assert cdns == {hosted: "akamai", self.QNAME: "unknown"}
+
+    def test_unknown_question_type_imports_as_a(self, tmp_path):
+        abuf = base64.b64encode(mocknet.build_response(7, self.QNAME, 65, [])).decode("ascii")
+        dns = [dns_entry(1, self.QNAME, self.BASE, 10.0, abuf=abuf)]
+        result = import_atlas(*write_atlas(tmp_path, dns, []))
+        assert result.sets[0].dns_results[0].question.qtype is RecordType.A
 
     def test_aaaa_queries_import_as_v6(self, tmp_path):
         abuf = dns_abuf(self.QNAME, address="2001:db8::9", qtype=mocknet.AAAA)
