@@ -10,6 +10,11 @@ else is stored as it is.  The reader reverses the same rule.
 write_records replaces a file only once the whole new content is
 written.  Readers reject unknown major schema versions and salvage
 everything before a truncated final line.
+
+read_records gives consecutive records whose stored specs are equal (and
+written the same way) one shared spec_snapshot dict, so a campaign costs
+one copy of its spec, not one per record.  Callers must not mutate a
+spec_snapshot they read; the change would show in every record sharing it.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .campaign import MeasurementSet
+from .wire import WireError
 
 SCHEMA_VERSION = 1
+_SEPARATORS = (",", ":")
 
 
 class Provenance(Enum):
@@ -84,7 +91,8 @@ def _codec(tp):
     stored form, each None where the stored form is the value itself.
 
     A stored value of the wrong shape makes decoding raise KeyError,
-    ValueError or TypeError, which read_records reports as damage.
+    ValueError or TypeError (WireError for an invalid name), which
+    read_records reports as damage.
     """
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
@@ -106,7 +114,15 @@ def _codec(tp):
         enc, dec = _codec(args[0])
         return _mapped(enc), _mapped(dec)
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return operator.attrgetter("value"), tp
+        members = {m.value: m for m in tp}
+
+        def decode(value):
+            try:
+                return members[value]
+            except KeyError:
+                raise ValueError(f"{value!r} is not a valid {tp.__name__}") from None
+
+        return operator.attrgetter("value"), decode
     if bytes in args:  # ResourceRecord.rdata: str | list[str] | bytes
         return _to_hex, _from_hex
     if type(None) in args:
@@ -137,7 +153,12 @@ def record_from_dict(d: dict) -> CampaignRecord:
 
 
 def _record_line(record: CampaignRecord) -> str:
-    return json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
+    return json.dumps(record_to_dict(record), separators=_SEPARATORS) + "\n"
+
+
+def _spec_text(spec) -> str:
+    """How _record_line writes spec, with the keys on either side."""
+    return f'"spec":{json.dumps(spec, separators=_SEPARATORS)},"set":'
 
 
 def write_records(records: list[CampaignRecord], path: str):
@@ -187,6 +208,7 @@ def read_records(path: str) -> list[CampaignRecord]:
     while lines and lines[-1] == "":
         lines.pop()
     records: list[CampaignRecord] = []
+    spec, spec_text = None, ""
     last = len(lines)
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -201,9 +223,17 @@ def read_records(path: str) -> list[CampaignRecord]:
                 f"unknown schema version {version!r} (reader supports {SCHEMA_VERSION})", lineno
             )
         try:
-            records.append(record_from_dict(obj))
-        except (KeyError, ValueError, TypeError) as exc:
+            record = record_from_dict(obj)
+        except (KeyError, ValueError, TypeError, WireError) as exc:
             if lineno == last:
                 raise TruncatedFileError(lineno, records) from exc
             raise SchemaMismatchError(f"malformed record: {exc}", lineno) from exc
+        # A record whose spec equals the previous one's shares its dict.  The
+        # text test keeps apart specs that compare equal but are written
+        # differently (1 and 1.0), so every record writes back unchanged.
+        if record.spec_snapshot == spec and spec_text in line:
+            record.spec_snapshot = spec
+        else:
+            spec, spec_text = record.spec_snapshot, _spec_text(record.spec_snapshot)
+        records.append(record)
     return records

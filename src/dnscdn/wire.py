@@ -8,6 +8,7 @@ opaque bytes so responses survive a store/reload round trip.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import struct
 from dataclasses import dataclass, field
@@ -23,6 +24,10 @@ MAX_TTL = 2**31 - 1
 # message needs far fewer; exceeding it means a pointer loop.
 _MAX_POINTER_HOPS = 64
 _MAX_LABELS = 128
+
+# Distinct names and addresses whose validation is remembered.  A stored
+# corpus repeats a few hundred; a larger memo pins more memory than it saves.
+_MEMO_SIZE = 256
 
 
 class RecordType(IntEnum):
@@ -40,8 +45,15 @@ class IpVersion(Enum):
 
     @classmethod
     def of_address(cls, address: str) -> "IpVersion":
-        ip = ipaddress.ip_address(address.split("%")[0])
-        return cls.V4 if ip.version == 4 else cls.V6
+        if not isinstance(address, str):
+            raise TypeError(f"address must be a string, not {type(address).__name__}")
+        return cls.V4 if _ip_version(address.split("%")[0]) == 4 else cls.V6
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _ip_version(address: str) -> int:
+    """4 or 6 for an IP address string; ValueError for anything else."""
+    return ipaddress.ip_address(address).version
 
 
 class WireError(Exception):
@@ -62,6 +74,8 @@ def encode_name(name: str) -> bytes:
     A single trailing dot is tolerated; empty labels and labels over 63
     octets raise InvalidNameError, as does a total encoding over 255 octets.
     """
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a string, not {type(name).__name__}")
     stripped = name[:-1] if name.endswith(".") else name
     if not stripped:
         raise InvalidNameError("empty name")
@@ -80,8 +94,13 @@ def encode_name(name: str) -> bytes:
     return bytes(out)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def validate_name(name: str) -> str:
-    """Return the name without its optional trailing dot, enforcing limits."""
+    """Return the name without its optional trailing dot, enforcing limits.
+
+    Memoized: a name seen recently is not checked again.  A name that
+    fails raises on every call, since exceptions are not remembered.
+    """
     encode_name(name)
     return name[:-1] if name.endswith(".") else name
 
@@ -130,10 +149,10 @@ class ResourceRecord:
         if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"ttl {self.ttl} outside [0, 2^31-1]")
         if self.rtype == RecordType.A:
-            if not isinstance(self.rdata, str) or ipaddress.ip_address(self.rdata).version != 4:
+            if not isinstance(self.rdata, str) or _ip_version(self.rdata) != 4:
                 raise ValueError("A record rdata must be an IPv4 address string")
         elif self.rtype == RecordType.AAAA:
-            if not isinstance(self.rdata, str) or ipaddress.ip_address(self.rdata).version != 6:
+            if not isinstance(self.rdata, str) or _ip_version(self.rdata) != 6:
                 raise ValueError("AAAA record rdata must be an IPv6 address string")
         elif self.rtype in (RecordType.NS, RecordType.CNAME):
             if not isinstance(self.rdata, str):

@@ -388,6 +388,19 @@ class TestDamagedInput:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "schema version" in err
 
+    @pytest.mark.parametrize("qname", ["a..b", 7])
+    def test_invalid_stored_qname_is_an_error_line(self, tmp_path, capsys, qname):
+        path, _ = analysis_fixture(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        first = json.loads(lines[0])
+        first["set"]["dns_results"][0]["question"]["qname"] = qname
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        assert cli.main(["analyze", "--input", str(damaged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 1: malformed record" in err
+
     def test_missing_file_is_an_error_line(self, tmp_path, capsys):
         missing = str(tmp_path / "nowhere.jsonl")
         assert cli.main(["analyze", "--input", missing]) == 2

@@ -176,6 +176,15 @@ NESTED_DAMAGE = [
         id="misspelled-hex-key",
     ),
     pytest.param(lambda s: s.update(dns_results=3), id="list-field-is-a-number"),
+    pytest.param(lambda s: s["dns_results"][0]["question"].update(qname="a..b"), id="qname-empty-label"),
+    pytest.param(lambda s: s["dns_results"][0]["question"].update(qname=7), id="qname-not-a-string"),
+    pytest.param(
+        lambda s: s["dns_results"][0]["question"].update(resolver_address=7), id="resolver-address-not-a-string"
+    ),
+    pytest.param(
+        lambda s: s["dns_results"][1]["answers"][1].update(rtype=1, rdata="10.0.0.256"),
+        id="a-rdata-octet-out-of-range",
+    ),
 ]
 
 
@@ -228,6 +237,36 @@ class TestRoundTrip:
         assert type(response.answers[1].rtype) is int
         assert response.answers[3].rdata == b"\x00\xffab"
         assert record.mset.handshake_results[1].error_kind is HandshakeFailure.TIMEOUT
+
+    def test_one_campaign_file_shares_one_spec(self, tmp_path):
+        records = [
+            CampaignRecord(campaign_id="c1", mset=make_set(vantage_id=f"p{i}"), spec_snapshot={"dns_repeats": 3})
+            for i in range(5)
+        ]
+        path = str(tmp_path / "campaign.jsonl")
+        write_records(records, path)
+        back = read_records(path)
+        assert back == records
+        assert all(r.spec_snapshot is back[0].spec_snapshot for r in back)
+
+    def test_different_specs_are_kept_apart(self, tmp_path):
+        # 15 and 15.0 compare equal in Python but are stored differently.
+        specs = [{"prewarm_gap_s": 15}, {"prewarm_gap_s": 15}, {"prewarm_gap_s": 15.0}, {"dns_repeats": 4}]
+        records = [
+            CampaignRecord(campaign_id=f"c{i}", mset=make_set(vantage_id=f"p{i}"), spec_snapshot=spec)
+            for i, spec in enumerate(specs)
+        ]
+        path = str(tmp_path / "appended.jsonl")
+        write_records(records, path)
+        back = read_records(path)
+        assert [r.spec_snapshot for r in back] == specs
+        assert [type(r.spec_snapshot.get("prewarm_gap_s")) for r in back] == [int, int, float, type(None)]
+        assert back[0].spec_snapshot is back[1].spec_snapshot
+        assert len({id(r.spec_snapshot) for r in back}) == 3
+        rewritten = str(tmp_path / "rewritten.jsonl")
+        write_records(back, rewritten)
+        with open(path, "rb") as fa, open(rewritten, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_append_extends_file(self, tmp_path):
         path = str(tmp_path / "grow.jsonl")

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 import mocknet
+from dnscdn import wire
 from dnscdn.wire import (
     EDNS_UDP_PAYLOAD,
     DnsQuestion,
@@ -14,9 +15,11 @@ from dnscdn.wire import (
     IpVersion,
     MalformedMessageError,
     RecordType,
+    ResourceRecord,
     decode_response,
     encode_name,
     encode_query,
+    validate_name,
 )
 
 
@@ -197,6 +200,42 @@ class TestDnsQuestionFamily:
     def test_explicit_disagreement_still_raises(self):
         with pytest.raises(ValueError):
             DnsQuestion("x.example", RecordType.A, "192.0.2.53", transport_version=IpVersion.V6)
+
+
+class TestRepeatedValues:
+    """Names and addresses are validated once each; every object still checks them."""
+
+    def test_an_invalid_name_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(InvalidNameError):
+                DnsQuestion("a..b", RecordType.A, "192.0.2.53")
+
+    def test_an_invalid_address_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ResourceRecord(name="x.example", rtype=int(RecordType.A), ttl=60, rdata="10.0.0.256")
+
+    def test_a_repeated_name_still_loses_its_trailing_dot(self):
+        assert [validate_name("x.example.") for _ in range(3)] == ["x.example"] * 3
+
+    def test_a_remembered_address_is_still_checked_against_the_type(self):
+        ResourceRecord(name="x.example", rtype=int(RecordType.A), ttl=60, rdata="192.0.2.9")
+        with pytest.raises(ValueError):
+            ResourceRecord(name="x.example", rtype=int(RecordType.AAAA), ttl=60, rdata="192.0.2.9")
+
+    @pytest.mark.parametrize("value", [7, None])
+    def test_non_string_name_or_address_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            DnsQuestion(value, RecordType.A, "192.0.2.53")
+        with pytest.raises(TypeError):
+            DnsQuestion("x.example", RecordType.A, value)
+
+    def test_the_memo_stays_bounded(self):
+        for i in range(1000):
+            validate_name(f"n{i}.example")
+            IpVersion.of_address(f"10.0.{i // 256}.{i % 256}")
+        assert validate_name.cache_info().currsize <= 256
+        assert wire._ip_version.cache_info().currsize <= 256
 
 
 def random_name(rng):
