@@ -18,7 +18,7 @@ from .campaign import MeasurementSet
 from .discovery import CdnCatalog
 from .mapping import HandshakeSample
 from .resolve import TimedDnsResponse
-from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType, decode_response
+from .wire import DnsQuestion, IpVersion, RecordType, WireError, decode_response
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ def import_atlas(
         for payload in _iter_dns_payloads(entry):
             try:
                 response = _parse_dns_entry(entry, payload)
-            except (KeyError, ValueError, TypeError, MalformedMessageError, OSError) as exc:
+            except (KeyError, ValueError, TypeError, WireError, OSError) as exc:
                 log.debug("skipping DNS result from probe %s: %s", prb, exc)
                 out.skipped += 1
                 continue

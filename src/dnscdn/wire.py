@@ -4,12 +4,17 @@ Builds standard recursive queries and parses responses, including
 name-compression pointers.  Only the record types needed for latency and
 CDN-mapping measurements get typed rdata; everything else is kept as
 opaque bytes so responses survive a store/reload round trip.
+
+A and AAAA rdata are formatted straight from their octets into the text
+ipaddress gives for them (the ::a.b.c.d forms go through ipaddress
+itself), and ResourceRecord still checks every address it is given.
 """
 
 from __future__ import annotations
 
 import functools
 import ipaddress
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -39,6 +44,13 @@ class RecordType(IntEnum):
     OPT = 41
 
 
+_RECORD_TYPES = {member.value: member for member in RecordType}
+# type, class, ttl, rdlength
+_RR_HEADER = struct.Struct("!HHIH")
+_HEXTETS = struct.Struct("!8H")
+_TEN_ZERO_OCTETS = bytes(10)
+
+
 class IpVersion(Enum):
     V4 = "v4"
     V6 = "v6"
@@ -50,9 +62,27 @@ class IpVersion(Enum):
         return cls.V4 if _ip_version(address.split("%")[0]) == 4 else cls.V6
 
 
+# Exactly the dotted quads ipaddress accepts: ASCII digits, 0-255, no
+# leading zeros.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _ip_version(address: str) -> int:
-    """4 or 6 for an IP address string; ValueError for anything else."""
+    """4 or 6 for an IP address string; ValueError for anything else.
+
+    The common forms skip ipaddress's try-IPv4-then-IPv6 order; anything
+    else goes to ipaddress.ip_address, so its errors are raised unchanged.
+    """
+    if _DOTTED_QUAD.fullmatch(address):
+        return 4
+    if ":" in address:
+        try:
+            ipaddress.IPv6Address(address)
+            return 6
+        except ValueError:
+            pass
     return ipaddress.ip_address(address).version
 
 
@@ -221,19 +251,20 @@ def _decode_name(data: bytes, offset: int) -> tuple[str, int]:
 
     Returns (name, offset just past the name in the original stream).
     """
-    labels: list[str] = []
+    size = len(data)
+    labels: list[bytes] = []
     pos = offset
     end = -1  # position after the name in the uncompressed stream
     hops = 0
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise MalformedMessageError("name runs past end of message")
         length = data[pos]
         if length & 0xC0 == 0xC0:
-            if pos + 1 >= len(data):
+            if pos + 1 >= size:
                 raise MalformedMessageError("truncated compression pointer")
             target = ((length & 0x3F) << 8) | data[pos + 1]
-            if target >= len(data):
+            if target >= size:
                 raise MalformedMessageError("compression pointer beyond message")
             if end < 0:
                 end = pos + 2
@@ -248,13 +279,38 @@ def _decode_name(data: bytes, offset: int) -> tuple[str, int]:
             if end < 0:
                 end = pos + 1
             break
-        if pos + 1 + length > len(data):
+        if pos + 1 + length > size:
             raise MalformedMessageError("label runs past end of message")
-        labels.append(data[pos + 1 : pos + 1 + length].decode("ascii", errors="replace"))
+        labels.append(data[pos + 1 : pos + 1 + length])
         if len(labels) > _MAX_LABELS:
             raise MalformedMessageError("too many labels")
         pos += 1 + length
-    return ".".join(labels), end
+    # The ASCII codec maps byte by byte, so one decode of the joined name
+    # equals decoding each label alone.
+    return b".".join(labels).decode("ascii", errors="replace"), end
+
+
+def _format_ipv6(raw: bytes) -> str:
+    """The text str(ipaddress.IPv6Address(raw)) gives, built from the octets."""
+    if raw[:10] == _TEN_ZERO_OCTETS:
+        # ::ffff:a.b.c.d and ::a.b.c.d; how ipaddress prints these differs
+        # between Python versions.
+        return str(ipaddress.IPv6Address(raw))
+    hextets = ["%x" % h for h in _HEXTETS.unpack(raw)]
+    # The longest run of two or more zero hextets (the leftmost on a tie)
+    # becomes "::".
+    best_start, best_len, start = 0, 1, -1
+    for i, hextet in enumerate(hextets):
+        if hextet != "0":
+            start = -1
+            continue
+        if start < 0:
+            start = i
+        if i - start >= best_len:
+            best_start, best_len = start, i - start + 1
+    if best_len == 1:
+        return ":".join(hextets)
+    return ":".join(hextets[:best_start]) + "::" + ":".join(hextets[best_start + best_len :])
 
 
 def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int):
@@ -262,11 +318,11 @@ def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int):
     if rtype == RecordType.A:
         if rdlength != 4:
             raise MalformedMessageError("A rdata must be 4 octets")
-        return str(ipaddress.IPv4Address(rdata_bytes))
+        return "%d.%d.%d.%d" % tuple(rdata_bytes)
     if rtype == RecordType.AAAA:
         if rdlength != 16:
             raise MalformedMessageError("AAAA rdata must be 16 octets")
-        return str(ipaddress.IPv6Address(rdata_bytes))
+        return _format_ipv6(rdata_bytes)
     if rtype in (RecordType.NS, RecordType.CNAME):
         name, _ = _decode_name(data, offset)
         return name
@@ -287,16 +343,13 @@ def _decode_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
     name, pos = _decode_name(data, offset)
     if pos + 10 > len(data):
         raise MalformedMessageError("truncated record header")
-    rtype, rclass, ttl, rdlength = struct.unpack_from("!HHIH", data, pos)
+    rtype, rclass, ttl, rdlength = _RR_HEADER.unpack_from(data, pos)
     pos += 10
     if pos + rdlength > len(data):
         raise MalformedMessageError("rdata runs past end of message")
     if ttl > MAX_TTL:
         ttl = 0  # RFC 2181 section 8: treat high-bit TTLs as zero
-    try:
-        rtype = RecordType(rtype)
-    except ValueError:
-        pass
+    rtype = _RECORD_TYPES.get(rtype, rtype)
     rdata = _decode_rdata(data, pos, rdlength, rtype)
     # OPT smuggles flags into class/ttl; keep it opaque rather than lying
     # about a ttl that is not a ttl.

@@ -19,6 +19,8 @@ A, NS, CNAME, TXT, AAAA = 1, 2, 5, 16, 28
 
 
 def name_bytes(name: str) -> bytes:
+    if not name.rstrip("."):
+        return b"\x00"  # the root
     out = b""
     for label in name.rstrip(".").split("."):
         out += struct.pack("!B", len(label)) + label.encode("ascii")
@@ -26,6 +28,9 @@ def name_bytes(name: str) -> bytes:
 
 
 def rdata_bytes(rtype: int, rdata) -> bytes:
+    """Wire rdata from its text form; bytes are taken as they are."""
+    if isinstance(rdata, bytes):
+        return rdata
     if rtype == A:
         return socket.inet_aton(rdata)
     if rtype == AAAA:

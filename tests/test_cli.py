@@ -497,6 +497,28 @@ class TestImportAtlas:
         assert records[0].campaign_id == "atlas-42"
         assert "imported 1 sets" in capsys.readouterr().out
 
+    def test_invalid_question_echo_is_skipped(self, tmp_path, capsys):
+        qname = "www.wide.example"
+        root_echo = base64.b64encode(mocknet.build_response(7, ".", mocknet.A, [])).decode("ascii")
+        dns = [
+            {
+                "prb_id": 11,
+                "timestamp": 1_650_000_000 + offset,
+                "dst_addr": "8.8.8.8",
+                "result": {"rt": 20.0, "abuf": abuf},
+            }
+            for offset, abuf in (
+                (0, self._abuf(qname)),
+                (5, root_echo),
+                (15, self._abuf(qname)),
+            )
+        ]
+        dns_path, tls_path = self._write_inputs(tmp_path, dns, [])
+        out = str(tmp_path / "imported.jsonl")
+        assert cli.main(["import-atlas", "--dns", dns_path, "--tls", tls_path, "--output", out]) == 0
+        assert "skipped 1" in capsys.readouterr().out
+        assert [len(r.mset.dns_results) for r in read_records(out)] == [2]
+
     def test_empty_import_exits_nonzero(self, tmp_path):
         dns_path, tls_path = self._write_inputs(tmp_path, [], [])
         out = str(tmp_path / "none.jsonl")

@@ -462,6 +462,22 @@ class TestAtlasImport:
         assert len(result.sets) == 1
         assert len(result.sets[0].dns_results) == 1
 
+    # Question names that decode but that DnsQuestion rejects.
+    @pytest.mark.parametrize(
+        "echo", [".", ".".join(["a" * 63] * 5)], ids=["root-name", "name-over-255-octets"]
+    )
+    def test_invalid_question_echo_is_skipped_not_fatal(self, tmp_path, echo):
+        abuf = base64.b64encode(mocknet.build_response(7, echo, mocknet.A, [])).decode("ascii")
+        dns = [
+            dns_entry(1, self.QNAME, self.BASE, 10.0),
+            dns_entry(1, self.QNAME, self.BASE + 5, 11.0, abuf=abuf),
+            dns_entry(1, self.QNAME, self.BASE + 6, 12.0),
+        ]
+        result = import_atlas(*write_atlas(tmp_path, dns, []))
+        assert result.skipped == 1
+        assert len(result.sets) == 1
+        assert [r.latency_ms for r in result.sets[0].dns_results] == [10.0, 12.0]
+
     def test_orphan_tls_results_are_counted(self, tmp_path, caplog):
         tls = [tls_entry(9, "lonely.example", self.BASE, rt=30.0)]
         with caplog.at_level("WARNING", logger="dnscdn.atlas"):

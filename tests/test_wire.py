@@ -1,5 +1,6 @@
 """Wire-format encode/decode against hand-built RFC 1035 fixtures."""
 
+import ipaddress
 import random
 import string
 import struct
@@ -236,6 +237,83 @@ class TestRepeatedValues:
             IpVersion.of_address(f"10.0.{i // 256}.{i % 256}")
         assert validate_name.cache_info().currsize <= 256
         assert wire._ip_version.cache_info().currsize <= 256
+
+
+def address_rdata(raw: bytes):
+    """The decoded rdata of one A (4 octets) or AAAA (16 octets) record."""
+    rtype = mocknet.A if len(raw) == 4 else mocknet.AAAA
+    message = mocknet.build_response(7, "x.example", rtype, [("x.example", rtype, 60, raw)])
+    return decode_response(message).answers[0].rdata
+
+
+def hextets(*values):
+    return struct.pack("!8H", *values)
+
+
+class TestAddressText:
+    """Addresses are written from their octets exactly as ipaddress writes them."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            bytes(4),
+            b"\xff" * 4,
+            bytes(16),
+            hextets(0, 0, 0, 0, 0, 0, 0, 1),
+            hextets(1, 0, 0, 0, 0, 0, 0, 0),
+            hextets(0x2001, 0xDB8, 0, 1, 2, 3, 4, 5),
+            hextets(0x2001, 0, 0, 1, 0, 0, 2, 3),
+            hextets(0x2001, 0, 0, 1, 0, 0, 0, 2),
+            bytes(10) + b"\xff\xff" + bytes([1, 2, 3, 4]),
+            bytes(12) + bytes([1, 2, 3, 4]),
+            b"\xff" * 16,
+        ],
+        ids=[
+            "v4-zeros",
+            "v4-ones",
+            "unspecified",
+            "loopback",
+            "trailing-run",
+            "one-zero-hextet",
+            "equal-runs-leftmost",
+            "longer-second-run",
+            "v4-mapped",
+            "v4-compatible",
+            "all-ffff",
+        ],
+    )
+    def test_rdata_is_the_ipaddress_text(self, raw):
+        assert address_rdata(raw) == str(ipaddress.ip_address(raw))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.0.0.0",
+            "255.255.255.255",
+            "2001:db8::1",
+            "01.2.3.4",
+            "1.2.3.04",
+            "256.1.1.1",
+            "1.2.3",
+            "1.2.3.4.5",
+            "\uff11.2.3.4",
+            "1.2.3.4\n",
+            "fe80::1%eth0",
+            "::ffff:1.2.3.4",
+            "1:2:3:4:5:6:7::",
+            ":::",
+            "",
+        ],
+    )
+    def test_address_version_agrees_with_ipaddress(self, text):
+        try:
+            expected = ipaddress.ip_address(text).version
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as caught:
+                wire._ip_version(text)
+            assert str(caught.value) == str(exc)
+        else:
+            assert wire._ip_version(text) == expected
 
 
 def random_name(rng):

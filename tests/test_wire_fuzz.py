@@ -1,6 +1,9 @@
 """decode_response on arbitrary and damaged input: it raises only
-MalformedMessageError, and it never hangs."""
+MalformedMessageError, and it never hangs.  Address rdata reads as
+ipaddress writes it."""
 
+import ipaddress
+import struct
 import time
 
 import pytest
@@ -67,3 +70,21 @@ def test_arbitrary_bytes(data):
 @given(damaged())
 def test_damaged_valid_messages(data):
     decodes_or_is_malformed(data)
+
+
+# Zero hextets are drawn often, so runs to compress (and the ::a.b.c.d
+# forms) come up.
+HEXTET = st.one_of(st.just(0), st.just(0), st.sampled_from([1, 0xFFFF]), st.integers(0, 0xFFFF))
+
+
+@given(
+    st.one_of(
+        st.binary(min_size=4, max_size=4),
+        st.binary(min_size=16, max_size=16),
+        st.lists(HEXTET, min_size=8, max_size=8).map(lambda values: struct.pack("!8H", *values)),
+    )
+)
+def test_address_rdata_is_the_ipaddress_text(raw):
+    rtype = mocknet.A if len(raw) == 4 else mocknet.AAAA
+    message = mocknet.build_response(7, "x.example", rtype, [("x.example", rtype, 60, raw)])
+    assert decode_response(message).answers[0].rdata == str(ipaddress.ip_address(raw))
