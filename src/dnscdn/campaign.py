@@ -118,7 +118,7 @@ class MeasurementSpec:
         raise KeyError(name)
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasurementSet:
     vantage_id: str
     website: str

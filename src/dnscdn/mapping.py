@@ -52,7 +52,7 @@ class EdgeAssignment:
             raise ValueError("edge address family does not match ip_version")
 
 
-@dataclass
+@dataclass(slots=True)
 class HandshakeSample:
     """One timed TCP connect attempt; rtt_ms is present iff it succeeded."""
 

@@ -68,7 +68,7 @@ _UNREACH_ERRNOS = {
 IN_PROGRESS_ERRNOS = {0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY}
 
 
-@dataclass
+@dataclass(slots=True)
 class TimedDnsResponse:
     """One decoded DNS answer with its latency reading.
 

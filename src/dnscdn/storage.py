@@ -15,6 +15,10 @@ read_records gives consecutive records whose stored specs are equal (and
 written the same way) one shared spec_snapshot dict, so a campaign costs
 one copy of its spec, not one per record.  Callers must not mutate a
 spec_snapshot they read; the change would show in every record sharing it.
+
+The record types (MeasurementSet and the wire, resolve and mapping types
+it holds) are slotted dataclasses: a record carries its fields and
+nothing else, so callers cannot attach attributes to one.
 """
 
 from __future__ import annotations

@@ -135,7 +135,7 @@ def validate_name(name: str) -> str:
     return name[:-1] if name.endswith(".") else name
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsQuestion:
     """One question: what to ask, whom to ask, and over which IP version
     (by default the family of resolver_address; a mismatch raises)."""
@@ -161,7 +161,7 @@ class DnsQuestion:
             raise ValueError("timeout_ms must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceRecord:
     """One parsed answer record.
 
@@ -196,7 +196,7 @@ class ResourceRecord:
         return self.rtype in (RecordType.A, RecordType.AAAA)
 
 
-@dataclass
+@dataclass(slots=True)
 class QuestionEcho:
     """Question section of a decoded message (type/class left as raw ints)."""
 
@@ -205,7 +205,7 @@ class QuestionEcho:
     qclass: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsMessage:
     """Decoded DNS message: header fields plus all three record sections."""
 

@@ -3,6 +3,7 @@
 import base64
 import contextlib
 import csv
+import gc
 import io
 import json
 import socket
@@ -627,3 +628,74 @@ class TestDiscover:
         )
         assert status == 1
         assert "quota unmet" in capsys.readouterr().err
+
+
+class TestCollectorPause:
+    """analyze, report and import-atlas run with the cyclic collector off."""
+
+    ARGV = {
+        "analyze": ["analyze", "--input", "x.jsonl"],
+        "report": ["report", "--input", "x.jsonl"],
+        "import-atlas": ["import-atlas", "--dns", "d.json", "--tls", "t.json", "--output", "o.jsonl"],
+        "measure": ["measure"],
+    }
+    HANDLERS = {
+        "analyze": "_cmd_analyze",
+        "report": "_cmd_report",
+        "import-atlas": "_cmd_import_atlas",
+        "measure": "_cmd_measure",
+    }
+
+    @staticmethod
+    @contextlib.contextmanager
+    def collector(enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            yield
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def stub(self, monkeypatch, command, raises=None):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            if raises is not None:
+                raise raises
+            return 0
+
+        monkeypatch.setattr(cli, self.HANDLERS[command], handler)
+        return seen
+
+    @pytest.mark.parametrize("command", ["analyze", "report", "import-atlas"])
+    def test_bulk_commands_run_with_the_collector_off(self, monkeypatch, command):
+        seen = self.stub(monkeypatch, command)
+        with self.collector(True):
+            assert cli.main(self.ARGV[command]) == 0
+            assert seen == [False]
+            assert gc.isenabled()
+
+    def test_measure_keeps_the_collector_on(self, monkeypatch):
+        seen = self.stub(monkeypatch, "measure")
+        with self.collector(True):
+            assert cli.main(self.ARGV["measure"]) == 0
+            assert seen == [True]
+            assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", ["analyze", "report", "import-atlas"])
+    def test_a_raising_command_turns_the_collector_back_on(self, monkeypatch, command):
+        seen = self.stub(monkeypatch, command, raises=RuntimeError("boom"))
+        with self.collector(True):
+            with pytest.raises(RuntimeError, match="boom"):
+                cli.main(self.ARGV[command])
+            assert seen == [False]
+            assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", ["analyze", "report", "import-atlas"])
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self, monkeypatch, command):
+        seen = self.stub(monkeypatch, command)
+        with self.collector(False):
+            assert cli.main(self.ARGV[command]) == 0
+            assert seen == [False]
+            assert not gc.isenabled()
