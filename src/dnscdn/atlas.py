@@ -43,13 +43,17 @@ def _load_array(path: str) -> list:
     return data
 
 
-def _iter_dns_payloads(entry: dict):
-    # Local-resolver measurements nest per-resolver payloads in `resultset`.
-    if "resultset" in entry:
-        for item in entry["resultset"]:
-            yield item
-    else:
-        yield entry
+def _dns_payloads(entry) -> list:
+    """The payloads of one DNS result: local-resolver measurements nest one
+    per resolver in `resultset`.  TypeError for a result of the wrong shape."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"DNS result is a {type(entry).__name__}, not an object")
+    if "resultset" not in entry:
+        return [entry]
+    payloads = entry["resultset"]
+    if not isinstance(payloads, list):
+        raise TypeError(f"resultset is a {type(payloads).__name__}, not an array")
+    return payloads
 
 
 def _parse_dns_entry(entry: dict, payload: dict) -> TimedDnsResponse:
@@ -78,6 +82,30 @@ def _parse_dns_entry(entry: dict, payload: dict) -> TimedDnsResponse:
     )
 
 
+def _parse_tls_entry(entry) -> tuple[tuple[str, str], float, HandshakeSample]:
+    """((probe, target), timestamp, handshake) for one TLS result.
+
+    KeyError, ValueError or TypeError for a result that lacks a target, a
+    timing, an address or a timestamp, or carries one of the wrong type.
+    """
+    if not isinstance(entry, dict):
+        raise TypeError(f"TLS result is a {type(entry).__name__}, not an object")
+    target = entry.get("dst_name") or ""
+    if not isinstance(target, str):
+        raise TypeError(f"dst_name is a {type(target).__name__}, not a string")
+    target = target.lower().rstrip(".")
+    rt = entry.get("rt", entry.get("ttc"))
+    if not target or rt is None or not entry.get("dst_addr"):
+        raise ValueError("TLS result lacks a target, a timing or an address")
+    handshake = HandshakeSample(
+        address=entry["dst_addr"],
+        port=int(entry.get("dst_port", 443)),
+        rtt_ms=float(rt),
+        success=True,
+    )
+    return (str(entry.get("prb_id")), target), float(entry["timestamp"]), handshake
+
+
 def import_atlas(
     dns_path: str,
     tls_path: str,
@@ -91,7 +119,9 @@ def import_atlas(
     each other form one set; the earliest result in a multi-result set is
     treated as the prewarm.  TLS results attach to the nearest set for
     their (probe, target); ones with no DNS counterpart are counted as
-    orphans.  Undecodable entries are skipped and counted, never fatal.
+    orphans.  Undecodable or damaged entries (a missing or non-numeric
+    field, an entry that is not an object, a resultset that is not an
+    array) are skipped and counted, never fatal.
     """
     out = ImportResult()
     if catalog is None:
@@ -102,8 +132,14 @@ def import_atlas(
 
     grouped: dict[tuple, list[TimedDnsResponse]] = {}
     for entry in _load_array(dns_path):
+        try:
+            payloads = _dns_payloads(entry)
+        except TypeError as exc:
+            log.debug("skipping DNS result: %s", exc)
+            out.skipped += 1
+            continue
         prb = entry.get("prb_id")
-        for payload in _iter_dns_payloads(entry):
+        for payload in payloads:
             try:
                 response = _parse_dns_entry(entry, payload)
             except (KeyError, ValueError, TypeError, WireError, OSError) as exc:
@@ -117,17 +153,18 @@ def import_atlas(
             )
             grouped.setdefault(key, []).append(response)
 
-    tls_by_target: dict[tuple, list[dict]] = {}
+    tls_by_target: dict[tuple, list[tuple[float, HandshakeSample]]] = {}
     for entry in _load_array(tls_path):
-        target = (entry.get("dst_name") or "").lower().rstrip(".")
-        prb = str(entry.get("prb_id"))
-        rt = entry.get("rt", entry.get("ttc"))
-        if not target or rt is None or not entry.get("dst_addr"):
+        try:
+            key, timestamp, handshake = _parse_tls_entry(entry)
+        except (KeyError, ValueError, TypeError) as exc:
+            log.debug("skipping TLS result: %s", exc)
             out.skipped += 1
             continue
-        tls_by_target.setdefault((prb, target), []).append(entry)
+        tls_by_target.setdefault(key, []).append((timestamp, handshake))
 
-    claimed_tls: set[int] = set()
+    # Each handshake joins at most one set; claimed holds their ids.
+    claimed: set[int] = set()
     for (prb, qname, resolver), responses in sorted(grouped.items()):
         responses.sort(key=lambda r: r.sent_at_monotonic)
         batches: list[list[TimedDnsResponse]] = []
@@ -151,20 +188,11 @@ def import_atlas(
                 batch[0].is_prewarm = True
             start = batch[0].sent_at_wall
             handshakes = []
-            for entry in tls_by_target.get((prb, qname), []):
-                if id(entry) in claimed_tls:
+            for timestamp, handshake in tls_by_target.get((prb, qname), []):
+                if id(handshake) in claimed or abs(timestamp - start) > pairing_window_s:
                     continue
-                if abs(float(entry["timestamp"]) - start) > pairing_window_s:
-                    continue
-                claimed_tls.add(id(entry))
-                handshakes.append(
-                    HandshakeSample(
-                        address=entry["dst_addr"],
-                        port=int(entry.get("dst_port", 443)),
-                        rtt_ms=float(entry.get("rt", entry.get("ttc"))),
-                        success=True,
-                    )
-                )
+                claimed.add(id(handshake))
+                handshakes.append(handshake)
             qtype = batch[0].question.qtype
             cdn = (catalog.match(qname) if catalog else None) or "unknown"
             out.sets.append(
@@ -181,7 +209,7 @@ def import_atlas(
             )
 
     for (prb, target), entries in tls_by_target.items():
-        stranded = [e for e in entries if id(e) not in claimed_tls]
+        stranded = [h for _, h in entries if id(h) not in claimed]
         if stranded:
             log.warning(
                 "%d TLS results for probe %s target %s have no matching DNS set",

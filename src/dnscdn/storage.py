@@ -6,7 +6,10 @@ so identical records serialize byte-identically.  The set is stored by
 one rule, applied to the type annotations of the dataclass fields: a
 dataclass becomes an object with its fields in declaration order, a list
 an array, an Enum its value, and bytes {"hex": "<hex digits>"}; anything
-else is stored as it is.  The reader reverses the same rule.
+else is stored as it is.  The reader reverses the same rule.  Each
+dataclass gets one encode and one decode function, generated once from
+its fields: a dict display of the fields, and a call of the type with
+each stored field in order, so every __post_init__ check still runs.
 write_records replaces a file only once the whole new content is
 written.  Readers reject unknown major schema versions and salvage
 everything before a truncated final line.
@@ -89,6 +92,31 @@ def _or_none(convert):
     return None if convert is None else lambda value: None if value is None else convert(value)
 
 
+def _field_codecs(tp):
+    """(encode, decode) for dataclass tp, each one straight-line function
+    generated from its fields, the way dataclasses builds __init__."""
+    hints = typing.get_type_hints(tp)
+    namespace = {"tp": tp}
+    encoded, decoded = [], []
+    for f in dataclasses.fields(tp):
+        enc, dec = _codec(hints[f.name])
+        value, stored = f"obj.{f.name}", f"d[{f.name!r}]"
+        if enc is not None:
+            namespace[f"enc_{f.name}"] = enc
+            value = f"enc_{f.name}({value})"
+        if dec is not None:
+            namespace[f"dec_{f.name}"] = dec
+            stored = f"dec_{f.name}({stored})"
+        encoded.append(f"{f.name!r}: {value}")
+        decoded.append(stored)
+    source = (
+        f"def encode(obj):\n    return {{{', '.join(encoded)}}}\n"
+        f"def decode(d):\n    return tp({', '.join(decoded)})\n"
+    )
+    exec(source, namespace)
+    return namespace["encode"], namespace["decode"]
+
+
 @functools.cache
 def _codec(tp):
     """(encode, decode) for values of type tp: functions to and from the
@@ -99,20 +127,7 @@ def _codec(tp):
     read_records reports as damage.
     """
     if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        steps = [(f.name, *_codec(hints[f.name])) for f in dataclasses.fields(tp)]
-
-        def encode(obj):
-            out = {}
-            for name, enc, _ in steps:
-                value = getattr(obj, name)
-                out[name] = value if enc is None else enc(value)
-            return out
-
-        def decode(d):
-            return tp(*[d[name] if dec is None else dec(d[name]) for name, _, dec in steps])
-
-        return encode, decode
+        return _field_codecs(tp)
     args = typing.get_args(tp)
     if typing.get_origin(tp) is list:
         enc, dec = _codec(args[0])

@@ -8,6 +8,17 @@ opaque bytes so responses survive a store/reload round trip.
 A and AAAA rdata are formatted straight from their octets into the text
 ipaddress gives for them (the ::a.b.c.d forms go through ipaddress
 itself), and ResourceRecord still checks every address it is given.
+
+decode_response keeps a table of the names it has decoded in one
+message, by start offset, with the pointer hops each took.  A name that
+is a bare compression pointer to one of them is read from the table when
+one more hop stays within the limit; every other name is walked label by
+label, so results and errors are those of the walk.
+
+Address text that is not remembered is classified by exact patterns
+first: ipaddress's dotted quads, and IPv6 text of plain hextets (eight,
+or "::" with at most seven around it).  Anything else, an embedded IPv4
+part or a scope included, goes to ipaddress, which raises its own errors.
 """
 
 from __future__ import annotations
@@ -68,6 +79,23 @@ _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 
+# IPv6 text that ipaddress accepts, less the forms with an IPv4 part or a
+# scope: eight hextets of 1-4 ASCII hex digits, or one "::" with k of them
+# before it and at most 7 - k after it.
+_HEXTET_TEXT = "[0-9A-Fa-f]{1,4}"
+_IPV6_TEXT = re.compile(
+    "|".join(
+        [rf"(?:{_HEXTET_TEXT}:){{7}}{_HEXTET_TEXT}"]
+        + [
+            (rf"{_HEXTET_TEXT}(?::{_HEXTET_TEXT}){{{k - 1}}}" if k else "")
+            + "::"
+            + (rf"(?:{_HEXTET_TEXT}(?::{_HEXTET_TEXT}){{0,{6 - k}}})?" if k < 7 else "")
+            for k in range(8)
+        ]
+    )
+)
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _ip_version(address: str) -> int:
     """4 or 6 for an IP address string; ValueError for anything else.
@@ -77,6 +105,8 @@ def _ip_version(address: str) -> int:
     """
     if _DOTTED_QUAD.fullmatch(address):
         return 4
+    if _IPV6_TEXT.fullmatch(address):
+        return 6
     if ":" in address:
         try:
             ipaddress.IPv6Address(address)
@@ -246,12 +276,20 @@ def encode_query(question: DnsQuestion, txid: int, edns: bool = True) -> bytes:
     return header + body
 
 
-def _decode_name(data: bytes, offset: int) -> tuple[str, int]:
+def _decode_name(data: bytes, offset: int, names: dict) -> tuple[str, int]:
     """Decode a possibly-compressed name starting at offset.
 
     Returns (name, offset just past the name in the original stream).
+    names maps the start of each name already walked in this message to
+    (name, pointer hops the walk took); this name is added to it.
     """
     size = len(data)
+    if offset + 1 < size and data[offset] >= 0xC0:
+        # A bare pointer to a walked name: walking it would take the same
+        # path plus this one hop.
+        known = names.get(((data[offset] & 0x3F) << 8) | data[offset + 1])
+        if known is not None and known[1] < _MAX_POINTER_HOPS:
+            return known[0], offset + 2
     labels: list[bytes] = []
     pos = offset
     end = -1  # position after the name in the uncompressed stream
@@ -287,7 +325,9 @@ def _decode_name(data: bytes, offset: int) -> tuple[str, int]:
         pos += 1 + length
     # The ASCII codec maps byte by byte, so one decode of the joined name
     # equals decoding each label alone.
-    return b".".join(labels).decode("ascii", errors="replace"), end
+    name = b".".join(labels).decode("ascii", errors="replace")
+    names[offset] = (name, hops)
+    return name, end
 
 
 def _format_ipv6(raw: bytes) -> str:
@@ -313,7 +353,7 @@ def _format_ipv6(raw: bytes) -> str:
     return ":".join(hextets[:best_start]) + "::" + ":".join(hextets[best_start + best_len :])
 
 
-def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int):
+def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int, names: dict):
     rdata_bytes = data[offset : offset + rdlength]
     if rtype == RecordType.A:
         if rdlength != 4:
@@ -324,7 +364,7 @@ def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int):
             raise MalformedMessageError("AAAA rdata must be 16 octets")
         return _format_ipv6(rdata_bytes)
     if rtype in (RecordType.NS, RecordType.CNAME):
-        name, _ = _decode_name(data, offset)
+        name, _ = _decode_name(data, offset, names)
         return name
     if rtype == RecordType.TXT:
         strings = []
@@ -339,8 +379,8 @@ def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int):
     return rdata_bytes
 
 
-def _decode_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
-    name, pos = _decode_name(data, offset)
+def _decode_record(data: bytes, offset: int, names: dict) -> tuple[ResourceRecord, int]:
+    name, pos = _decode_name(data, offset, names)
     if pos + 10 > len(data):
         raise MalformedMessageError("truncated record header")
     rtype, rclass, ttl, rdlength = _RR_HEADER.unpack_from(data, pos)
@@ -350,7 +390,7 @@ def _decode_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
     if ttl > MAX_TTL:
         ttl = 0  # RFC 2181 section 8: treat high-bit TTLs as zero
     rtype = _RECORD_TYPES.get(rtype, rtype)
-    rdata = _decode_rdata(data, pos, rdlength, rtype)
+    rdata = _decode_rdata(data, pos, rdlength, rtype, names)
     # OPT smuggles flags into class/ttl; keep it opaque rather than lying
     # about a ttl that is not a ttl.
     if rtype == RecordType.OPT:
@@ -368,9 +408,10 @@ def decode_response(data: bytes) -> DnsMessage:
         raise MalformedMessageError(f"message of {len(data)} bytes (header needs 12)")
     txid, flags, qdcount, ancount, nscount, arcount = struct.unpack_from("!HHHHHH", data, 0)
     msg = DnsMessage(txid=txid, flags=flags)
+    names: dict[int, tuple[str, int]] = {}
     pos = 12
     for _ in range(qdcount):
-        name, pos = _decode_name(data, pos)
+        name, pos = _decode_name(data, pos, names)
         if pos + 4 > len(data):
             raise MalformedMessageError("truncated question")
         qtype, qclass = struct.unpack_from("!HH", data, pos)
@@ -378,6 +419,6 @@ def decode_response(data: bytes) -> DnsMessage:
         msg.questions.append(QuestionEcho(name=name, qtype=qtype, qclass=qclass))
     for count, section in ((ancount, msg.answers), (nscount, msg.authority), (arcount, msg.additional)):
         for _ in range(count):
-            record, pos = _decode_record(data, pos)
+            record, pos = _decode_record(data, pos, names)
             section.append(record)
     return msg

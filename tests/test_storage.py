@@ -179,6 +179,8 @@ NESTED_DAMAGE = [
         id="misspelled-hex-key",
     ),
     pytest.param(lambda s: s.update(dns_results=3), id="list-field-is-a-number"),
+    pytest.param(lambda s: s["dns_results"][0].update(question="x"), id="nested-object-is-a-string"),
+    pytest.param(lambda s: s["dns_results"][0].update(question=["x"]), id="nested-object-is-a-list"),
     pytest.param(lambda s: s["dns_results"][0]["question"].update(qname="a..b"), id="qname-empty-label"),
     pytest.param(lambda s: s["dns_results"][0]["question"].update(qname=7), id="qname-not-a-string"),
     pytest.param(
@@ -464,6 +466,49 @@ class TestAtlasImport:
         assert result.skipped == 2
         assert len(result.sets) == 1
         assert len(result.sets[0].dns_results) == 1
+
+    # One damaged entry added to a complete set's input: (file, entry).
+    @pytest.mark.parametrize(
+        "damaged",
+        [
+            ("tls", {k: v for k, v in tls_entry(1, QNAME, BASE + 9, rt=30.0).items() if k != "timestamp"}),
+            ("tls", tls_entry(1, QNAME, None, rt=30.0)),
+            ("tls", tls_entry(1, QNAME, BASE + 9, rt="fast")),
+            ("tls", tls_entry(1, QNAME, BASE + 9, ttc="slow")),
+            ("tls", {**tls_entry(1, QNAME, BASE + 9, rt=30.0), "dst_port": "https"}),
+            ("tls", {**tls_entry(1, QNAME, BASE + 9, rt=30.0), "dst_name": 7}),
+            ("tls", "sslcert"),
+            ("tls", [1, 2]),
+            ("dns", 7),
+            ("dns", ["not", "an", "object"]),
+            ("dns", {"prb_id": 1, "timestamp": BASE, "resultset": 5}),
+            ("dns", {"prb_id": 1, "timestamp": BASE, "resultset": None}),
+        ],
+        ids=[
+            "tls-timestamp-missing",
+            "tls-timestamp-null",
+            "tls-rt-not-a-number",
+            "tls-ttc-not-a-number",
+            "tls-port-not-a-number",
+            "tls-target-not-a-string",
+            "tls-entry-is-a-string",
+            "tls-entry-is-an-array",
+            "dns-entry-is-a-number",
+            "dns-entry-is-an-array",
+            "resultset-is-a-number",
+            "resultset-is-null",
+        ],
+    )
+    def test_damaged_entry_is_skipped_not_fatal(self, tmp_path, damaged):
+        dns = [dns_entry(1, self.QNAME, self.BASE + i, 10.0 + i) for i in range(4)]
+        tls = [tls_entry(1, self.QNAME, self.BASE + 5 + i, rt=25.0 + i) for i in range(3)]
+        kind, entry = damaged
+        (tls if kind == "tls" else dns).insert(1, entry)
+        result = import_atlas(*write_atlas(tmp_path, dns, tls))
+        assert (result.skipped, result.orphans) == (1, 0)
+        assert len(result.sets) == 1
+        assert len(result.sets[0].dns_results) == 4
+        assert [h.rtt_ms for h in result.sets[0].handshake_results] == [25.0, 26.0, 27.0]
 
     # Question names that decode but that DnsQuestion rejects.
     @pytest.mark.parametrize(

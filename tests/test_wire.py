@@ -190,6 +190,86 @@ class TestDecodeResponse:
         assert message.answers[1].rdata == "z.cdn.example"
 
 
+def pointer(offset: int) -> bytes:
+    return struct.pack("!H", 0xC000 | offset)
+
+
+def hand_built(question: bytes, *records: tuple[bytes, int, bytes]) -> bytes:
+    """A response to one A question named by the given octets, with answer
+    records given as (owner octets, type, rdata)."""
+    out = struct.pack("!HHHHHH", 7, 0x8180, 1, len(records), 0, 0) + question + struct.pack("!HH", 1, 1)
+    for owner, rtype, rdata in records:
+        out += owner + struct.pack("!HHIH", rtype, 1, 60, len(rdata)) + rdata
+    return out
+
+
+QUESTION = encode_name("www.example.com")
+# The first answer record (owner: a pointer to the question) starts here,
+# and its rdata 12 octets further on.
+FIRST_ANSWER = 12 + len(QUESTION) + 4
+FIRST_RDATA = FIRST_ANSWER + 2 + 10
+
+
+def pointer_chain(hops: int, reuses: int = 0) -> bytes:
+    """A message whose second answer's owner name reaches the question name
+    in exactly `hops` pointer hops.  The first answer's opaque rdata holds
+    the chain; each of `reuses` further answers is a bare pointer to the
+    owner before it, one hop more."""
+    links = hops - 1  # the owner's own pointer is the first hop
+    chain = pointer(12) + b"".join(pointer(FIRST_RDATA + 2 * i) for i in range(links - 1))
+    records = [(pointer(12), 99, chain), (pointer(FIRST_RDATA + 2 * (links - 1)), 1, bytes(4))]
+    owner = FIRST_RDATA + len(chain)
+    for _ in range(reuses):
+        records.append((pointer(owner), 1, bytes(4)))
+        owner += 2 + 10 + 4
+    return hand_built(QUESTION, *records)
+
+
+class TestDecodeLimits:
+    """Pointer-hop and label limits at their boundaries, whether a name is
+    walked or is a bare pointer to a name decoded earlier in the message."""
+
+    def test_exactly_the_hop_limit_decodes(self):
+        message = decode_response(pointer_chain(wire._MAX_POINTER_HOPS))
+        assert message.answers[1].name == "www.example.com"
+
+    def test_one_hop_over_the_limit_is_a_loop(self):
+        with pytest.raises(MalformedMessageError, match="^compression pointer loop$"):
+            decode_response(pointer_chain(wire._MAX_POINTER_HOPS + 1))
+
+    def test_a_pointer_to_a_decoded_name_that_reaches_the_limit_decodes(self):
+        message = decode_response(pointer_chain(wire._MAX_POINTER_HOPS - 2, reuses=2))
+        assert [r.name for r in message.answers[1:]] == ["www.example.com"] * 3
+
+    def test_a_pointer_to_a_decoded_name_one_hop_over_the_limit_is_a_loop(self):
+        raw = pointer_chain(wire._MAX_POINTER_HOPS, reuses=1)
+        with pytest.raises(MalformedMessageError, match="^compression pointer loop$"):
+            decode_response(raw)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "one-over"])
+    def test_label_limit(self, extra):
+        question = b"\x01a" * (wire._MAX_LABELS + extra) + b"\x00"
+        raw = hand_built(question, (pointer(12), 1, bytes(4)))
+        if extra:
+            with pytest.raises(MalformedMessageError, match="^too many labels$"):
+                decode_response(raw)
+        else:
+            message = decode_response(raw)
+            assert message.answers[0].name == message.questions[0].name == ".".join("a" * wire._MAX_LABELS)
+
+    def test_a_label_before_a_pointer_to_a_name_at_the_label_limit_is_one_too_many(self):
+        question = b"\x01a" * wire._MAX_LABELS + b"\x00"
+        raw = hand_built(question, (pointer(12), 1, bytes(4)), (b"\x01b" + pointer(12), 1, bytes(4)))
+        with pytest.raises(MalformedMessageError, match="^too many labels$"):
+            decode_response(raw)
+
+    def test_a_pointer_into_the_middle_of_a_name_reads_its_suffix(self):
+        # 12 + len("\x03www") is where "example.com" starts.
+        raw = hand_built(QUESTION, (pointer(16), 1, bytes(4)), (pointer(FIRST_ANSWER), 1, bytes(4)))
+        message = decode_response(raw)
+        assert [r.name for r in message.answers] == ["example.com", "example.com"]
+
+
 class TestDnsQuestionFamily:
     @pytest.mark.parametrize(
         "address, family",

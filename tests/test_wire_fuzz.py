@@ -1,6 +1,7 @@
 """decode_response on arbitrary and damaged input: it raises only
 MalformedMessageError, and it never hangs.  Address rdata reads as
-ipaddress writes it."""
+ipaddress writes it, and address text is classified as ipaddress
+classifies it."""
 
 import ipaddress
 import struct
@@ -12,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import mocknet  # noqa: E402
+from dnscdn import wire  # noqa: E402
 from dnscdn.wire import MalformedMessageError, decode_response  # noqa: E402
 
 # A decode slower than this counts as a hang; real messages take well
@@ -88,3 +90,71 @@ def test_address_rdata_is_the_ipaddress_text(raw):
     rtype = mocknet.A if len(raw) == 4 else mocknet.AAAA
     message = mocknet.build_response(7, "x.example", rtype, [("x.example", rtype, 60, raw)])
     assert decode_response(message).answers[0].rdata == str(ipaddress.ip_address(raw))
+
+
+def ipaddress_accepts(text: str) -> bool:
+    try:
+        ipaddress.IPv6Address(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Hextet-like pieces (and a few that are not) joined by one or two colons,
+# so that near misses of the IPv6 text pattern come up often.
+PIECE = st.one_of(
+    st.text(alphabet="0123456789abcdefABCDEF", min_size=0, max_size=5),
+    st.sampled_from(["g", "1.2.3.4", "\u0661", "%eth0", " ", "\n"]),
+)
+NEAR_IPV6 = st.lists(st.tuples(PIECE, st.sampled_from([":", "::"])), max_size=10).map(
+    lambda parts: "".join(piece + sep for piece, sep in parts)[:-1]
+)
+
+
+@given(st.one_of(NEAR_IPV6, st.text(alphabet="0123456789abcdef:.%\u0661", max_size=45)))
+def test_ipv6_text_the_pattern_accepts_ipaddress_accepts(text):
+    if wire._IPV6_TEXT.fullmatch(text):
+        assert ipaddress_accepts(text)
+
+
+@given(st.integers(0, 2**128 - 1))
+def test_printed_ipv6_addresses_are_version_6(value):
+    address = ipaddress.IPv6Address(value)
+    for text in (str(address), address.exploded, address.exploded.upper()):
+        assert wire._ip_version(text) == 6
+        # Only the ::a.b.c.d forms are left to ipaddress.
+        assert bool(wire._IPV6_TEXT.fullmatch(text)) == ("." not in text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "::ffff:192.0.2.1",
+        "64:ff9b::192.0.2.1",
+        "fe80::1%eth0",
+        "2001:db8::12345",
+        "1::2::3",
+        ":::",
+        "1:2:3:4:5:6:7:8:9",
+        "1:2:3:4:5:6:7",
+        "1:2:3:4::5:6:7:8",
+        "::1:2:3:4:5:6:7:8",
+        ":1:2:3:4:5:6:7:8",
+        "1:2:3:4:5:6:7:8:",
+        "2001:db8::\u0661",
+        "\u0661::",
+        "2001:db8::g",
+        "2001:db8::1\n",
+        " ::1",
+    ],
+)
+def test_other_ipv6_text_is_left_to_ipaddress(text):
+    assert not wire._IPV6_TEXT.fullmatch(text)
+    try:
+        expected = ipaddress.ip_address(text).version
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as caught:
+            wire._ip_version(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert wire._ip_version(text) == expected
