@@ -90,7 +90,7 @@ def main():
     points = build_latency_points(sets, geo=geo)
     print(f"{len(sets)} sets -> {len(points)} latency points\n")
 
-    table = regional_breakdown(points, geo)
+    table = regional_breakdown(points)
     print("Regional DNS medians (planted values in the PLAN table up top):")
     for key in sorted(table.medians, key=lambda k: (k[0].value, k[1], k[3], k[4].value)):
         metric, region, _, resolver, version = key
@@ -103,7 +103,7 @@ def main():
         )
 
     print("\nIPv6 penalty per region (threshold 250 ms, so nothing is flagged):")
-    for row in ipv6_penalty(points, 250.0, geo):
+    for row in ipv6_penalty(points, 250.0):
         if row.metric is not Metric.DNS:
             continue
         print(

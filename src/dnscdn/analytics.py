@@ -5,6 +5,10 @@ latest-timestamped DNS results (masking a misordered prewarm), per-CDN
 medians collapse a vantage's websites to one latency point, and all
 tables, distributions, and tests operate on those points.  Everything
 here is pure; identical inputs give identical outputs.
+
+A vantage's region is decided once, by region_of, when
+build_latency_points makes its points; every table after that reads the
+point's region.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class LatencyPoint:
     ip_version: IpVersion
     metric: Metric
     value: float
-    region: str | None = None
+    region: str = UNASSIGNED_REGION
 
     def __post_init__(self):
         if self.value < 0:
@@ -96,17 +100,14 @@ def ecdf(values: list[float]) -> list[tuple[float, float]]:
     return out
 
 
-def distribution(points: list[LatencyPoint], group_key=None) -> dict:
-    """ECDF series per group; the default grouping is
-    (metric, cdn, resolver, ip_version)."""
+def distribution(points: list[LatencyPoint]) -> dict:
+    """ECDF series per (metric, cdn, resolver, ip_version)."""
     if not points:
         raise EmptyInputError("no points")
-    if group_key is None:
-        def group_key(p):  # noqa: E731
-            return (p.metric.value, p.cdn, p.resolver_label, p.ip_version.value)
     groups: dict = {}
     for p in points:
-        groups.setdefault(group_key(p), []).append(p.value)
+        key = (p.metric.value, p.cdn, p.resolver_label, p.ip_version.value)
+        groups.setdefault(key, []).append(p.value)
     return {key: ecdf(vals) for key, vals in groups.items()}
 
 
@@ -216,24 +217,23 @@ class RegionalBreakdown:
     region_vantage_counts: dict[str, int] = field(default_factory=dict)
 
 
-def regional_breakdown(
-    points: list[LatencyPoint], geo: dict[str, str] | None = None
-) -> RegionalBreakdown:
-    """Medians per (metric, region, cdn, resolver, family), with the count
-    of distinct vantages per region.
+def region_of(geo: dict[str, str], vantage_id: str) -> str:
+    """The region geo gives a vantage; "unassigned" when it gives none,
+    null or an empty name."""
+    return geo.get(vantage_id) or UNASSIGNED_REGION
 
-    geo maps vantage ids to continent names; a point's own region field
-    wins when set, and vantages covered by neither group as "unassigned".
-    Means ride along for secondary reporting.
+
+def regional_breakdown(points: list[LatencyPoint]) -> RegionalBreakdown:
+    """Medians per (metric, region, cdn, resolver, family), with the count
+    of distinct vantages per region.  Means ride along for secondary
+    reporting.
     """
-    geo = geo or {}
     grouped: dict[tuple, list[float]] = {}
     region_vantages: dict[str, set] = {}
     for p in points:
-        region = p.region or geo.get(p.vantage_id) or UNASSIGNED_REGION
-        key = (p.metric, region, p.cdn, p.resolver_label, p.ip_version)
+        key = (p.metric, p.region, p.cdn, p.resolver_label, p.ip_version)
         grouped.setdefault(key, []).append(p.value)
-        region_vantages.setdefault(region, set()).add(p.vantage_id)
+        region_vantages.setdefault(p.region, set()).add(p.vantage_id)
     table = RegionalBreakdown()
     for key, values in grouped.items():
         table.medians[key] = statistics.median(values)
@@ -257,7 +257,6 @@ class PenaltyRow:
 def ipv6_penalty(
     points: list[LatencyPoint],
     threshold_ms: float = HAPPY_EYEBALLS_THRESHOLD_MS,
-    geo: dict[str, str] | None = None,
 ) -> list[PenaltyRow]:
     """IPv6 minus IPv4 median latency per (metric, region, cdn, resolver).
 
@@ -265,11 +264,9 @@ def ipv6_penalty(
     Happy-Eyeballs connection-attempt delay is 250 ms).  Keys with only
     one family present are skipped with a warning.
     """
-    geo = geo or {}
     grouped: dict[tuple, dict[IpVersion, list[float]]] = {}
     for p in points:
-        region = p.region or geo.get(p.vantage_id) or UNASSIGNED_REGION
-        key = (p.metric, region, p.cdn, p.resolver_label)
+        key = (p.metric, p.region, p.cdn, p.resolver_label)
         grouped.setdefault(key, {}).setdefault(p.ip_version, []).append(p.value)
     rows = []
     for key in sorted(grouped, key=lambda k: (k[0].value, k[1], k[2], k[3])):
@@ -319,18 +316,15 @@ class DiversityReport:
     anycast_like: bool
 
 
-def address_diversity(
-    observations: list[EdgeObservation],
-    *,
-    anycast_max_unique: int = ANYCAST_MAX_UNIQUE,
-) -> list[DiversityReport]:
+def address_diversity(observations: list[EdgeObservation]) -> list[DiversityReport]:
     """Edge-address spread per (website, resolver, family).
 
     Regional purity is, per region, the share of that region's
     observations carrying the region's most common address: 1.0 means the
     region maps to one address, values near the global modal share mean
     the addresses are intermixed irrespective of geography.  A report is
-    flagged anycast_like when few distinct addresses serve everyone.
+    flagged anycast_like when at most ANYCAST_MAX_UNIQUE distinct addresses
+    serve everyone.
     """
     groups: dict[tuple, list[EdgeObservation]] = {}
     for obs in observations:
@@ -361,7 +355,7 @@ def address_diversity(
                 address_frequency=freq,
                 vantage_address=per_vantage,
                 regional_purity=purity,
-                anycast_like=len(freq) <= anycast_max_unique,
+                anycast_like=len(freq) <= ANYCAST_MAX_UNIQUE,
             )
         )
     return reports
@@ -377,7 +371,8 @@ def build_latency_points(
     For each (vantage, cdn, resolver, family): every usable website set
     yields a per-website DNS median (latest three) and a mapping median
     (handshake RTTs); the per-CDN median of those website values becomes
-    the vantage's single point for each metric.
+    the vantage's single point for each metric, in the region
+    region_of(geo, vantage) names.
     """
     geo = geo or {}
     ladder: dict[tuple, dict[str, dict[Metric, float]]] = {}
@@ -402,7 +397,7 @@ def build_latency_points(
                     ip_version=ip_version,
                     metric=metric,
                     value=per_cdn_median(values),
-                    region=geo.get(vantage_id),
+                    region=region_of(geo, vantage_id),
                 )
             )
     return points

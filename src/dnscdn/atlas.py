@@ -28,6 +28,10 @@ DEFAULT_PAIRING_WINDOW_S = 900.0
 _KNOWN_QTYPES = frozenset(RecordType)
 
 
+class AtlasFileError(Exception):
+    """A result file that is missing, unreadable or not a JSON array."""
+
+
 @dataclass
 class ImportResult:
     sets: list[MeasurementSet] = field(default_factory=list)
@@ -36,10 +40,13 @@ class ImportResult:
 
 
 def _load_array(path: str) -> list:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise AtlasFileError(f"{path}: {exc}") from exc
     if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of Atlas results")
+        raise AtlasFileError(f"{path}: expected a JSON array of Atlas results")
     return data
 
 
@@ -86,7 +93,8 @@ def _parse_tls_entry(entry) -> tuple[tuple[str, str], float, HandshakeSample]:
     """((probe, target), timestamp, handshake) for one TLS result.
 
     KeyError, ValueError or TypeError for a result that lacks a target, a
-    timing, an address or a timestamp, or carries one of the wrong type.
+    timing, an address or a timestamp, or carries one of the wrong type or
+    an address that is not one.
     """
     if not isinstance(entry, dict):
         raise TypeError(f"TLS result is a {type(entry).__name__}, not an object")
@@ -97,6 +105,7 @@ def _parse_tls_entry(entry) -> tuple[tuple[str, str], float, HandshakeSample]:
     rt = entry.get("rt", entry.get("ttc"))
     if not target or rt is None or not entry.get("dst_addr"):
         raise ValueError("TLS result lacks a target, a timing or an address")
+    IpVersion.of_address(entry["dst_addr"])
     handshake = HandshakeSample(
         address=entry["dst_addr"],
         port=int(entry.get("dst_port", 443)),
@@ -110,18 +119,19 @@ def import_atlas(
     dns_path: str,
     tls_path: str,
     *,
-    pairing_window_s: float = DEFAULT_PAIRING_WINDOW_S,
     catalog: CdnCatalog | None = None,
 ) -> ImportResult:
     """Convert one Atlas DNS result file plus one TLS result file.
 
-    Per (probe, target, resolver), DNS results within pairing_window_s of
-    each other form one set; the earliest result in a multi-result set is
-    treated as the prewarm.  TLS results attach to the nearest set for
-    their (probe, target); ones with no DNS counterpart are counted as
-    orphans.  Undecodable or damaged entries (a missing or non-numeric
-    field, an entry that is not an object, a resultset that is not an
-    array) are skipped and counted, never fatal.
+    Per (probe, target, resolver), DNS results within
+    DEFAULT_PAIRING_WINDOW_S of each other form one set; the earliest
+    result in a multi-result set is treated as the prewarm.  TLS results
+    attach to the nearest set for their (probe, target); ones with no DNS
+    counterpart are counted as orphans.  Undecodable or damaged entries (a
+    missing or non-numeric field, a TLS address that is not one, an entry
+    that is not an object, a resultset that is not an array) are skipped
+    and counted, never fatal.  A file that cannot be read as a JSON array
+    raises AtlasFileError.
     """
     out = ImportResult()
     if catalog is None:
@@ -172,7 +182,7 @@ def import_atlas(
             if (
                 batches
                 and response.sent_at_monotonic - batches[-1][0].sent_at_monotonic
-                <= pairing_window_s
+                <= DEFAULT_PAIRING_WINDOW_S
             ):
                 batches[-1].append(response)
             else:
@@ -189,7 +199,7 @@ def import_atlas(
             start = batch[0].sent_at_wall
             handshakes = []
             for timestamp, handshake in tls_by_target.get((prb, qname), []):
-                if id(handshake) in claimed or abs(timestamp - start) > pairing_window_s:
+                if id(handshake) in claimed or abs(timestamp - start) > DEFAULT_PAIRING_WINDOW_S:
                     continue
                 claimed.add(id(handshake))
                 handshakes.append(handshake)

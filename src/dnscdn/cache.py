@@ -19,7 +19,7 @@ from enum import Enum
 from importlib import resources
 
 from .resolve import resolve_once
-from .wire import DnsQuestion, IpVersion, RecordType
+from .wire import DEFAULT_TIMEOUT_MS, KNOWN_GOOD_RESOLVER, DnsQuestion, IpVersion, RecordType
 
 log = logging.getLogger(__name__)
 
@@ -127,24 +127,19 @@ def parse_ttl_table(text: str) -> dict[str, int]:
     return table
 
 
-def load_ttl_table(path: str | None = None) -> dict[str, int]:
-    """Load static default TTLs; without a path, the packaged table."""
-    if path is None:
-        text = resources.files("dnscdn.data").joinpath("default_ttls.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_ttl_table(text)
+def load_ttl_table() -> dict[str, int]:
+    """The packaged static default TTLs."""
+    return parse_ttl_table(resources.files("dnscdn.data").joinpath("default_ttls.txt").read_text())
 
 
 def discover_authoritative_ttl(
     domain: str,
     cdn: str,
     *,
-    recursive_resolver: str = "8.8.8.8",
+    recursive_resolver: str = KNOWN_GOOD_RESOLVER,
     resolve_fn=resolve_once,
     static_defaults: dict[str, int] | None = None,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> AuthoritativeTtl:
     """Learn the authoritative TTL of domain's A record.
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from .cache import TtlQuirk
 from .mapping import HandshakeAttempt, HandshakeSample, NoAddressError, measure_handshake, select_edge
 from .resolve import DnsExchange, QueryTimeoutError, ResolveError, TimedDnsResponse, resolve_once
-from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
+from .wire import DEFAULT_TIMEOUT_MS, DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ class MeasurementSpec:
     dns_repeats: int = 3
     prewarm_gap_s: float = DEFAULT_PREWARM_GAP_S
     handshake_repeats: int = 3
-    per_query_timeout_ms: float = 5000.0
+    per_query_timeout_ms: float = DEFAULT_TIMEOUT_MS
     resolver_port: int = 53
     handshake_port: int = 443
 

@@ -219,10 +219,11 @@ def _cmd_detect_isp(args) -> int:
     except NoConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    timeout_ms = _load_tool_config(args.config).per_query_timeout_ms
     vantage = {}
     for version, override in ((IpVersion.V4, args.vantage_v4), (IpVersion.V6, args.vantage_v6)):
         try:
-            vantage[version] = discover_vantage_address(version, override=override)
+            vantage[version] = discover_vantage_address(version, override=override, timeout_ms=timeout_ms)
         except Exception as exc:  # noqa: BLE001 - absence handled per resolver
             log.debug("vantage discovery for %s failed: %s", version.value, exc)
     results = []
@@ -231,7 +232,7 @@ def _cmd_detect_isp(args) -> int:
         if vantage_ip is None:
             print(f"{resolver.address}\t{resolver.family.value}\tindeterminate\t(no vantage address)")
             continue
-        decision = classify_resolver(resolver, vantage_ip)
+        decision = classify_resolver(resolver, vantage_ip, timeout_ms=timeout_ms)
         results.append(decision)
         detail = (
             f"egress={decision.egress_address} asn={decision.egress_asn}"
@@ -432,17 +433,13 @@ def _filtered_points(records, args, geo):
     if args.ip_version:
         points = [p for p in points if p.ip_version.value == args.ip_version]
     if args.region:
-        points = [
-            p
-            for p in points
-            if (p.region or geo.get(p.vantage_id) or analytics.UNASSIGNED_REGION) == args.region
-        ]
+        points = [p for p in points if p.region == args.region]
     return points
 
 
-def _table_rows(points, geo) -> list[list]:
+def _table_rows(points) -> list[list]:
     """The regional median table, one row per key, in TABLE_COLUMNS order."""
-    table = analytics.regional_breakdown(points, geo)
+    table = analytics.regional_breakdown(points)
     rows = []
     for key in sorted(table.medians, key=lambda k: (k[0].value, k[1], k[2], k[3], k[4].value)):
         metric, region, cdn, resolver_label, ip_version = key
@@ -470,7 +467,7 @@ def _cmd_analyze(args) -> int:
         return 2
     records, damaged = gathered
     geo = _load_geo(args.geo)
-    rows = _table_rows(_filtered_points(records, args, geo), geo)
+    rows = _table_rows(_filtered_points(records, args, geo))
     if args.json:
         print(json.dumps([dict(zip(TABLE_COLUMNS, row)) for row in rows], indent=2))
     else:
@@ -499,13 +496,13 @@ def _cmd_report(args) -> int:
                 for value, fraction in series[key]:
                     writer.writerow([*key, round(value, 3), round(fraction, 6)])
         elif args.kind == "table":
-            rows = _table_rows(analytics.build_latency_points(sets, geo=geo), geo)
+            rows = _table_rows(analytics.build_latency_points(sets, geo=geo))
             writer = csv.writer(out)
             writer.writerow(TABLE_COLUMNS[:6])  # through median_ms
             writer.writerows(row[:6] for row in rows)
         elif args.kind == "penalty":
             points = analytics.build_latency_points(sets, geo=geo)
-            rows = analytics.ipv6_penalty(points, config.happy_eyeballs_threshold_ms, geo)
+            rows = analytics.ipv6_penalty(points, config.happy_eyeballs_threshold_ms)
             writer = csv.writer(out)
             writer.writerow(
                 ["metric", "region", "cdn", "resolver", "v4_median", "v6_median", "delta", "flagged"]
@@ -537,7 +534,7 @@ def _cmd_report(args) -> int:
                         resolver_label=mset.resolver_label,
                         ip_version=mset.ip_version,
                         address=edge.address,
-                        region=geo.get(mset.vantage_id, analytics.UNASSIGNED_REGION),
+                        region=analytics.region_of(geo, mset.vantage_id),
                     )
                 )
             reports = analytics.address_diversity(observations)
@@ -589,7 +586,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_import_atlas(args) -> int:
-    result = atlas.import_atlas(args.dns, args.tls)
+    try:
+        result = atlas.import_atlas(args.dns, args.tls)
+    except atlas.AtlasFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     snapshot = {}
     records = [
         storage.CampaignRecord(

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .analytics import HAPPY_EYEBALLS_THRESHOLD_MS
 from .cache import TtlQuirk
 from .campaign import DEFAULT_PREWARM_GAP_S, MeasurementSpec, ResolverEntry
+from .wire import DEFAULT_TIMEOUT_MS
 
 
 def default_resolvers() -> list[ResolverEntry]:
@@ -42,7 +43,7 @@ class ToolConfig:
     dns_repeats: int = 3
     handshake_repeats: int = 3
     prewarm_gap_s: float = DEFAULT_PREWARM_GAP_S
-    per_query_timeout_ms: float = 5000.0
+    per_query_timeout_ms: float = DEFAULT_TIMEOUT_MS
     resolver_port: int = 53
     handshake_port: int = 443
     output_dir: str = "campaigns"

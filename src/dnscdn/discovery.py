@@ -4,6 +4,11 @@ The scan follows each domain's CNAME chain (and the chains of domains
 embedded in its front page), matches the terminal name against a catalog
 of per-CDN suffixes, and keeps the first hit per site — provided A and
 AAAA lookups succeed through every configured resolver.
+
+Chains are followed through the first configured resolver (the known-good
+public resolver when none is configured), capped at DEFAULT_CHAIN_CAP
+names; front pages are fetched once each, within PAGE_TIMEOUT_S and
+PAGE_BYTE_CAP.
 """
 
 from __future__ import annotations
@@ -19,12 +24,20 @@ from urllib.parse import urlsplit
 
 from .campaign import ResolverEntry
 from .resolve import ResolveError, resolve_once
-from .wire import DnsQuestion, MalformedMessageError, RecordType, validate_name
+from .wire import (
+    DEFAULT_TIMEOUT_MS,
+    KNOWN_GOOD_RESOLVER,
+    DnsQuestion,
+    MalformedMessageError,
+    RecordType,
+    validate_name,
+)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_CHAIN_CAP = 16
 PAGE_BYTE_CAP = 1 << 20  # one fetch per site, body truncated at 1 MiB
+PAGE_TIMEOUT_S = 10.0
 
 
 class ChainLoopError(Exception):
@@ -110,14 +123,13 @@ def follow_cname_chain(
     resolver_address: str,
     *,
     resolve_fn=resolve_once,
-    max_length: int = DEFAULT_CHAIN_CAP,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> list[str]:
     """Issue one A query and read the CNAME chain out of the answer section.
 
     Returns [queried name, alias, ..., terminal name]; a name with a direct
     address record yields the single-element chain.  Raises ChainLoopError
-    when the answer's CNAMEs cycle or run past max_length.
+    when the answer's CNAMEs cycle or run past DEFAULT_CHAIN_CAP names.
     """
     validate_name(name)
     question = DnsQuestion(
@@ -136,7 +148,7 @@ def follow_cname_chain(
     current = chain[0].lower()
     while current in aliases:
         nxt = aliases[current].rstrip(".")
-        if nxt.lower() in seen or len(chain) >= max_length:
+        if nxt.lower() in seen or len(chain) >= DEFAULT_CHAIN_CAP:
             raise ChainLoopError(f"CNAME chain from {name} did not terminate")
         chain.append(nxt)
         seen.add(nxt.lower())
@@ -183,12 +195,12 @@ def extract_embedded_domains(page_body: str) -> list[str]:
     return parser.hosts
 
 
-def fetch_page(domain: str, *, timeout_s: float = 10.0, max_bytes: int = PAGE_BYTE_CAP) -> str | None:
-    """Fetch the site root document once, truncated to max_bytes."""
+def fetch_page(domain: str) -> str | None:
+    """Fetch the site root document once, truncated to PAGE_BYTE_CAP."""
     for scheme in ("https", "http"):
         try:
-            with urllib.request.urlopen(f"{scheme}://{domain}/", timeout=timeout_s) as resp:
-                raw = resp.read(max_bytes)
+            with urllib.request.urlopen(f"{scheme}://{domain}/", timeout=PAGE_TIMEOUT_S) as resp:
+                raw = resp.read(PAGE_BYTE_CAP)
             return raw.decode("utf-8", errors="replace")
         except Exception as exc:  # noqa: BLE001
             log.debug("page fetch %s://%s failed: %s", scheme, domain, exc)
@@ -237,7 +249,7 @@ def scan_domain_list(
     page_fn=fetch_page,
     scan_embedded: bool = True,
     fanout: int = 1,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> dict[str, list[CandidateSite]]:
     """Walk domains in rank order until each CDN's quota is filled.
 
@@ -255,7 +267,7 @@ def scan_domain_list(
                 name, resolver_address, resolve_fn=resolve_fn, timeout_ms=timeout_ms
             )
 
-    chain_resolver = resolvers[0].v4_address if resolvers else "8.8.8.8"
+    chain_resolver = resolvers[0].v4_address if resolvers else KNOWN_GOOD_RESOLVER
     selected: dict[str, list[CandidateSite]] = {cdn: [] for cdn, q in quotas.items() if q > 0}
 
     def quotas_open():

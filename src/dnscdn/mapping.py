@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, wait_ready
-from .wire import IpVersion, RecordType
+from .wire import DEFAULT_TIMEOUT_MS, IpVersion, RecordType
 
 
 class NoAddressError(Exception):
@@ -112,7 +112,9 @@ class HandshakeAttempt:
     error kind, never raised.  close() releases the socket.
     """
 
-    def __init__(self, address: str, port: int = 443, timeout_ms: float = 5000.0, *, socket_factory=socket.socket):
+    def __init__(
+        self, address: str, port: int = 443, timeout_ms: float = DEFAULT_TIMEOUT_MS, *, socket_factory=socket.socket
+    ):
         self.address = address
         self.port = port
         self._timeout_s = timeout_ms / 1000.0
@@ -163,7 +165,7 @@ class HandshakeAttempt:
 def measure_handshake(
     address: str,
     port: int = 443,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
     *,
     socket_factory=socket.socket,
 ) -> HandshakeSample:

@@ -134,14 +134,14 @@ class DnsExchange:
     close() releases the socket.
     """
 
-    def __init__(self, question: DnsQuestion, *, edns: bool = True, txid: int | None = None):
+    def __init__(self, question: DnsQuestion):
         # A family mismatch must never generate traffic; revalidate even though
         # DnsQuestion checks at construction (the dataclass is mutable).
         if IpVersion.of_address(question.resolver_address) is not question.transport_version:
             raise ValueError("resolver address family does not match transport_version")
         self.question = question
-        self.txid = _txid_rng.randrange(0, 0x10000) if txid is None else txid
-        self._payload = encode_query(question, self.txid, edns=edns)
+        self.txid = _txid_rng.randrange(0, 0x10000)
+        self._payload = encode_query(question, self.txid)
         self.sock = None
         self.events = selectors.EVENT_READ
         self.sent_at = self.sent_at_wall = self.deadline = 0.0
@@ -257,7 +257,7 @@ class DnsExchange:
         return self._answer(message, stamp, truncated_retried=True)
 
 
-def resolve_once(question: DnsQuestion, *, edns: bool = True, txid: int | None = None) -> TimedDnsResponse:
+def resolve_once(question: DnsQuestion) -> TimedDnsResponse:
     """Send one UDP query and time the answer, blocking.
 
     On a truncated (TC=1) reply the identical question is retried over TCP
@@ -267,7 +267,7 @@ def resolve_once(question: DnsQuestion, *, edns: bool = True, txid: int | None =
     Raises QueryTimeoutError, NetworkUnreachableError, or
     MalformedMessageError.
     """
-    exchange = DnsExchange(question, edns=edns, txid=txid)
+    exchange = DnsExchange(question)
     try:
         exchange.start()
         while True:

@@ -6,24 +6,33 @@ link-local) is judged instead by the egress address it presents to
 authoritative servers, learned through Akamai's whoami service.  Either
 way, a resolver whose upstream leaves the host's AS is conservatively
 treated as external.
+
+Each kind of lookup has one service: egress addresses come from Akamai's
+whoami, and ASNs from Team Cymru's origin zones, asked through the
+known-good public resolver (wire.KNOWN_GOOD_RESOLVER).  Nothing is
+cached; detect-isp classifies a handful of resolvers once.
 """
 
 from __future__ import annotations
 
 import ipaddress
-import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 
 from .resolve import ResolveError, resolve_once
-from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
+from .wire import (
+    DEFAULT_TIMEOUT_MS,
+    KNOWN_GOOD_RESOLVER,
+    DnsQuestion,
+    IpVersion,
+    MalformedMessageError,
+    RecordType,
+)
 
 WHOAMI_V4 = "whoami.ipv4.akahelp.net"
 WHOAMI_V6 = "whoami.ipv6.akahelp.net"
 CYMRU_V4_ZONE = "origin.asn.cymru.com"
 CYMRU_V6_ZONE = "origin6.asn.cymru.com"
-ASN_CACHE_TTL_S = 24 * 3600.0
 
 
 class NoConfigError(Exception):
@@ -48,30 +57,23 @@ class Classification(Enum):
     INDETERMINATE = "indeterminate"
 
 
-def _is_private(address: str) -> bool:
-    ip = ipaddress.ip_address(address)
-    return ip.is_private or ip.is_link_local
-
-
 @dataclass
 class LocalResolver:
-    address: str
-    is_private: bool
-    family: IpVersion
+    """A configured resolver; its privacy and family follow from its address."""
 
-    @classmethod
-    def of(cls, address: str) -> "LocalResolver":
-        return cls(
-            address=address,
-            is_private=_is_private(address),
-            family=IpVersion.of_address(address),
-        )
+    address: str
 
     def __post_init__(self):
-        if self.is_private != _is_private(self.address):
-            raise ValueError(f"is_private flag disagrees with address {self.address}")
-        if self.family is not IpVersion.of_address(self.address):
-            raise ValueError(f"family flag disagrees with address {self.address}")
+        IpVersion.of_address(self.address)  # TypeError or ValueError if not an address
+
+    @property
+    def is_private(self) -> bool:
+        ip = ipaddress.ip_address(self.address)
+        return ip.is_private or ip.is_link_local
+
+    @property
+    def family(self) -> IpVersion:
+        return IpVersion.of_address(self.address)
 
 
 @dataclass
@@ -110,7 +112,7 @@ def enumerate_local_resolvers(config_path: str = "/etc/resolv.conf") -> list[Loc
         if addr in seen:
             continue
         seen.add(addr)
-        out.append(LocalResolver.of(addr))
+        out.append(LocalResolver(addr))
     if not out:
         raise NoConfigError(f"no nameserver entries in {config_path}")
     return out
@@ -130,72 +132,37 @@ def whoami_egress(
     family: IpVersion,
     *,
     resolve_fn=resolve_once,
-    alternate_service: str | None = None,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> str:
     """Ask the whoami service which address the resolver egresses from.
 
     The akahelp answer is a TXT record of key/value string pairs; the "ns"
-    key carries the egress address.  An operator-supplied alternate service
-    name is tried when the primary yields nothing.
+    key carries the egress address.  No reply, or one without TXT strings,
+    raises NoAnswerError; strings without an "ns" address raise
+    ParseFailureError.
     """
-    primary = WHOAMI_V4 if family is IpVersion.V4 else WHOAMI_V6
-    services = [primary] + ([alternate_service] if alternate_service else [])
-    last_parse_error = None
-    for service in services:
-        question = DnsQuestion(
-            qname=service,
-            qtype=RecordType.TXT,
-            resolver_address=resolver_address,
-            timeout_ms=timeout_ms,
-        )
-        try:
-            reply = resolve_fn(question)
-        except (ResolveError, MalformedMessageError):
-            continue
-        strings = _txt_strings(reply)
-        if not strings:
-            continue
-        for key, value in zip(strings, strings[1:]):
-            if key.lower() == "ns":
-                try:
-                    ipaddress.ip_address(value)
-                except ValueError:
-                    break
-                return value
-        last_parse_error = ParseFailureError(
-            f"{service} answer {strings!r} lacks an 'ns' address pair"
-        )
-    if last_parse_error is not None:
-        raise last_parse_error
-    raise NoAnswerError(f"no whoami answer through {resolver_address}")
-
-
-class AsnCache:
-    """Prefix-keyed cache of Cymru answers, safe for concurrent use."""
-
-    def __init__(self, ttl_s: float = ASN_CACHE_TTL_S, clock=time.monotonic):
-        self._ttl = ttl_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._entries: dict[str, tuple[float, int]] = {}
-
-    def get(self, ip: str) -> int | None:
-        addr = ipaddress.ip_address(ip)
-        now = self._clock()
-        with self._lock:
-            for prefix, (stored_at, asn) in list(self._entries.items()):
-                if now - stored_at > self._ttl:
-                    del self._entries[prefix]
-                    continue
-                if addr in ipaddress.ip_network(prefix):
-                    return asn
-        return None
-
-    def put(self, prefix: str, asn: int):
-        ipaddress.ip_network(prefix)  # validates
-        with self._lock:
-            self._entries[prefix] = (self._clock(), asn)
+    service = WHOAMI_V4 if family is IpVersion.V4 else WHOAMI_V6
+    question = DnsQuestion(
+        qname=service,
+        qtype=RecordType.TXT,
+        resolver_address=resolver_address,
+        timeout_ms=timeout_ms,
+    )
+    try:
+        reply = resolve_fn(question)
+    except (ResolveError, MalformedMessageError) as exc:
+        raise NoAnswerError(f"no whoami answer through {resolver_address}: {exc}") from exc
+    strings = _txt_strings(reply)
+    if not strings:
+        raise NoAnswerError(f"no whoami answer through {resolver_address}")
+    for key, value in zip(strings, strings[1:]):
+        if key.lower() == "ns":
+            try:
+                ipaddress.ip_address(value)
+            except ValueError:
+                break
+            return value
+    raise ParseFailureError(f"{service} answer {strings!r} lacks an 'ns' address pair")
 
 
 def cymru_query_name(ip: str) -> str:
@@ -227,20 +194,15 @@ def parse_cymru_answer(strings: list[str]) -> tuple[int, str]:
 def asn_lookup(
     ip: str,
     *,
-    resolver_address: str = "8.8.8.8",
     resolve_fn=resolve_once,
-    cache: AsnCache | None = None,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> int:
-    """Map an IP address to its origin ASN via Team Cymru's DNS interface."""
-    if cache is not None:
-        hit = cache.get(ip)
-        if hit is not None:
-            return hit
+    """Map an IP address to its origin ASN via Team Cymru's DNS interface,
+    asked through the known-good resolver."""
     question = DnsQuestion(
         qname=cymru_query_name(ip),
         qtype=RecordType.TXT,
-        resolver_address=resolver_address,
+        resolver_address=KNOWN_GOOD_RESOLVER,
         timeout_ms=timeout_ms,
     )
     try:
@@ -252,31 +214,26 @@ def asn_lookup(
     strings = _txt_strings(reply)
     if not strings:
         raise NoAnswerError(f"empty Cymru answer for {ip}")
-    asn, prefix = parse_cymru_answer(strings)
-    if cache is not None:
-        try:
-            cache.put(prefix, asn)
-        except ValueError:
-            pass  # malformed prefix in the answer; skip caching only
+    asn, _ = parse_cymru_answer(strings)
     return asn
 
 
 def discover_vantage_address(
     family: IpVersion,
     *,
-    known_good_resolver: str = "8.8.8.8",
     resolve_fn=resolve_once,
     override: str | None = None,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> str:
     """The host's public address for a family: operator override, else the
-    egress a known-good public resolver reports via whoami.
+    egress the known-good public resolver reports via whoami.
 
     (A NATed host's local address has no ASN, so the whoami view is what
     counts for AS matching.)
     """
     if override is not None:
         return override
-    return whoami_egress(known_good_resolver, family, resolve_fn=resolve_fn)
+    return whoami_egress(KNOWN_GOOD_RESOLVER, family, resolve_fn=resolve_fn, timeout_ms=timeout_ms)
 
 
 def classify_resolver(
@@ -284,10 +241,7 @@ def classify_resolver(
     vantage_ip: str,
     *,
     resolve_fn=resolve_once,
-    asn_resolver: str = "8.8.8.8",
-    cache: AsnCache | None = None,
-    alternate_whoami: str | None = None,
-    timeout_ms: float = 5000.0,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> ResolverClassification:
     """Classify one resolver against the vantage host's AS.
 
@@ -298,13 +252,7 @@ def classify_resolver(
     result = ResolverClassification(resolver=resolver, verdict=Classification.INDETERMINATE)
 
     def lookup(ip):
-        return asn_lookup(
-            ip,
-            resolver_address=asn_resolver,
-            resolve_fn=resolve_fn,
-            cache=cache,
-            timeout_ms=timeout_ms,
-        )
+        return asn_lookup(ip, resolve_fn=resolve_fn, timeout_ms=timeout_ms)
 
     try:
         result.vantage_asn = lookup(vantage_ip)
@@ -328,7 +276,6 @@ def classify_resolver(
             resolver.address,
             resolver.family,
             resolve_fn=resolve_fn,
-            alternate_service=alternate_whoami,
             timeout_ms=timeout_ms,
         )
         result.egress_asn = lookup(result.egress_address)

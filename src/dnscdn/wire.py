@@ -36,6 +36,13 @@ EDNS_UDP_PAYLOAD = 1232
 
 MAX_TTL = 2**31 - 1
 
+# Per-query timeout wherever no configuration supplies one.
+DEFAULT_TIMEOUT_MS = 5000.0
+
+# The public recursive resolver asked for the tool's own lookups (whoami,
+# Team Cymru, NS walks) when no configured resolver is given.
+KNOWN_GOOD_RESOLVER = "8.8.8.8"
+
 # Bound on compression-pointer hops while decoding one name.  Any legitimate
 # message needs far fewer; exceeding it means a pointer loop.
 _MAX_POINTER_HOPS = 64
@@ -174,7 +181,7 @@ class DnsQuestion:
     qtype: RecordType
     resolver_address: str
     transport_version: IpVersion | None = None
-    timeout_ms: float = 5000.0
+    timeout_ms: float = DEFAULT_TIMEOUT_MS
     resolver_port: int = 53
 
     def __post_init__(self):
@@ -249,10 +256,6 @@ class DnsMessage:
     @property
     def rcode(self) -> int:
         return self.flags & 0x000F
-
-    @property
-    def is_response(self) -> bool:
-        return bool(self.flags & 0x8000)
 
     @property
     def truncated(self) -> bool:

@@ -449,7 +449,7 @@ def test_regional_penalty_report_shape():
             sets.append(_planted_set(vantage, IpVersion.V6, 11.5))
 
         points = build_latency_points(sets, geo=geo)
-        rows = ipv6_penalty(points, 250.0, geo)
+        rows = ipv6_penalty(points, 250.0)
         assert {(r.metric, r.region) for r in rows} == {
             (metric, region)
             for metric in (Metric.DNS, Metric.MAPPING)

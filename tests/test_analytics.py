@@ -9,6 +9,7 @@ import pytest
 from factories import make_response, make_set
 from dnscdn import cache
 from dnscdn.analytics import (
+    UNASSIGNED_REGION,
     EdgeObservation,
     EmptyInputError,
     LatencyPoint,
@@ -24,6 +25,7 @@ from dnscdn.analytics import (
     latest_three,
     per_cdn_median,
     per_website_median,
+    region_of,
     regional_breakdown,
 )
 from dnscdn.cache import Convention, TtlQuirk, Verdict
@@ -252,7 +254,7 @@ class TestKsTwoSample:
 
 
 def dns_point(vantage, value, *, cdn="akamai", resolver="google",
-              version=IpVersion.V4, metric=Metric.DNS, region=None):
+              version=IpVersion.V4, metric=Metric.DNS, region=UNASSIGNED_REGION):
     return LatencyPoint(
         vantage_id=vantage, cdn=cdn, resolver_label=resolver,
         ip_version=version, metric=metric, value=value, region=region,
@@ -261,10 +263,9 @@ def dns_point(vantage, value, *, cdn="akamai", resolver="google",
 
 class TestRegionalBreakdown:
     def test_planted_medians_and_counts(self):
-        points = [dns_point(f"asia-{i}", 5.0) for i in range(3)]
-        points += [dns_point(f"eu-{i}", 50.0) for i in range(2)]
-        geo = {p.vantage_id: ("asia" if p.vantage_id.startswith("asia") else "europe") for p in points}
-        table = regional_breakdown(points, geo)
+        points = [dns_point(f"asia-{i}", 5.0, region="asia") for i in range(3)]
+        points += [dns_point(f"eu-{i}", 50.0, region="europe") for i in range(2)]
+        table = regional_breakdown(points)
         key_asia = (Metric.DNS, "asia", "akamai", "google", IpVersion.V4)
         key_eu = (Metric.DNS, "europe", "akamai", "google", IpVersion.V4)
         assert table.medians[key_asia] == 5.0
@@ -273,21 +274,21 @@ class TestRegionalBreakdown:
 
     def test_single_region_equals_global(self):
         values = [3.0, 9.0, 27.0, 81.0, 243.0]
-        points = [dns_point(f"p{i}", v) for i, v in enumerate(values)]
-        geo = {p.vantage_id: "americas" for p in points}
-        table = regional_breakdown(points, geo)
+        points = [dns_point(f"p{i}", v, region="americas") for i, v in enumerate(values)]
+        table = regional_breakdown(points)
         key = (Metric.DNS, "americas", "akamai", "google", IpVersion.V4)
         assert table.medians[key] == statistics.median(values)
         assert table.means[key] == pytest.approx(statistics.fmean(values))
 
     def test_unlisted_vantage_groups_as_unassigned(self):
-        table = regional_breakdown([dns_point("mystery", 7.0)], {})
+        points = build_latency_points([make_set()], geo={"elsewhere": "asia"})
+        table = regional_breakdown(points)
         assert list(table.region_vantage_counts) == ["unassigned"]
 
-    def test_point_region_wins_over_geo(self):
-        point = dns_point("p1", 7.0, region="asia")
-        table = regional_breakdown([point], {"p1": "europe"})
-        assert table.region_vantage_counts == {"asia": 1}
+    @pytest.mark.parametrize("geo", [{}, {"p1": None}, {"p1": ""}], ids=["omitted", "null", "empty"])
+    def test_region_of_falls_back_to_unassigned(self, geo):
+        assert region_of(geo, "p1") == UNASSIGNED_REGION
+        assert region_of({"p1": "asia"}, "p1") == "asia"
 
 
 class TestIpv6Penalty:

@@ -3,6 +3,7 @@
 import base64
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
@@ -11,12 +12,12 @@ import socket
 import pytest
 
 import mocknet
-from factories import make_set
-from dnscdn import cli
+from factories import make_response, make_set
+from dnscdn import cli, resolver_id
 from dnscdn.campaign import is_usable
 from dnscdn.resolver_id import Classification, ResolverClassification
 from dnscdn.storage import CampaignRecord, Provenance, read_records, write_records
-from dnscdn.wire import IpVersion
+from dnscdn.wire import IpVersion, RecordType, ResourceRecord
 
 
 def dual_family_script(v4="127.0.0.1", v6="::1", ttl=20):
@@ -344,6 +345,32 @@ class TestAnalyze:
         assert {r["region"] for r in rows} == {"asia"}
 
 
+class TestRegionRule:
+    """analyze and every region-aware report name a vantage's region alike."""
+
+    @staticmethod
+    def _regions(command, out):
+        if command == ["report", "--kind", "diversity"]:
+            return {region for entry in json.loads(out) for region in entry["regional_purity"]}
+        return {row["region"] for row in csv_rows(out)[1]}
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["report", "--kind", "table"], ["report", "--kind", "penalty"],
+         ["report", "--kind", "diversity"]],
+        ids=["analyze", "table", "penalty", "diversity"],
+    )
+    @pytest.mark.parametrize(
+        "p2_geo", [{}, {"p2": None}, {"p2": ""}], ids=["omitted", "null", "empty"]
+    )
+    def test_vantage_without_a_region_is_unassigned(self, tmp_path, capsys, command, p2_geo):
+        path, geo = analysis_fixture(tmp_path)
+        with open(geo, "w", encoding="utf-8") as fh:
+            json.dump({"p1": "asia", **p2_geo}, fh)
+        assert cli.main([*command, "--input", path, "--geo", geo]) == 0
+        assert self._regions(command, capsys.readouterr().out) == {"asia", "unassigned"}
+
+
 class TestDamagedInput:
     @staticmethod
     def _cut(tmp_path, path, size=3000):
@@ -525,6 +552,20 @@ class TestImportAtlas:
         out = str(tmp_path / "none.jsonl")
         assert cli.main(["import-atlas", "--dns", dns_path, "--tls", tls_path, "--output", out]) == 1
 
+    @pytest.mark.parametrize("flag", ["--dns", "--tls"])
+    @pytest.mark.parametrize("content", [None, "{}", "["], ids=["missing", "not-an-array", "cut-short"])
+    def test_unusable_input_file_is_an_error_line(self, tmp_path, capsys, flag, content):
+        dns_path, tls_path = self._write_inputs(tmp_path, [], [])
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        paths = {"--dns": dns_path, "--tls": tls_path, flag: str(bad)}
+        out = tmp_path / "imported.jsonl"
+        argv = ["import-atlas", "--dns", paths["--dns"], "--tls", paths["--tls"], "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
+
 
 class TestDetectIsp:
     @staticmethod
@@ -536,7 +577,7 @@ class TestDetectIsp:
     def test_isp_provided_both_families(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             cli, "discover_vantage_address",
-            lambda version, override=None: override or "203.0.113.50",
+            lambda version, override=None, **kw: override or "203.0.113.50",
         )
         monkeypatch.setattr(
             cli, "classify_resolver",
@@ -553,7 +594,7 @@ class TestDetectIsp:
 
     def test_indeterminate_classification_is_partial_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "discover_vantage_address", lambda version, override=None: "203.0.113.50"
+            cli, "discover_vantage_address", lambda version, override=None, **kw: "203.0.113.50"
         )
         monkeypatch.setattr(
             cli, "classify_resolver",
@@ -567,6 +608,34 @@ class TestDetectIsp:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["detect-isp", "--resolv-conf", str(tmp_path / "nope")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_config_timeout_reaches_every_query(self, tmp_path, capsys, monkeypatch):
+        sent = []
+
+        def fake(question):
+            sent.append((question.qname, question.timeout_ms))
+            if question.qname.startswith("whoami."):
+                strings = ["ns", "203.0.113.60"]
+            else:
+                strings = ["64500 | 203.0.113.0/24 | ZZ | test | 2020-01-01"]
+            record = ResourceRecord(name=question.qname, rtype=int(RecordType.TXT), ttl=60, rdata=strings)
+            return make_response(1.0, 1.0, qname=question.qname, answers=[record])
+
+        monkeypatch.setattr(
+            cli, "discover_vantage_address",
+            functools.partial(resolver_id.discover_vantage_address, resolve_fn=fake),
+        )
+        monkeypatch.setattr(
+            cli, "classify_resolver", functools.partial(resolver_id.classify_resolver, resolve_fn=fake)
+        )
+        conf = tmp_path / "resolv.conf"
+        conf.write_text("nameserver 192.168.1.1\nnameserver 9.9.9.9\n")  # private and public paths
+        argv = ["detect-isp", "--resolv-conf", str(conf), "--config", write_config(tmp_path)]
+        assert cli.main(argv) == 0
+        asked = {qname.split(".", 1)[0] if qname.startswith("whoami.") else qname for qname, _ in sent}
+        assert {"whoami", resolver_id.cymru_query_name("9.9.9.9"),
+                resolver_id.cymru_query_name("203.0.113.60")} <= asked
+        assert {timeout for _, timeout in sent} == {400.0}
 
 
 class TestDiscover:

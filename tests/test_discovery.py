@@ -8,6 +8,7 @@ import mocknet
 from factories import make_response
 from dnscdn.campaign import ResolverEntry
 from dnscdn.discovery import (
+    DEFAULT_CHAIN_CAP,
     CatalogError,
     CdnCatalog,
     ChainLoopError,
@@ -66,15 +67,21 @@ class TestFollowCnameChain:
             follow_cname_chain("x.example", "192.0.2.53", resolve_fn=fake)
 
     def test_length_cap_raises_chain_loop(self):
-        links = [(f"n{i}.example", f"n{i+1}.example") for i in range(30)]
+        def fake_with(count):
+            links = [(f"n{i}.example", f"n{i+1}.example") for i in range(count)]
 
-        def fake(question):
-            return make_response(
-                1.0, 1.0, qname=question.qname, answers=chain_answers("n0.example", links)
-            )
+            def fake(question):
+                return make_response(
+                    1.0, 1.0, qname=question.qname, answers=chain_answers("n0.example", links)
+                )
 
+            return fake
+
+        # DEFAULT_CHAIN_CAP names is the longest chain that terminates.
+        chain = follow_cname_chain("n0.example", "192.0.2.53", resolve_fn=fake_with(DEFAULT_CHAIN_CAP - 1))
+        assert len(chain) == DEFAULT_CHAIN_CAP
         with pytest.raises(ChainLoopError):
-            follow_cname_chain("n0.example", "192.0.2.53", resolve_fn=fake, max_length=16)
+            follow_cname_chain("n0.example", "192.0.2.53", resolve_fn=fake_with(DEFAULT_CHAIN_CAP))
 
     def test_against_live_mock_server(self):
         def script(qname, qtype, count):

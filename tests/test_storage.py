@@ -477,6 +477,8 @@ class TestAtlasImport:
             ("tls", tls_entry(1, QNAME, BASE + 9, ttc="slow")),
             ("tls", {**tls_entry(1, QNAME, BASE + 9, rt=30.0), "dst_port": "https"}),
             ("tls", {**tls_entry(1, QNAME, BASE + 9, rt=30.0), "dst_name": 7}),
+            ("tls", {**tls_entry(1, QNAME, BASE + 9, rt=30.0), "dst_addr": 5}),
+            ("tls", {**tls_entry(1, QNAME, BASE + 9, rt=30.0), "dst_addr": "edge.example"}),
             ("tls", "sslcert"),
             ("tls", [1, 2]),
             ("dns", 7),
@@ -491,6 +493,8 @@ class TestAtlasImport:
             "tls-ttc-not-a-number",
             "tls-port-not-a-number",
             "tls-target-not-a-string",
+            "tls-address-not-a-string",
+            "tls-address-not-an-address",
             "tls-entry-is-a-string",
             "tls-entry-is-an-array",
             "dns-entry-is-a-number",
