@@ -138,7 +138,7 @@ def main():
     usable = [s for s in sets if is_usable(s)]
     print("\nVerdicts per site (cached should be all hit, fresh all miss),")
     print("then the table aggregated per cdn/resolver/family:")
-    points = classify_sets(usable, {"www.cached.demo": AUTH_TTL, "www.fresh.demo": AUTH_TTL})
+    points = list(classify_sets(usable, {"www.cached.demo": AUTH_TTL, "www.fresh.demo": AUTH_TTL}))
     per_site: dict[str, list] = {}
     for mset, point in zip(usable, points):
         per_site.setdefault(mset.website, []).append(point.verdict.value)

@@ -48,7 +48,7 @@ from .resolver_id import (
     is_isp_usable,
     whoami_egress,
 )
-from .storage import CampaignRecord, Provenance, read_records, write_records
+from .storage import CampaignRecord, Provenance, iter_records, read_records, write_records
 from .wire import (
     DnsMessage,
     DnsQuestion,

@@ -17,6 +17,7 @@ import logging
 import math
 import statistics
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -316,7 +317,7 @@ class DiversityReport:
     anycast_like: bool
 
 
-def address_diversity(observations: list[EdgeObservation]) -> list[DiversityReport]:
+def address_diversity(observations: Iterable[EdgeObservation]) -> list[DiversityReport]:
     """Edge-address spread per (website, resolver, family).
 
     Regional purity is, per region, the share of that region's
@@ -325,44 +326,45 @@ def address_diversity(observations: list[EdgeObservation]) -> list[DiversityRepo
     the addresses are intermixed irrespective of geography.  A report is
     flagged anycast_like when at most ANYCAST_MAX_UNIQUE distinct addresses
     serve everyone.
+
+    Each observation is folded into its group's address counts, first
+    address per vantage and per-region address counts, then dropped.
     """
-    groups: dict[tuple, list[EdgeObservation]] = {}
+    # per (website, resolver, family)
+    freq: dict[tuple, dict[str, int]] = {}
+    per_vantage: dict[tuple, dict[str, str]] = {}
+    by_region: dict[tuple, dict[str, dict[str, int]]] = {}
     for obs in observations:
-        groups.setdefault((obs.website, obs.resolver_label, obs.ip_version), []).append(obs)
+        key = (obs.website, obs.resolver_label, obs.ip_version)
+        counts = freq.setdefault(key, {})
+        counts[obs.address] = counts.get(obs.address, 0) + 1
+        per_vantage.setdefault(key, {}).setdefault(obs.vantage_id, obs.address)
+        counts = by_region.setdefault(key, {}).setdefault(obs.region, {})
+        counts[obs.address] = counts.get(obs.address, 0) + 1
     reports = []
-    for (website, resolver_label, ip_version), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-    ):
-        freq: dict[str, int] = {}
-        per_vantage: dict[str, str] = {}
-        by_region: dict[str, list[str]] = {}
-        for obs in members:
-            freq[obs.address] = freq.get(obs.address, 0) + 1
-            per_vantage.setdefault(obs.vantage_id, obs.address)
-            by_region.setdefault(obs.region, []).append(obs.address)
-        purity = {}
-        for region, addrs in by_region.items():
-            counts: dict[str, int] = {}
-            for addr in addrs:
-                counts[addr] = counts.get(addr, 0) + 1
-            purity[region] = max(counts.values()) / len(addrs)
+    for key in sorted(freq, key=lambda k: (k[0], k[1], k[2].value)):
+        website, resolver_label, ip_version = key
+        purity = {
+            region: max(counts.values()) / sum(counts.values())
+            for region, counts in by_region[key].items()
+        }
         reports.append(
             DiversityReport(
                 website=website,
                 resolver_label=resolver_label,
                 ip_version=ip_version,
-                unique_addresses=len(freq),
-                address_frequency=freq,
-                vantage_address=per_vantage,
+                unique_addresses=len(freq[key]),
+                address_frequency=freq[key],
+                vantage_address=per_vantage[key],
                 regional_purity=purity,
-                anycast_like=len(freq) <= ANYCAST_MAX_UNIQUE,
+                anycast_like=len(freq[key]) <= ANYCAST_MAX_UNIQUE,
             )
         )
     return reports
 
 
 def build_latency_points(
-    sets: list[MeasurementSet],
+    sets: Iterable[MeasurementSet],
     *,
     geo: dict[str, str] | None = None,
 ) -> list[LatencyPoint]:
@@ -372,7 +374,9 @@ def build_latency_points(
     yields a per-website DNS median (latest three) and a mapping median
     (handshake RTTs); the per-CDN median of those website values becomes
     the vantage's single point for each metric, in the region
-    region_of(geo, vantage) names.
+    region_of(geo, vantage) names.  Each set is folded into its website's
+    medians as it comes, and a later set for the same website replaces an
+    earlier one.
     """
     geo = geo or {}
     ladder: dict[tuple, dict[str, dict[Metric, float]]] = {}
@@ -404,22 +408,22 @@ def build_latency_points(
 
 
 def classify_sets(
-    sets: list[MeasurementSet],
+    sets: Iterable[MeasurementSet],
     auth_ttls: dict[str, int],
     *,
     quirks: dict[str, TtlQuirk] | None = None,
     convention: Convention = Convention.EQUAL_IS_HIT,
-) -> list[ClassifiedPoint]:
+) -> Iterator[ClassifiedPoint]:
     """Cache verdicts paired with the latencies they explain.
 
     For each usable set, the median-latency response among the latest
     three supplies both the latency and the TTL that is classified —
     verdict and latency always come from the same response.  auth_ttls is
     keyed by website, falling back to the set's CDN name; quirks maps
-    resolver labels to their TTL quirk.
+    resolver labels to their TTL quirk.  Points are yielded one set at a
+    time, as the sets come.
     """
     quirks = quirks or {}
-    points = []
     for mset in sets:
         if not is_usable(mset):
             continue
@@ -444,13 +448,10 @@ def classify_sets(
             quirk=quirks.get(mset.resolver_label, TtlQuirk.NONE),
             convention=convention,
         )
-        points.append(
-            ClassifiedPoint(
-                cdn=mset.cdn,
-                resolver_label=mset.resolver_label,
-                ip_version=mset.ip_version,
-                verdict=verdict.verdict,
-                latency_ms=median_response.latency_ms,
-            )
+        yield ClassifiedPoint(
+            cdn=mset.cdn,
+            resolver_label=mset.resolver_label,
+            ip_version=mset.ip_version,
+            verdict=verdict.verdict,
+            latency_ms=median_response.latency_ms,
         )
-    return points

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import statistics
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -213,23 +214,28 @@ class HitRateRow:
     median_unknown_ms: float | None
 
 
-def hit_rate_table(points: list[ClassifiedPoint]) -> list[HitRateRow]:
+def hit_rate_table(points: Iterable[ClassifiedPoint]) -> list[HitRateRow]:
     """Aggregate classified points into per-(cdn, resolver, ip version) rows.
 
     Rates are percentages summing to 100 per row; a verdict class with no
     points reports rate 0 and a missing median (rendered "N/A" downstream).
+    Each point is folded into its row's latencies per verdict, so a row
+    keeps one float per point.
     """
-    if not points:
-        raise EmptyInputError("no classified points")
-    groups: dict[tuple, list[ClassifiedPoint]] = {}
+    groups: dict[tuple, dict[Verdict, list[float]]] = {}
     for point in points:
-        groups.setdefault((point.cdn, point.resolver_label, point.ip_version), []).append(point)
+        key = (point.cdn, point.resolver_label, point.ip_version)
+        by_verdict = groups.get(key)
+        if by_verdict is None:
+            by_verdict = groups[key] = {v: [] for v in Verdict}
+        by_verdict[point.verdict].append(point.latency_ms)
+    if not groups:
+        raise EmptyInputError("no classified points")
     rows = []
-    for (cdn, resolver_label, ip_version), members in sorted(
+    for (cdn, resolver_label, ip_version), by_verdict in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
     ):
-        total = len(members)
-        by_verdict = {v: [p.latency_ms for p in members if p.verdict is v] for v in Verdict}
+        total = sum(map(len, by_verdict.values()))
         rows.append(
             HitRateRow(
                 cdn=cdn,

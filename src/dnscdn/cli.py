@@ -5,11 +5,22 @@ check which local resolvers are ISP-provided, run or schedule campaigns,
 fill in failed sets, and analyze or export stored results.  Exit status
 is 0 on success, 1 on partial failure, 2 on usage errors.
 
+analyze and report stream their inputs: each stored set is decoded, folded
+into the per-key summaries of the table or report, and dropped, so memory
+follows the number of keys, not of records.  --geo and --config are checked
+before the first set is read, and nothing is printed until the last one is
+folded in.  An input that cannot be used (a missing --geo or --config file,
+a damaged line before the end of a record file) is one error line on
+stderr, exit status 2 and no output; an --output file is then neither
+created nor truncated.  A record file cut short in its final line gives up
+the records before that line, one damage line on stderr and exit status 1.
+
 analyze, report and import-atlas run with the cyclic garbage collector
 paused.  Their records form no reference cycles, so reference counting
 frees them as before, and each run is bounded by its input, so nothing
-piles up; the collector would only walk the loaded records over and over.
-The other commands keep it running; schedule, for one, has no end.
+piles up; the collector would only be set off every few records by their
+many small allocations, and find nothing to free.  The other commands keep
+it running; schedule, for one, has no end.
 """
 
 from __future__ import annotations
@@ -18,16 +29,18 @@ import argparse
 import contextlib
 import csv
 import gc
+import io
 import json
 import logging
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict
 
 from . import analytics, atlas, storage
-from .cache import hit_rate_table, load_ttl_table
-from .campaign import MeasurementSpec, ResolverEntry, fill_in, is_usable, run_campaign
+from .cache import EmptyInputError, hit_rate_table, load_ttl_table
+from .campaign import MeasurementSet, MeasurementSpec, ResolverEntry, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
 from .discovery import CdnCatalog, load_domain_list, scan_domain_list
 from .mapping import NoAddressError, select_edge
@@ -49,6 +62,11 @@ GC_PAUSED_COMMANDS = frozenset({"analyze", "report", "import-atlas"})
 TABLE_COLUMNS = (
     "metric", "region", "cdn", "resolver", "ip_version", "median_ms", "mean_ms", "region_vantages"
 )
+
+
+class UnusableInputError(Exception):
+    """An input file the command cannot use; main reports it as one error
+    line and exit status 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,16 +171,25 @@ def main(argv=None) -> int:
         "report": _cmd_report,
         "import-atlas": _cmd_import_atlas,
     }[args.command]
-    if args.command not in GC_PAUSED_COMMANDS:
-        return handler(args)
-    # Stored records form no cycles and each run is bounded by its input, so
-    # the collector would only walk the loaded corpus (about 3 times a run).
-    with _gc_paused():
-        return handler(args)
+    try:
+        if args.command not in GC_PAUSED_COMMANDS:
+            return handler(args)
+        # Stored records form no cycles and each run is bounded by its input,
+        # so the collector would only chase the records' own allocations.
+        with _gc_paused():
+            return handler(args)
+    except UnusableInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _load_tool_config(path) -> ToolConfig:
-    return load_config(path) if path else ToolConfig()
+    if not path:
+        return ToolConfig()
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as exc:
+        raise UnusableInputError(f"{path}: {exc}") from exc
 
 
 def _load_sites(path) -> list[tuple[str, str]]:
@@ -344,11 +371,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_fill_in(args) -> int:
-    # fill-in rewrites whole files, so it must not drop a damaged line
-    gathered = _read_inputs([args.input], salvage=False)
-    if gathered is None:
-        return 2
-    records, _ = gathered
+    records = _read_inputs([args.input])
     if not records:
         print("error: no records in input", file=sys.stderr)
         return 1
@@ -381,51 +404,74 @@ def _campaign_files(data_dir: str, month: str | None) -> list[str]:
     return [os.path.join(data_dir, n) for n in names if n.endswith(".jsonl")]
 
 
-def _read_inputs(paths, *, salvage: bool) -> tuple[list[storage.CampaignRecord], bool] | None:
-    """Every file's records, and whether any file was cut short.
-
-    With salvage, a truncated file contributes the records before its
-    damaged line, and one damage line goes to stderr.  A file that cannot
-    be used gets an error line on stderr, and the result is None.
-    """
+def _read_inputs(paths) -> list[storage.CampaignRecord]:
+    """Every record of every file.  fill-in rewrites whole files, so a file
+    it cannot use in full, a truncated one too, is an UnusableInputError."""
     records = []
-    damaged = False
     for path in paths:
         try:
             records.extend(storage.read_records(path))
-        except storage.TruncatedFileError as exc:
-            if not salvage:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                return None
-            print(
-                f"damaged input: {path}: truncated at line {exc.line_number}; "
-                f"salvaged {len(exc.records)} record(s)",
-                file=sys.stderr,
-            )
-            records.extend(exc.records)
-            damaged = True
-        except (storage.SchemaMismatchError, storage.IoFailureError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return None
-    return records, damaged
+        except (storage.TruncatedFileError, storage.SchemaMismatchError, storage.IoFailureError) as exc:
+            raise UnusableInputError(f"{path}: {exc}") from exc
+    return records
 
 
-def _gather_records(args) -> tuple[list[storage.CampaignRecord], bool] | None:
+class _SetStream:
+    """The sets of every input file, in order, read one record at a time.
+
+    A truncated file gives up the sets before its damaged line, one damage
+    line on stderr, and sets .damaged.  Any other file the reader cannot use
+    ends the stream with UnusableInputError.  Iterate it once.
+    """
+
+    def __init__(self, paths: list[str]):
+        self.paths = paths
+        self.damaged = False
+
+    def __iter__(self) -> Iterator[MeasurementSet]:
+        for path in self.paths:
+            salvaged = 0
+            try:
+                for record in storage.iter_records(path):
+                    salvaged += 1
+                    yield record.mset
+            except storage.TruncatedFileError as exc:
+                print(
+                    f"damaged input: {path}: truncated at line {exc.line_number}; "
+                    f"salvaged {salvaged} record(s)",
+                    file=sys.stderr,
+                )
+                self.damaged = True
+            except (storage.SchemaMismatchError, storage.IoFailureError) as exc:
+                raise UnusableInputError(f"{path}: {exc}") from exc
+
+
+def _input_sets(args) -> _SetStream:
     paths = list(args.input)
     if getattr(args, "data_dir", None):
         paths.extend(_campaign_files(args.data_dir, getattr(args, "month", None)))
-    return _read_inputs(paths, salvage=True)
+    return _SetStream(paths)
 
 
-def _load_geo(path) -> dict[str, str]:
+def _load_geo(path) -> dict[str, str | None]:
+    """The --geo file: a JSON object mapping vantage id to a region name or null."""
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            geo = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UnusableInputError(f"{path}: {exc}") from exc
+    if not isinstance(geo, dict):
+        raise UnusableInputError(f"{path}: not a JSON object mapping vantage id to region")
+    for vantage_id, region in geo.items():
+        if region is not None and not isinstance(region, str):
+            raise UnusableInputError(f"{path}: region of {vantage_id!r} is {region!r}, not a string or null")
+    return geo
 
 
-def _filtered_points(records, args, geo):
-    points = analytics.build_latency_points([r.mset for r in records], geo=geo)
+def _filtered_points(sets, args, geo):
+    points = analytics.build_latency_points(sets, geo=geo)
     if args.cdn:
         points = [p for p in points if p.cdn == args.cdn]
     if args.resolver:
@@ -462,127 +508,127 @@ def _cmd_analyze(args) -> int:
     if not args.input and not args.data_dir:
         print("error: provide --input or --data-dir", file=sys.stderr)
         return 2
-    gathered = _gather_records(args)
-    if gathered is None:
-        return 2
-    records, damaged = gathered
     geo = _load_geo(args.geo)
-    rows = _table_rows(_filtered_points(records, args, geo))
+    sets = _input_sets(args)
+    rows = _table_rows(_filtered_points(sets, args, geo))
     if args.json:
         print(json.dumps([dict(zip(TABLE_COLUMNS, row)) for row in rows], indent=2))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(TABLE_COLUMNS)
         writer.writerows(rows)
-    return 1 if damaged else 0
+    return 1 if sets.damaged else 0
 
 
 def _cmd_report(args) -> int:
-    gathered = _gather_records(args)
-    if gathered is None:
-        return 2
-    records, damaged = gathered
     config = _load_tool_config(args.config)
     geo = _load_geo(args.geo)
-    sets = [r.mset for r in records]
-    out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
+    sets = _input_sets(args)
+    report = io.StringIO()
     try:
-        if args.kind == "cdf":
-            points = analytics.build_latency_points(sets, geo=geo)
-            series = analytics.distribution(points)
-            writer = csv.writer(out)
-            writer.writerow(["metric", "cdn", "resolver", "ip_version", "value_ms", "fraction"])
-            for key in sorted(series):
-                for value, fraction in series[key]:
-                    writer.writerow([*key, round(value, 3), round(fraction, 6)])
-        elif args.kind == "table":
-            rows = _table_rows(analytics.build_latency_points(sets, geo=geo))
-            writer = csv.writer(out)
-            writer.writerow(TABLE_COLUMNS[:6])  # through median_ms
-            writer.writerows(row[:6] for row in rows)
-        elif args.kind == "penalty":
-            points = analytics.build_latency_points(sets, geo=geo)
-            rows = analytics.ipv6_penalty(points, config.happy_eyeballs_threshold_ms)
-            writer = csv.writer(out)
-            writer.writerow(
-                ["metric", "region", "cdn", "resolver", "v4_median", "v6_median", "delta", "flagged"]
-            )
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.metric.value,
-                        row.region,
-                        row.cdn,
-                        row.resolver_label,
-                        round(row.v4_median, 3),
-                        round(row.v6_median, 3),
-                        round(row.delta, 3),
-                        row.exceeds_threshold,
-                    ]
-                )
-        elif args.kind == "diversity":
-            observations = []
-            for mset in sets:
-                try:
-                    edge = select_edge(mset.dns_results, mset.ip_version)
-                except NoAddressError:
-                    continue
-                observations.append(
-                    analytics.EdgeObservation(
-                        vantage_id=mset.vantage_id,
-                        website=mset.website,
-                        resolver_label=mset.resolver_label,
-                        ip_version=mset.ip_version,
-                        address=edge.address,
-                        region=analytics.region_of(geo, mset.vantage_id),
-                    )
-                )
-            reports = analytics.address_diversity(observations)
-            doc = [
-                {
-                    "website": r.website,
-                    "resolver": r.resolver_label,
-                    "ip_version": r.ip_version.value,
-                    "unique_addresses": r.unique_addresses,
-                    "address_frequency": r.address_frequency,
-                    "regional_purity": r.regional_purity,
-                    "anycast_like": r.anycast_like,
-                }
-                for r in reports
-            ]
-            json.dump(doc, out, indent=2)
-            out.write("\n")
-        elif args.kind == "hit-rate":
-            ttls = load_ttl_table()
-            points = analytics.classify_sets(sets, ttls, quirks=config.quirk_map())
-            rows = hit_rate_table(points) if points else []
-            writer = csv.writer(out)
+        _write_report(report, args.kind, sets, config, geo)
+    except EmptyInputError:
+        pass  # no usable set: the kind's header alone
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as out:
+            out.write(report.getvalue())
+    else:
+        sys.stdout.write(report.getvalue())
+    return 1 if sets.damaged else 0
+
+
+def _edge_observations(sets, geo) -> Iterator[analytics.EdgeObservation]:
+    """The edge each set's DNS answers chose; a set without one is skipped."""
+    for mset in sets:
+        try:
+            edge = select_edge(mset.dns_results, mset.ip_version)
+        except NoAddressError:
+            continue
+        yield analytics.EdgeObservation(
+            vantage_id=mset.vantage_id,
+            website=mset.website,
+            resolver_label=mset.resolver_label,
+            ip_version=mset.ip_version,
+            address=edge.address,
+            region=analytics.region_of(geo, mset.vantage_id),
+        )
+
+
+def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
+    """Fold sets into the report of this kind and write it to out.
+
+    Every CSV kind writes its header before it folds, so a kind that raises
+    EmptyInputError over no usable set has written its header alone.
+    """
+    writer = csv.writer(out)
+    if kind == "cdf":
+        writer.writerow(["metric", "cdn", "resolver", "ip_version", "value_ms", "fraction"])
+        series = analytics.distribution(analytics.build_latency_points(sets, geo=geo))
+        for key in sorted(series):
+            for value, fraction in series[key]:
+                writer.writerow([*key, round(value, 3), round(fraction, 6)])
+    elif kind == "table":
+        writer.writerow(TABLE_COLUMNS[:6])  # through median_ms
+        rows = _table_rows(analytics.build_latency_points(sets, geo=geo))
+        writer.writerows(row[:6] for row in rows)
+    elif kind == "penalty":
+        writer.writerow(
+            ["metric", "region", "cdn", "resolver", "v4_median", "v6_median", "delta", "flagged"]
+        )
+        points = analytics.build_latency_points(sets, geo=geo)
+        for row in analytics.ipv6_penalty(points, config.happy_eyeballs_threshold_ms):
             writer.writerow(
                 [
-                    "cdn", "resolver", "ip_version", "count",
-                    "hit_rate", "miss_rate", "unknown_rate",
-                    "median_hit_ms", "median_miss_ms", "median_unknown_ms",
+                    row.metric.value,
+                    row.region,
+                    row.cdn,
+                    row.resolver_label,
+                    round(row.v4_median, 3),
+                    round(row.v6_median, 3),
+                    round(row.delta, 3),
+                    row.exceeds_threshold,
                 ]
             )
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.cdn,
-                        row.resolver_label,
-                        row.ip_version.value,
-                        row.count,
-                        round(row.hit_rate, 2),
-                        round(row.miss_rate, 2),
-                        round(row.unknown_rate, 2),
-                        "N/A" if row.median_hit_ms is None else round(row.median_hit_ms, 3),
-                        "N/A" if row.median_miss_ms is None else round(row.median_miss_ms, 3),
-                        "N/A" if row.median_unknown_ms is None else round(row.median_unknown_ms, 3),
-                    ]
-                )
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 1 if damaged else 0
+    elif kind == "diversity":
+        reports = analytics.address_diversity(_edge_observations(sets, geo))
+        doc = [
+            {
+                "website": r.website,
+                "resolver": r.resolver_label,
+                "ip_version": r.ip_version.value,
+                "unique_addresses": r.unique_addresses,
+                "address_frequency": r.address_frequency,
+                "regional_purity": r.regional_purity,
+                "anycast_like": r.anycast_like,
+            }
+            for r in reports
+        ]
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+    elif kind == "hit-rate":
+        writer.writerow(
+            [
+                "cdn", "resolver", "ip_version", "count",
+                "hit_rate", "miss_rate", "unknown_rate",
+                "median_hit_ms", "median_miss_ms", "median_unknown_ms",
+            ]
+        )
+        points = analytics.classify_sets(sets, load_ttl_table(), quirks=config.quirk_map())
+        for row in hit_rate_table(points):
+            writer.writerow(
+                [
+                    row.cdn,
+                    row.resolver_label,
+                    row.ip_version.value,
+                    row.count,
+                    round(row.hit_rate, 2),
+                    round(row.miss_rate, 2),
+                    round(row.unknown_rate, 2),
+                    "N/A" if row.median_hit_ms is None else round(row.median_hit_ms, 3),
+                    "N/A" if row.median_miss_ms is None else round(row.median_miss_ms, 3),
+                    "N/A" if row.median_unknown_ms is None else round(row.median_unknown_ms, 3),
+                ]
+            )
 
 
 def _cmd_import_atlas(args) -> int:

@@ -11,13 +11,21 @@ dataclass gets one encode and one decode function, generated once from
 its fields: a dict display of the fields, and a call of the type with
 each stored field in order, so every __post_init__ check still runs.
 write_records replaces a file only once the whole new content is
-written.  Readers reject unknown major schema versions and salvage
-everything before a truncated final line.
+written.
 
-read_records gives consecutive records whose stored specs are equal (and
-written the same way) one shared spec_snapshot dict, so a campaign costs
-one copy of its spec, not one per record.  Callers must not mutate a
-spec_snapshot they read; the change would show in every record sharing it.
+iter_records streams a file: it reads one line at a time and yields one
+fully decoded record at a time, so a caller that folds each record into a
+summary holds one record, not the file.  read_records is the list of what
+iter_records yields.  Both reject unknown major schema versions and
+salvage everything before a damaged final line.  A damaged line anywhere
+else is a schema error naming its line: one that is not JSON, is blank,
+holds bytes that are not UTF-8, or stores a value the record types
+refuse.  Blank lines at the end of a file are ignored.
+
+Consecutive records of one file whose stored specs are equal (and written
+the same way) share one spec_snapshot dict, so a campaign costs one copy
+of its spec, not one per record.  Callers must not mutate a spec_snapshot
+they read; the change would show in every record sharing it.
 
 The record types (MeasurementSet and the wire, resolve and mapping types
 it holds) are slotted dataclasses: a record carries its fields and
@@ -33,6 +41,7 @@ import json
 import operator
 import os
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -124,7 +133,7 @@ def _codec(tp):
 
     A stored value of the wrong shape makes decoding raise KeyError,
     ValueError or TypeError (WireError for an invalid name), which
-    read_records reports as damage.
+    iter_records reports as damage.
     """
     if dataclasses.is_dataclass(tp):
         return _field_codecs(tp)
@@ -211,42 +220,50 @@ def append_records(records: list[CampaignRecord], path: str):
         raise IoFailureError(f"cannot append to {path}: {exc}") from exc
 
 
-def read_records(path: str) -> list[CampaignRecord]:
-    """Total inverse of write_records.
+def iter_records(path: str) -> Iterator[CampaignRecord]:
+    """The records of path, read one line at a time and yielded one fully
+    decoded record at a time.
 
-    Unknown major schema versions raise SchemaMismatchError naming the
-    offending line.  A file cut off mid-record raises TruncatedFileError
-    carrying the records that did parse.
+    An unknown major schema version raises SchemaMismatchError naming its
+    line, and so does an interior line that is damaged, blank or not
+    UTF-8.  Blank lines at the end are ignored.  A damaged final line
+    raises TruncatedFileError after every record before it was yielded;
+    its .records is empty, because the caller already has them.  A file
+    that cannot be opened or read raises IoFailureError.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield from _decode_lines(fh)
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    # drop a trailing empty chunk from the final newline
-    while lines and lines[-1] == "":
-        lines.pop()
+
+
+def read_records(path: str) -> list[CampaignRecord]:
+    """Total inverse of write_records: iter_records as a list.
+
+    A file cut off mid-record raises TruncatedFileError carrying the
+    records that did parse.
+    """
     records: list[CampaignRecord] = []
+    try:
+        records.extend(iter_records(path))
+    except TruncatedFileError as exc:
+        exc.records = records
+        raise
+    return records
+
+
+def _decode_lines(lines) -> Iterator[CampaignRecord]:
     spec, spec_text = None, ""
-    last = len(lines)
+    blank = 0  # the first blank line since the last record, if any
     for lineno, line in enumerate(lines, start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == last:
-                raise TruncatedFileError(lineno, records) from exc
-            raise SchemaMismatchError(f"unparseable record: {exc}", lineno) from exc
-        version = obj.get("schema_version")
-        if not isinstance(version, int) or version != SCHEMA_VERSION:
-            raise SchemaMismatchError(
-                f"unknown schema version {version!r} (reader supports {SCHEMA_VERSION})", lineno
-            )
-        try:
-            record = record_from_dict(obj)
-        except (KeyError, ValueError, TypeError, WireError) as exc:
-            if lineno == last:
-                raise TruncatedFileError(lineno, records) from exc
-            raise SchemaMismatchError(f"malformed record: {exc}", lineno) from exc
+        line = line.rstrip("\n")
+        if not line:
+            blank = blank or lineno
+            continue
+        if blank:
+            _decode_line("", blank, [line])  # an interior blank line: raises
+        record = _decode_line(line, lineno, lines)
         # A record whose spec equals the previous one's shares its dict.  The
         # text test keeps apart specs that compare equal but are written
         # differently (1 and 1.0), so every record writes back unchanged.
@@ -254,5 +271,38 @@ def read_records(path: str) -> list[CampaignRecord]:
             record.spec_snapshot = spec
         else:
             spec, spec_text = record.spec_snapshot, _spec_text(record.spec_snapshot)
-        records.append(record)
-    return records
+        yield record
+
+
+def _decode_line(line: str, lineno: int, rest) -> CampaignRecord:
+    """The record stored on line lineno.  rest, the lines after it, is read
+    only on damage, to tell a truncated final line from a damaged interior
+    one."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")  # a byte that was not UTF-8 cannot encode back
+        except UnicodeEncodeError as exc:
+            raise _damage("record is not valid UTF-8", lineno, rest) from exc
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _damage(f"unparseable record: {exc}", lineno, rest) from exc
+    if not isinstance(obj, dict):
+        raise _damage(f"malformed record: {type(obj).__name__} where an object belongs", lineno, rest)
+    version = obj.get("schema_version")
+    if not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise SchemaMismatchError(
+            f"unknown schema version {version!r} (reader supports {SCHEMA_VERSION})", lineno
+        )
+    try:
+        return record_from_dict(obj)
+    except (KeyError, ValueError, TypeError, WireError) as exc:
+        raise _damage(f"malformed record: {exc}", lineno, rest) from exc
+
+
+def _damage(message: str, lineno: int, rest) -> Exception:
+    """TruncatedFileError when only blank lines follow line lineno, else
+    SchemaMismatchError."""
+    if any(later.rstrip("\n") for later in rest):
+        return SchemaMismatchError(message, lineno)
+    return TruncatedFileError(lineno, [])

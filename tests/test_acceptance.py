@@ -337,7 +337,7 @@ def test_mock_network_end_to_end():
             target = 30.0 if point.metric is Metric.DNS else 25.0
             assert abs(point.value - target) <= 5.0
 
-        classified = classify_sets(sets, load_ttl_table())
+        classified = list(classify_sets(sets, load_ttl_table()))
         assert len(classified) == 8
         verdicts = {}
         for point in classified:

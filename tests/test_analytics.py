@@ -451,31 +451,33 @@ class TestClassifySets:
     def test_ttl_and_latency_come_from_the_same_response(self):
         # median-latency response (11ms) carries the only matching TTL
         mset = self._set_with_ttls([(10.0, 19), (11.0, 20), (12.0, 19)])
-        point = classify_sets([mset], {"akamai": 20})[0]
+        point = list(classify_sets([mset], {"akamai": 20}))[0]
         assert point.verdict is Verdict.HIT
         assert point.latency_ms == 11.0
 
     def test_website_ttl_overrides_cdn_ttl(self):
         mset = self._set_with_ttls([(10.0, 30), (11.0, 30), (12.0, 30)])
-        point = classify_sets([mset], {"www.example.com": 30, "akamai": 20})[0]
+        point = list(classify_sets([mset], {"www.example.com": 30, "akamai": 20}))[0]
         assert point.verdict is Verdict.HIT
 
     def test_quirk_applies_per_resolver_label(self):
         mset = self._set_with_ttls([(10.0, 19), (11.0, 19), (12.0, 19)])
-        point = classify_sets(
-            [mset],
-            {"akamai": 20},
-            quirks={"google": TtlQuirk.GOOGLE_DECREMENT},
-            convention=Convention.EQUAL_IS_MISS,
+        point = list(
+            classify_sets(
+                [mset],
+                {"akamai": 20},
+                quirks={"google": TtlQuirk.GOOGLE_DECREMENT},
+                convention=Convention.EQUAL_IS_MISS,
+            )
         )[0]
         assert point.verdict is Verdict.MISS
 
     def test_missing_ttl_reference_skips_set(self, caplog):
         mset = self._set_with_ttls([(10.0, 20), (11.0, 20), (12.0, 20)])
         with caplog.at_level("WARNING", logger="dnscdn.analytics"):
-            assert classify_sets([mset], {"fastly": 30}) == []
+            assert list(classify_sets([mset], {"fastly": 30})) == []
         assert any("no authoritative TTL" in rec.getMessage() for rec in caplog.records)
 
     def test_unusable_sets_skipped(self):
         broken = make_set(dns=((10.0, 16.0, False), (11.0, 16.1, False)))
-        assert classify_sets([broken], {"akamai": 20}) == []
+        assert list(classify_sets([broken], {"akamai": 20})) == []

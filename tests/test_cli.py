@@ -435,6 +435,213 @@ class TestDamagedInput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+READ_COMMANDS = {
+    "analyze": ["analyze"],
+    "cdf": ["report", "--kind", "cdf"],
+    "table": ["report", "--kind", "table"],
+    "penalty": ["report", "--kind", "penalty"],
+    "diversity": ["report", "--kind", "diversity"],
+    "hit-rate": ["report", "--kind", "hit-rate"],
+}
+REPORT_KINDS = [kind for kind, command in READ_COMMANDS.items() if command[0] == "report"]
+
+
+def fixture_lines(tmp_path):
+    """analysis_fixture's four stored lines, and its geo file."""
+    path, geo = analysis_fixture(tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines(), geo
+
+
+def run_read_command(command, paths, geo, *extra):
+    inputs = [arg for path in paths for arg in ("--input", str(path))]
+    return cli.main([*command, *inputs, "--geo", geo, *extra])
+
+
+class TestReadPath:
+    """How analyze and every report kind treat blank and damaged lines."""
+
+    @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
+    def test_damage_in_a_later_file_stops_before_any_output(self, tmp_path, capsys, command):
+        lines, geo = fixture_lines(tmp_path)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_text("\n".join(lines) + "\n")
+        second.write_text("\n".join([lines[0], "{garbage", *lines[1:]]) + "\n")
+        output = tmp_path / "report.out"
+        extra = ["--output", str(output)] if command[0] == "report" else []
+        assert run_read_command(command, [first, second], geo, *extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {second}: line 2: unparseable record: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("kind", REPORT_KINDS)
+    def test_damage_leaves_an_existing_output_file_alone(self, tmp_path, capsys, kind):
+        lines, geo = fixture_lines(tmp_path)
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text("\n".join([lines[0], "{garbage", lines[1]]) + "\n")
+        output = tmp_path / "report.out"
+        output.write_text("earlier report\n")
+        assert run_read_command(READ_COMMANDS[kind], [damaged], geo, "--output", str(output)) == 2
+        assert output.read_text() == "earlier report\n"
+
+    @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
+    def test_truncated_final_line_salvages_the_rest(self, tmp_path, capsys, command):
+        lines, geo = fixture_lines(tmp_path)
+        whole, cut = tmp_path / "three.jsonl", tmp_path / "cut.jsonl"
+        whole.write_text("\n".join(lines[:3]) + "\n")
+        cut.write_text("\n".join(lines[:3]) + "\n" + lines[3][:200])
+        assert run_read_command(command, [whole], geo) == 0
+        salvaged_out = capsys.readouterr().out
+        assert run_read_command(command, [cut], geo) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"damaged input: {cut}: truncated at line 4; salvaged 3 record(s)"]
+        assert out == salvaged_out
+
+    @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
+    def test_trailing_blank_lines_are_ignored(self, tmp_path, capsys, command):
+        lines, geo = fixture_lines(tmp_path)
+        plain, padded = tmp_path / "plain.jsonl", tmp_path / "padded.jsonl"
+        plain.write_text("\n".join(lines) + "\n")
+        padded.write_text("\n".join(lines) + "\n\n\n")
+        assert run_read_command(command, [plain], geo) == 0
+        plain_out = capsys.readouterr().out
+        assert run_read_command(command, [padded], geo) == 0
+        assert capsys.readouterr() == (plain_out, "")
+
+    @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
+    def test_interior_blank_line_is_a_schema_error(self, tmp_path, capsys, command):
+        lines, geo = fixture_lines(tmp_path)
+        gapped = tmp_path / "gapped.jsonl"
+        gapped.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+        assert run_read_command(command, [gapped], geo) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {gapped}: line 2: unparseable record: Expecting value: line 1 column 1 (char 0)\n",
+        )
+
+
+class TestUndecodableBytes:
+    """A stored line holding bytes that are not UTF-8 is a damaged line."""
+
+    @staticmethod
+    def _write(tmp_path, lines, bad_index):
+        raw = [line.encode("utf-8") for line in lines]
+        raw[bad_index] = raw[bad_index].replace(b'"campaign_id":"c1"', b'"campaign_id":"c\xff1"')
+        path = tmp_path / "undecodable.jsonl"
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        return path
+
+    @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
+    def test_mid_file_is_a_schema_error(self, tmp_path, capsys, command):
+        lines, geo = fixture_lines(tmp_path)
+        path = self._write(tmp_path, lines, 1)
+        assert run_read_command(command, [path], geo) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: line 2: record is not valid UTF-8"]
+
+    @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
+    def test_final_line_is_a_truncation(self, tmp_path, capsys, command):
+        lines, geo = fixture_lines(tmp_path)
+        path = self._write(tmp_path, lines, 3)
+        assert run_read_command(command, [path], geo) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"damaged input: {path}: truncated at line 4; salvaged 3 record(s)"
+        ]
+
+    @pytest.mark.parametrize("bad_index", [1, 3], ids=["mid-file", "final-line"])
+    def test_fill_in_reports_an_error_line(self, tmp_path, capsys, bad_index):
+        lines, _ = fixture_lines(tmp_path)
+        path = self._write(tmp_path, lines, bad_index)
+        before = path.read_bytes()
+        assert cli.main(["fill-in", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert path.read_bytes() == before
+
+
+class TestEmptyCorpus:
+    """With no usable set, every command prints its header and succeeds."""
+
+    FIRST_LINES = {
+        "analyze": "metric,region,cdn,resolver,ip_version,median_ms,mean_ms,region_vantages",
+        "cdf": "metric,cdn,resolver,ip_version,value_ms,fraction",
+        "table": "metric,region,cdn,resolver,ip_version,median_ms",
+        "penalty": "metric,region,cdn,resolver,v4_median,v6_median,delta,flagged",
+        "diversity": "[]",
+        "hit-rate": "cdn,resolver,ip_version,count,hit_rate,miss_rate,unknown_rate,"
+        "median_hit_ms,median_miss_ms,median_unknown_ms",
+    }
+
+    @pytest.mark.parametrize("kind", READ_COMMANDS)
+    @pytest.mark.parametrize("content", ["empty", "unusable"])
+    def test_prints_the_header_only(self, tmp_path, capsys, kind, content):
+        path = str(tmp_path / "corpus.jsonl")
+        nothing_measured = make_set(dns=(), handshakes=())
+        write_records([] if content == "empty" else [CampaignRecord("c1", nothing_measured)], path)
+        assert cli.main([*READ_COMMANDS[kind], "--input", path]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [self.FIRST_LINES[kind]]
+        assert err == ""
+
+
+class TestGeoFile:
+    """--geo must be a JSON object whose regions are strings or null."""
+
+    CONTENTS = {
+        "missing": None,
+        "cut-short": '{"p1": ',
+        "non-string-region": '{"p1": "asia", "p2": 5}',
+        "not-an-object": '["asia"]',
+    }
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["report", "--kind", "table"]], ids=["analyze", "report"]
+    )
+    @pytest.mark.parametrize("case", CONTENTS)
+    def test_unusable_geo_is_an_error_line(self, tmp_path, capsys, command, case):
+        path, _ = analysis_fixture(tmp_path)
+        geo = tmp_path / "unusable-geo.json"
+        if self.CONTENTS[case] is not None:
+            geo.write_text(self.CONTENTS[case])
+        assert cli.main([*command, "--input", path, "--geo", str(geo)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {geo}: ")
+
+
+class TestMissingConfig:
+    """Every command that takes --config reports a missing one as an error line."""
+
+    @staticmethod
+    def _argv(tmp_path, command):
+        if command == "discover":
+            domains = tmp_path / "ranked.csv"
+            domains.write_text("GlobalRank,TldRank,Domain\n")
+            return ["discover", "--domains", str(domains), "--output", str(tmp_path / "sites.json")]
+        if command == "detect-isp":
+            resolv = tmp_path / "resolv.conf"
+            resolv.write_text("nameserver 127.0.0.1\n")
+            return ["detect-isp", "--resolv-conf", str(resolv)]
+        if command in ("fill-in", "report"):
+            path, _ = analysis_fixture(tmp_path)
+            return [command, "--input", path]
+        return {"measure": ["measure"], "schedule": ["schedule", "--count", "1"]}[command]
+
+    @pytest.mark.parametrize(
+        "command", ["discover", "detect-isp", "measure", "schedule", "fill-in", "report"]
+    )
+    def test_missing_config_is_an_error_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.json"
+        assert cli.main([*self._argv(tmp_path, command), "--config", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {missing}: ")
+
+
 class TestReport:
     def test_cdf_series(self, tmp_path, capsys):
         path, geo = analysis_fixture(tmp_path)

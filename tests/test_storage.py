@@ -23,6 +23,7 @@ from dnscdn.storage import (
     SchemaMismatchError,
     TruncatedFileError,
     append_records,
+    iter_records,
     read_records,
     record_to_dict,
     write_records,
@@ -356,6 +357,86 @@ class TestSchemaHandling:
             read_records(str(path))
         assert excinfo.value.line_number == 1
 
+
+    @pytest.mark.parametrize("value", ["[]", "5", '"x"', "null"])
+    def test_json_that_is_not_an_object_is_damage(self, tmp_path, value):
+        path = tmp_path / "stray.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{value}\n{GOLDEN_LINE}\n")
+        with pytest.raises(SchemaMismatchError, match="line 2: malformed record"):
+            read_records(str(path))
+        path.write_text(f"{GOLDEN_LINE}\n{value}\n")
+        with pytest.raises(TruncatedFileError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.records == [golden_record()]
+
+    def test_blank_line_before_the_final_record_is_schema_mismatch(self, tmp_path):
+        path = tmp_path / "gapped.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n\n{GOLDEN_LINE}\n")
+        with pytest.raises(SchemaMismatchError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 2
+
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "padded.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n\n\n")
+        assert read_records(str(path)) == [golden_record()]
+
+    def test_damaged_line_followed_by_blank_lines_is_truncated(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{GOLDEN_LINE[:50]}\n\n")
+        with pytest.raises(TruncatedFileError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.records == [golden_record()]
+
+    @staticmethod
+    def _not_utf8(line: str) -> bytes:
+        raw = line.encode("ascii")
+        assert b'"campaign_id":"' in raw
+        return raw.replace(b'"campaign_id":"', b'"campaign_id":"\xff', 1)
+
+    def test_bytes_that_are_not_utf8_midfile_are_schema_mismatch(self, tmp_path):
+        path = tmp_path / "undecodable.jsonl"
+        path.write_bytes(b"\n".join([GOLDEN_LINE.encode(), self._not_utf8(GOLDEN_LINE), GOLDEN_LINE.encode()]))
+        with pytest.raises(SchemaMismatchError, match="line 2: record is not valid UTF-8"):
+            read_records(str(path))
+
+    def test_bytes_that_are_not_utf8_on_the_last_line_are_truncated(self, tmp_path):
+        path = tmp_path / "undecodable.jsonl"
+        path.write_bytes(GOLDEN_LINE.encode() + b"\n" + self._not_utf8(GOLDEN_LINE) + b"\n")
+        with pytest.raises(TruncatedFileError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.records == [golden_record()]
+
+    def test_utf8_text_beyond_ascii_reads_back(self, tmp_path):
+        record = CampaignRecord(campaign_id="c", mset=make_set(), spec_snapshot={"note": "é"})
+        path = tmp_path / "accented.jsonl"
+        path.write_text(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n", encoding="utf-8")
+        assert read_records(str(path)) == [record]
+
+    def test_iter_records_yields_each_record_before_reading_on(self, tmp_path):
+        path = tmp_path / "bitrot.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{{garbage\n{GOLDEN_LINE}\n")
+        records = iter_records(str(path))
+        assert next(records) == golden_record()
+        with pytest.raises(SchemaMismatchError) as excinfo:
+            next(records)
+        assert excinfo.value.line_number == 2
+
+    def test_iter_records_leaves_the_salvage_with_the_caller(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{GOLDEN_LINE}\n{GOLDEN_LINE[:80]}")
+        seen = []
+        with pytest.raises(TruncatedFileError) as excinfo:
+            seen.extend(iter_records(str(path)))
+        assert seen == [golden_record(), golden_record()]
+        assert excinfo.value.line_number == 3
+        assert excinfo.value.records == []
+
+    def test_iter_records_on_a_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailureError):
+            next(iter_records(str(tmp_path / "absent.jsonl")))
 
     @pytest.mark.parametrize("damage", NESTED_DAMAGE)
     def test_damaged_nested_value_midfile_is_schema_mismatch(self, tmp_path, damage):
