@@ -34,9 +34,9 @@ from .campaign import (
     run_campaign,
     run_measurement_set,
 )
-from .config import ToolConfig, load_config, save_config
+from .config import ToolConfig, load_config
 from .discovery import CdnCatalog, CandidateSite, follow_cname_chain, scan_domain_list
-from .mapping import EdgeAssignment, HandshakeSample, mapping_latency, measure_handshake, select_edge
+from .mapping import HandshakeSample, mapping_latency, measure_handshake, select_edge
 from .resolve import TimedDnsResponse, resolve_once
 from .resolver_id import (
     Classification,

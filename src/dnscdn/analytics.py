@@ -6,6 +6,10 @@ medians collapse a vantage's websites to one latency point, and all
 tables, distributions, and tests operate on those points.  Everything
 here is pure; identical inputs give identical outputs.
 
+The three folds over sets, build_latency_points, classify_sets and
+address_diversity, each skip a set that is not usable (is_usable) as it
+comes, so every output counts usable sets only.
+
 A vantage's region is decided once, by region_of, when
 build_latency_points makes its points; every table after that reads the
 point's region.
@@ -23,7 +27,7 @@ from enum import Enum
 
 from .cache import ClassifiedPoint, Convention, EmptyInputError, TtlQuirk, classify
 from .campaign import MeasurementSet, is_usable
-from .mapping import mapping_latency
+from .mapping import mapping_latency, select_edge
 from .wire import IpVersion
 
 log = logging.getLogger(__name__)
@@ -294,53 +298,50 @@ def ipv6_penalty(
 
 
 @dataclass
-class EdgeObservation:
-    """One vantage's edge assignment, annotated for diversity reporting."""
-
-    vantage_id: str
-    website: str
-    resolver_label: str
-    ip_version: IpVersion
-    address: str
-    region: str = UNASSIGNED_REGION
-
-
-@dataclass
 class DiversityReport:
     website: str
     resolver_label: str
     ip_version: IpVersion
     unique_addresses: int
     address_frequency: dict[str, int]
-    vantage_address: dict[str, str]
     regional_purity: dict[str, float]
     anycast_like: bool
 
 
-def address_diversity(observations: Iterable[EdgeObservation]) -> list[DiversityReport]:
-    """Edge-address spread per (website, resolver, family).
+def address_diversity(
+    sets: Iterable[MeasurementSet],
+    *,
+    geo: dict[str, str] | None = None,
+) -> list[DiversityReport]:
+    """Edge-address spread per (website, resolver, family), over usable sets.
 
-    Regional purity is, per region, the share of that region's
-    observations carrying the region's most common address: 1.0 means the
-    region maps to one address, values near the global modal share mean
-    the addresses are intermixed irrespective of geography.  A report is
-    flagged anycast_like when at most ANYCAST_MAX_UNIQUE distinct addresses
-    serve everyone.
+    A set's edge is the address select_edge reads from its DNS answers; a
+    usable set without one is skipped.  Regional purity is, per region
+    (region_of(geo, vantage)), the share of that region's sets carrying
+    the region's most common address: 1.0 means the region maps to one
+    address, values near the global modal share mean the addresses are
+    intermixed irrespective of geography.  A report is flagged
+    anycast_like when at most ANYCAST_MAX_UNIQUE distinct addresses serve
+    everyone.
 
-    Each observation is folded into its group's address counts, first
-    address per vantage and per-region address counts, then dropped.
+    Each set's edge is folded into its group's address counts and
+    per-region address counts, and the set is dropped.
     """
+    geo = geo or {}
     # per (website, resolver, family)
     freq: dict[tuple, dict[str, int]] = {}
-    per_vantage: dict[tuple, dict[str, str]] = {}
     by_region: dict[tuple, dict[str, dict[str, int]]] = {}
-    for obs in observations:
-        key = (obs.website, obs.resolver_label, obs.ip_version)
+    for mset in sets:
+        if not is_usable(mset):
+            continue
+        address = select_edge(mset.dns_results, mset.ip_version)
+        if address is None:
+            continue
+        key = (mset.website, mset.resolver_label, mset.ip_version)
         counts = freq.setdefault(key, {})
-        counts[obs.address] = counts.get(obs.address, 0) + 1
-        per_vantage.setdefault(key, {}).setdefault(obs.vantage_id, obs.address)
-        counts = by_region.setdefault(key, {}).setdefault(obs.region, {})
-        counts[obs.address] = counts.get(obs.address, 0) + 1
+        counts[address] = counts.get(address, 0) + 1
+        counts = by_region.setdefault(key, {}).setdefault(region_of(geo, mset.vantage_id), {})
+        counts[address] = counts.get(address, 0) + 1
     reports = []
     for key in sorted(freq, key=lambda k: (k[0], k[1], k[2].value)):
         website, resolver_label, ip_version = key
@@ -355,7 +356,6 @@ def address_diversity(observations: Iterable[EdgeObservation]) -> list[Diversity
                 ip_version=ip_version,
                 unique_addresses=len(freq[key]),
                 address_frequency=freq[key],
-                vantage_address=per_vantage[key],
                 regional_purity=purity,
                 anycast_like=len(freq[key]) <= ANYCAST_MAX_UNIQUE,
             )

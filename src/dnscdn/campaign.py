@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .cache import TtlQuirk
-from .mapping import HandshakeAttempt, HandshakeSample, NoAddressError, measure_handshake, select_edge
+from .mapping import HandshakeAttempt, HandshakeSample, measure_handshake, select_edge
 from .resolve import DnsExchange, QueryTimeoutError, ResolveError, TimedDnsResponse, resolve_once
 from .wire import DEFAULT_TIMEOUT_MS, DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
@@ -212,15 +212,12 @@ def _set_steps(spec, website, resolver, ip_version, vantage_id):
                 log.debug("query %d for %s via %s failed: %s", attempt + 1, hostname, label, reply)
             else:
                 dns_results.append(reply)
-        try:
-            edge = select_edge(dns_results, ip_version, website=hostname, resolver_label=label)
-        except NoAddressError:
-            pass
+        edge = select_edge(dns_results, ip_version)
 
     handshake_results: list[HandshakeSample] = []
     if edge is not None:
         for _ in range(spec.handshake_repeats):
-            sample = yield _CONNECT, edge.address
+            sample = yield _CONNECT, edge
             # failures are recorded as absent, not as failed samples
             if sample.success:
                 handshake_results.append(sample)

@@ -14,6 +14,10 @@ a damaged line before the end of a record file) is one error line on
 stderr, exit status 2 and no output; an --output file is then neither
 created nor truncated.  A record file cut short in its final line gives up
 the records before that line, one damage line on stderr and exit status 1.
+Every command checks its other input paths (--config, --data-dir,
+--sites, --domains, --catalog) the same way: one that is missing or
+cannot be parsed is an error line and exit status 2, before any query is
+sent or any file is written.
 
 analyze, report and import-atlas run with the cyclic garbage collector
 paused.  Their records form no reference cycles, so reference counting
@@ -42,8 +46,7 @@ from . import analytics, atlas, storage
 from .cache import EmptyInputError, hit_rate_table, load_ttl_table
 from .campaign import MeasurementSet, MeasurementSpec, ResolverEntry, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
-from .discovery import CdnCatalog, load_domain_list, scan_domain_list
-from .mapping import NoAddressError, select_edge
+from .discovery import CatalogError, CdnCatalog, load_domain_list, scan_domain_list
 from .resolve import ResolveError, resolve_once
 from .resolver_id import (
     Classification,
@@ -183,30 +186,53 @@ def main(argv=None) -> int:
         return 2
 
 
-def _load_tool_config(path) -> ToolConfig:
-    if not path:
-        return ToolConfig()
+def _read_input(path: str, load):
+    """load(path), with a file it cannot read or parse (ValueError covers
+    JSON, UTF-8 and shape errors) as an UnusableInputError."""
     try:
-        return load_config(path)
-    except (OSError, ValueError) as exc:
+        return load(path)
+    except (OSError, ValueError, csv.Error, CatalogError) as exc:
         raise UnusableInputError(f"{path}: {exc}") from exc
 
 
-def _load_sites(path) -> list[tuple[str, str]]:
-    """Site list JSON (keyed by CDN) to (cdn, hostname) tuples."""
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def _load_tool_config(path) -> ToolConfig:
+    return _read_input(path, load_config) if path else ToolConfig()
+
+
+def _load_sites(path: str) -> list[tuple[str, str]]:
+    """Site list JSON from `discover` (keyed by CDN) to (cdn, hostname) tuples."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or not all(isinstance(sites, list) for sites in doc.values()):
+        raise ValueError("not a JSON object mapping CDN to a list of sites")
     websites = []
     for cdn, sites in doc.items():
         for site in sites:
-            websites.append((cdn, site["terminal_cname"]))
+            hostname = site.get("terminal_cname") if isinstance(site, dict) else None
+            if not isinstance(hostname, str):
+                raise ValueError(f"a {cdn} site has no terminal_cname string")
+            websites.append((cdn, hostname))
     return websites
+
+
+def _campaign_inputs(args) -> tuple[ToolConfig, list[tuple[str, str]]]:
+    """The config and websites that measure and schedule run on."""
+    config = _load_tool_config(args.config)
+    websites = _read_input(args.sites, _load_sites) if args.sites else config.websites
+    if not websites:
+        raise UnusableInputError("no websites; run `discover` or list them in the config")
+    return config, websites
 
 
 def _cmd_discover(args) -> int:
     config = _load_tool_config(args.config)
-    catalog = CdnCatalog.load(args.catalog or config.catalog_path)
-    domains = load_domain_list(args.domains)
+    catalog_path = args.catalog or config.catalog_path
+    catalog = _read_input(catalog_path, CdnCatalog.load) if catalog_path else CdnCatalog.load()
+    domains = _read_input(args.domains, load_domain_list)
     result = scan_domain_list(
         domains,
         catalog,
@@ -343,21 +369,13 @@ def _run_one_campaign(config: ToolConfig, websites, output_path, *, preflight=Tr
 
 
 def _cmd_measure(args) -> int:
-    config = _load_tool_config(args.config)
-    websites = _load_sites(args.sites) if args.sites else config.websites
-    if not websites:
-        print("error: no websites; run `discover` or list them in the config", file=sys.stderr)
-        return 2
+    config, websites = _campaign_inputs(args)
     status, _ = _run_one_campaign(config, websites, args.output, preflight=not args.skip_preflight)
     return status
 
 
 def _cmd_schedule(args) -> int:
-    config = _load_tool_config(args.config)
-    websites = _load_sites(args.sites) if args.sites else config.websites
-    if not websites:
-        print("error: no websites; run `discover` or list them in the config", file=sys.stderr)
-        return 2
+    config, websites = _campaign_inputs(args)
     interval = args.interval_s if args.interval_s is not None else config.recurrence_interval_s
     ran = 0
     worst = 0
@@ -397,7 +415,7 @@ def _cmd_fill_in(args) -> int:
 
 
 def _campaign_files(data_dir: str, month: str | None) -> list[str]:
-    names = sorted(os.listdir(data_dir))
+    names = sorted(_read_input(data_dir, os.listdir))
     if month:
         stamp = month.replace("-", "")
         names = [n for n in names if "".join(c for c in n if c.isdigit()).startswith(stamp)]
@@ -457,11 +475,7 @@ def _load_geo(path) -> dict[str, str | None]:
     """The --geo file: a JSON object mapping vantage id to a region name or null."""
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            geo = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UnusableInputError(f"{path}: {exc}") from exc
+    geo = _read_input(path, _load_json)
     if not isinstance(geo, dict):
         raise UnusableInputError(f"{path}: not a JSON object mapping vantage id to region")
     for vantage_id, region in geo.items():
@@ -537,23 +551,6 @@ def _cmd_report(args) -> int:
     return 1 if sets.damaged else 0
 
 
-def _edge_observations(sets, geo) -> Iterator[analytics.EdgeObservation]:
-    """The edge each set's DNS answers chose; a set without one is skipped."""
-    for mset in sets:
-        try:
-            edge = select_edge(mset.dns_results, mset.ip_version)
-        except NoAddressError:
-            continue
-        yield analytics.EdgeObservation(
-            vantage_id=mset.vantage_id,
-            website=mset.website,
-            resolver_label=mset.resolver_label,
-            ip_version=mset.ip_version,
-            address=edge.address,
-            region=analytics.region_of(geo, mset.vantage_id),
-        )
-
-
 def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
     """Fold sets into the report of this kind and write it to out.
 
@@ -590,7 +587,7 @@ def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
                 ]
             )
     elif kind == "diversity":
-        reports = analytics.address_diversity(_edge_observations(sets, geo))
+        reports = analytics.address_diversity(sets, geo=geo)
         doc = [
             {
                 "website": r.website,

@@ -8,7 +8,7 @@ measurements run dual-stack.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .analytics import HAPPY_EYEBALLS_THRESHOLD_MS
 from .cache import TtlQuirk
@@ -59,15 +59,6 @@ class ToolConfig:
 
     def quirk_map(self) -> dict[str, TtlQuirk]:
         return {r.label: r.ttl_quirk for r in self.resolvers}
-
-
-def save_config(config: ToolConfig, path: str):
-    doc = asdict(config)
-    for entry in doc["resolvers"]:
-        entry["ttl_quirk"] = entry["ttl_quirk"].value
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def load_config(path: str) -> ToolConfig:

@@ -1,11 +1,13 @@
 """CDN edge assignment and client-to-edge mapping latency.
 
-The edge server a client is mapped to is whatever address the first
-non-prewarming DNS response handed back; mapping latency is the median of
-timed TCP handshakes to that address.  Kernel connect() completion is the
-portable stand-in for the SYN to SYN/ACK round trip: a HandshakeAttempt
-starts a non-blocking connect and stops its clock at the select() return
-that reports the socket writable, reading the outcome from SO_ERROR.  The
+The edge a client is mapped to is an address: the first address record
+of the earliest non-prewarm DNS response that has one (select_edge).
+The campaign connects to it, and the diversity report counts it per
+website, resolver and family.  Mapping latency is the median of timed
+TCP handshakes to it.  Kernel connect() completion is the portable
+stand-in for the SYN to SYN/ACK round trip: a HandshakeAttempt starts a
+non-blocking connect and stops its clock at the select() return that
+reports the socket writable, reading the outcome from SO_ERROR.  The
 campaign loop runs many attempts at once; measure_handshake drives one.
 """
 
@@ -20,11 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, wait_ready
-from .wire import DEFAULT_TIMEOUT_MS, IpVersion, RecordType
-
-
-class NoAddressError(Exception):
-    """No non-prewarm DNS response carried an address record."""
+from .wire import DEFAULT_TIMEOUT_MS, IpVersion
 
 
 class NoSuccessError(Exception):
@@ -35,21 +33,6 @@ class HandshakeFailure(Enum):
     TIMEOUT = "timeout"
     REFUSED = "refused"
     UNREACHABLE = "unreachable"
-
-
-@dataclass
-class EdgeAssignment:
-    """The edge address derived from a measurement set's DNS responses."""
-
-    website: str
-    resolver_label: str
-    ip_version: IpVersion
-    address: str
-    source_response: int  # index into the DNS results it was read from
-
-    def __post_init__(self):
-        if IpVersion.of_address(self.address) is not self.ip_version:
-            raise ValueError("edge address family does not match ip_version")
 
 
 @dataclass(slots=True)
@@ -67,37 +50,22 @@ class HandshakeSample:
             raise ValueError("rtt_ms must be present exactly when success is set")
 
 
-def select_edge(
-    dns_results: list[TimedDnsResponse],
-    ip_version: IpVersion,
-    *,
-    website: str = "",
-    resolver_label: str = "",
-) -> EdgeAssignment:
-    """Pick the edge address: first address record (wire order) of the
-    earliest-timestamped non-prewarm response that has one.
+def select_edge(dns_results: list[TimedDnsResponse], ip_version: IpVersion) -> str | None:
+    """The edge address: first address record (wire order) of the
+    earliest-sent non-prewarm response that has one of this family.
 
-    Depends only on send timestamps and answer order, so storage order of
-    dns_results is irrelevant.  Raises NoAddressError if no response
-    carries an address record of the right family.
+    Depends only on send timestamps and answer order; the sort is stable,
+    so list order decides only between equal stamps.  None when no such
+    response carries an address record.  The address needs no family
+    check here: ResourceRecord holds A rdata to IPv4 text and AAAA rdata
+    to IPv6 text.
     """
-    candidates = [
-        (result.sent_at_monotonic, index, result)
-        for index, result in enumerate(dns_results)
-        if not result.is_prewarm
-    ]
-    for _, index, result in sorted(candidates, key=lambda item: item[0]):
+    answered = sorted((r for r in dns_results if not r.is_prewarm), key=lambda r: r.sent_at_monotonic)
+    for result in answered:
         address = result.first_address(ip_version)
         if address is not None:
-            return EdgeAssignment(
-                website=website or result.question.qname,
-                resolver_label=resolver_label,
-                ip_version=ip_version,
-                address=address,
-                source_response=index,
-            )
-    want = RecordType.A if ip_version is IpVersion.V4 else RecordType.AAAA
-    raise NoAddressError(f"no {want.name} record in any non-prewarm response")
+            return address
+    return None
 
 
 class HandshakeAttempt:

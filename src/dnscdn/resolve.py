@@ -34,13 +34,9 @@ from .wire import (
 
 _UDP_RECV_SIZE = 4096
 
-# Transaction ids come from a dedicated generator so runs can be made
-# reproducible; reseed via seed_txids().
+# Transaction ids have their own generator, so code that seeds the random
+# module's shared one does not fix them.
 _txid_rng = random.Random()
-
-
-def seed_txids(seed: int) -> None:
-    _txid_rng.seed(seed)
 
 
 class ResolveError(Exception):

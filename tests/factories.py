@@ -61,10 +61,13 @@ def make_set(
     dns=((30.0, 1.0, True), (10.0, 16.0, False), (11.0, 16.1, False), (12.0, 16.2, False)),
     handshakes=(25.0, 25.5, 24.5),
     ttl=60,
+    address=None,
 ):
-    """dns entries are (latency_ms, sent_at, is_prewarm) triples."""
+    """dns entries are (latency_ms, sent_at, is_prewarm) triples; every
+    answer and handshake carries address, by default one per family."""
     qtype = RecordType.A if ip_version is IpVersion.V4 else RecordType.AAAA
-    address = "192.0.2.1" if ip_version is IpVersion.V4 else "2001:db8::1"
+    if address is None:
+        address = "192.0.2.1" if ip_version is IpVersion.V4 else "2001:db8::1"
     results = [
         make_response(
             lat, at, qname=website, qtype=qtype, address=address, ttl=ttl, prewarm=pre

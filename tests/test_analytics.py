@@ -10,7 +10,6 @@ from factories import make_response, make_set
 from dnscdn import cache
 from dnscdn.analytics import (
     UNASSIGNED_REGION,
-    EdgeObservation,
     EmptyInputError,
     LatencyPoint,
     Metric,
@@ -31,7 +30,7 @@ from dnscdn.analytics import (
 from dnscdn.cache import Convention, TtlQuirk, Verdict
 from dnscdn.campaign import MeasurementSet
 from dnscdn.mapping import HandshakeSample
-from dnscdn.wire import IpVersion
+from dnscdn.wire import IpVersion, ResourceRecord
 
 
 def median_oracle(values):
@@ -340,58 +339,70 @@ class TestIpv6Penalty:
         assert deltas == {(Metric.DNS, 10.0), (Metric.MAPPING, 300.0)}
 
 
-def observation(vantage, address, region="unassigned", website="www.example.com"):
-    return EdgeObservation(
-        vantage_id=vantage, website=website, resolver_label="google",
-        ip_version=IpVersion.V4, address=address, region=region,
-    )
+def edge_set(vantage, address, website="www.example.com", **kwargs):
+    return make_set(vantage_id=vantage, website=website, address=address, **kwargs)
 
 
 class TestAddressDiversity:
     def test_two_addresses_intermixed(self):
         rng = random.Random(21)
         pool = ["192.0.2.1", "192.0.2.2"]
-        observations = [
-            observation(f"p{i}", rng.choice(pool), region=rng.choice(["asia", "europe"]))
-            for i in range(100)
-        ]
-        report = address_diversity(observations)[0]
+        sets = [edge_set(f"p{i}", rng.choice(pool)) for i in range(100)]
+        geo = {f"p{i}": rng.choice(["asia", "europe"]) for i in range(100)}
+        report = address_diversity(sets, geo=geo)[0]
         assert report.unique_addresses == 2
         assert report.anycast_like
         assert sum(report.address_frequency.values()) == 100
         for region in ("asia", "europe"):
-            regional = [o.address for o in observations if o.region == region]
+            regional = [s.handshake_results[0].address for s in sets if geo[s.vantage_id] == region]
             top = max(regional.count(a) for a in set(regional))
             assert report.regional_purity[region] == pytest.approx(top / len(regional))
 
     def test_exclusive_region_addresses_have_purity_one(self):
-        observations = [observation(f"a{i}", "192.0.2.1", region="asia") for i in range(10)]
-        observations += [observation(f"e{i}", "192.0.2.2", region="europe") for i in range(10)]
-        report = address_diversity(observations)[0]
+        sets = [edge_set(f"a{i}", "192.0.2.1") for i in range(10)]
+        sets += [edge_set(f"e{i}", "192.0.2.2") for i in range(10)]
+        geo = {s.vantage_id: "asia" if s.vantage_id.startswith("a") else "europe" for s in sets}
+        report = address_diversity(sets, geo=geo)[0]
         assert report.regional_purity == {"asia": 1.0, "europe": 1.0}
         assert report.unique_addresses == 2
 
     def test_fiftythree_addresses_is_not_anycast_like(self):
-        observations = [observation(f"p{i}", f"198.51.100.{i + 1}") for i in range(53)]
-        report = address_diversity(observations)[0]
+        sets = [edge_set(f"p{i}", f"198.51.100.{i + 1}") for i in range(53)]
+        report = address_diversity(sets)[0]
         assert report.unique_addresses == 53
         assert not report.anycast_like
-
-    def test_vantage_address_keeps_first_seen(self):
-        observations = [
-            observation("p1", "192.0.2.1"),
-            observation("p1", "192.0.2.2"),
-        ]
-        report = address_diversity(observations)[0]
-        assert report.vantage_address == {"p1": "192.0.2.1"}
+        assert report.regional_purity == {UNASSIGNED_REGION: pytest.approx(1 / 53)}
 
     def test_groups_split_by_website(self):
-        observations = [
-            observation("p1", "192.0.2.1", website="a.example"),
-            observation("p1", "192.0.2.2", website="b.example"),
+        sets = [
+            edge_set("p1", "192.0.2.1", website="a.example"),
+            edge_set("p1", "192.0.2.2", website="b.example"),
         ]
-        reports = address_diversity(observations)
+        reports = address_diversity(sets)
         assert [r.website for r in reports] == ["a.example", "b.example"]
+
+    def test_edge_is_the_first_address_of_the_earliest_query(self):
+        mset = edge_set("p1", "192.0.2.1")
+        mset.dns_results[1].answers.insert(
+            0, ResourceRecord(name="www.example.com", rtype=1, ttl=60, rdata="192.0.2.9")
+        )
+        assert address_diversity([mset])[0].address_frequency == {"192.0.2.9": 1}
+
+    def test_unusable_set_is_not_counted(self):
+        usable = edge_set("p1", "192.0.2.1")
+        two_handshakes = edge_set("p2", "192.0.2.2", handshakes=(25.0, 25.5))
+        report = address_diversity([usable, two_handshakes])[0]
+        assert report.address_frequency == {"192.0.2.1": 1}
+        assert report.unique_addresses == 1
+
+    def test_usable_set_without_an_address_answer_is_skipped(self):
+        cname_only = edge_set("p2", "192.0.2.2")
+        for response in cname_only.dns_results:
+            response.answers = [
+                ResourceRecord(name="www.example.com", rtype=5, ttl=60, rdata="x.cdn.example")
+            ]
+        report = address_diversity([edge_set("p1", "192.0.2.1"), cname_only])[0]
+        assert report.address_frequency == {"192.0.2.1": 1}
 
 
 class TestBuildLatencyPoints:

@@ -576,12 +576,17 @@ class TestEmptyCorpus:
         "median_hit_ms,median_miss_ms,median_unknown_ms",
     }
 
+    CORPORA = {
+        "empty": [],
+        "unusable": [make_set(dns=(), handshakes=())],
+        "answers-without-handshakes": [make_set(handshakes=())],
+    }
+
     @pytest.mark.parametrize("kind", READ_COMMANDS)
-    @pytest.mark.parametrize("content", ["empty", "unusable"])
+    @pytest.mark.parametrize("content", CORPORA)
     def test_prints_the_header_only(self, tmp_path, capsys, kind, content):
         path = str(tmp_path / "corpus.jsonl")
-        nothing_measured = make_set(dns=(), handshakes=())
-        write_records([] if content == "empty" else [CampaignRecord("c1", nothing_measured)], path)
+        write_records([CampaignRecord("c1", mset) for mset in self.CORPORA[content]], path)
         assert cli.main([*READ_COMMANDS[kind], "--input", path]) == 0
         out, err = capsys.readouterr()
         assert out.splitlines() == [self.FIRST_LINES[kind]]
@@ -640,6 +645,68 @@ class TestMissingConfig:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {missing}: ")
+
+
+SITES_CASES = {
+    "missing": None,
+    "cut-short": '{"akamai": [',
+    "not-an-object": '["www.example.com"]',
+    "sites-not-a-list": '{"akamai": "www.example.com"}',
+    "no-terminal-cname": '{"akamai": [{"rank": 1, "site_domain": "example.com"}]}',
+    "terminal-cname-not-a-string": '{"akamai": [{"terminal_cname": 5}]}',
+}
+UNUSABLE_INPUT_PATHS = {
+    **{f"analyze-data-dir-{case}": ("analyze", "--data-dir", content)
+       for case, content in {"missing": None, "a-file": "campaign.jsonl\n"}.items()},
+    **{f"{command}-sites-{case}": (command, "--sites", content)
+       for command in ("measure", "schedule") for case, content in SITES_CASES.items()},
+    **{f"discover-domains-{case}": ("discover", "--domains", content)
+       for case, content in {
+           "missing": None,
+           "not-utf-8": b"1,1,\xff.example\n",
+           "field-over-the-csv-limit": "1,1," + "a" * 200_000 + "\n",
+       }.items()},
+    **{f"discover-catalog-{case}": ("discover", "--catalog", content)
+       for case, content in {"missing": None, "one-field-line": "akamai\n"}.items()},
+}
+
+
+class TestUnusableInputPath:
+    """A missing or unusable input path is one error line and exit status 2,
+    before any query is sent or any output file is written."""
+
+    @staticmethod
+    def _argv(tmp_path, command, flag, path):
+        config = write_config(tmp_path)
+        output = str(tmp_path / "out")
+        domains = tmp_path / "ranked.csv"
+        domains.write_text("GlobalRank,TldRank,Domain\n1,1,cdn-site.example\n")
+        return {
+            "analyze": ["analyze"],
+            "measure": ["measure", "--config", config, "--output", output],
+            "schedule": ["schedule", "--config", config, "--count", "1"],
+            "discover": ["discover", "--domains", str(domains), "--config", config, "--output", output],
+        }[command] + [flag, path]
+
+    @pytest.mark.parametrize(
+        "command, flag, content", UNUSABLE_INPUT_PATHS.values(), ids=UNUSABLE_INPUT_PATHS
+    )
+    def test_is_an_error_line(self, tmp_path, capsys, monkeypatch, command, flag, content):
+        def no_network(*args, **kwargs):
+            raise AssertionError("no query may be sent")
+
+        for name in ("resolve_once", "run_campaign", "scan_domain_list"):
+            monkeypatch.setattr(cli, name, no_network)
+        path = tmp_path / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        assert cli.main(self._argv(tmp_path, command, flag, str(path))) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "campaigns").exists()
 
 
 class TestReport:

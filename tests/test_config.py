@@ -1,7 +1,7 @@
 """Tool config file round trips and the stored spec snapshot format."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -9,7 +9,7 @@ from dnscdn import analytics
 from dnscdn.cache import TtlQuirk
 from dnscdn.campaign import MeasurementSpec, ResolverEntry
 from dnscdn.cli import _spec_snapshot, spec_from_snapshot
-from dnscdn.config import ToolConfig, default_resolvers, load_config, save_config
+from dnscdn.config import ToolConfig, default_resolvers, load_config
 
 SPEC = MeasurementSpec(
     websites=[("akamai", "www.example.com"), ("fastly", "img.example.net")],
@@ -51,9 +51,10 @@ class TestConfigFile:
             resolver_port=5353,
             vantage_id="desk",
         )
-        path = str(tmp_path / "config.json")
-        save_config(config, path)
-        loaded = load_config(path)
+        doc = asdict(config)
+        for entry in doc["resolvers"]:
+            entry["ttl_quirk"] = entry["ttl_quirk"].value
+        loaded = load_config(write_json(tmp_path, doc))
         assert loaded == config
         assert loaded.resolvers[0].ttl_quirk is TtlQuirk.GOOGLE_DECREMENT
         assert loaded.quirk_map() == {"google": TtlQuirk.GOOGLE_DECREMENT, "local": TtlQuirk.NONE}

@@ -17,7 +17,6 @@ from dnscdn.resolve import (
     QueryTimeoutError,
     TimedDnsResponse,
     resolve_once,
-    seed_txids,
 )
 from dnscdn.wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
@@ -145,16 +144,6 @@ def test_undecodable_reply_is_malformed():
     with mocknet.MockDnsServer(script) as server:
         with pytest.raises(MalformedMessageError):
             resolve_once(loopback_question(server))
-
-
-def test_seeded_txids_are_reproducible():
-    with mocknet.MockDnsServer(answer_script()) as server:
-        seed_txids(42)
-        resolve_once(loopback_question(server))
-        seed_txids(42)
-        resolve_once(loopback_question(server))
-        first, second = server.queries[0][2], server.queries[1][2]
-    assert first == second
 
 
 def test_latency_never_exceeds_timeout_by_much():
