@@ -20,7 +20,7 @@ def show(title, cases, quirk=TtlQuirk.NONE, convention=Convention.EQUAL_IS_HIT):
     print(f"  {'response ttl':>12}  {'authoritative':>13}  verdict")
     for response_ttl in cases:
         verdict = classify(response_ttl, AUTHORITATIVE, quirk, convention)
-        print(f"  {response_ttl:>12}  {AUTHORITATIVE:>13}  {verdict.verdict.value}")
+        print(f"  {response_ttl:>12}  {AUTHORITATIVE:>13}  {verdict.value}")
     print()
 
 
@@ -45,8 +45,7 @@ def main():
     )
 
     print("A TTL above the authoritative value is unexplainable either way:")
-    verdict = classify(25, AUTHORITATIVE)
-    print(f"  classify(25, 20) -> {verdict.verdict.value}")
+    print(f"  classify(25, 20) -> {classify(25, AUTHORITATIVE).value}")
 
 
 if __name__ == "__main__":

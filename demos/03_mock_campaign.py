@@ -16,8 +16,7 @@ import tempfile
 import threading
 import time
 
-from dnscdn.analytics import classify_sets, per_website_median
-from dnscdn.cache import hit_rate_table
+from dnscdn.analytics import hit_rate_table, per_website_median
 from dnscdn.campaign import MeasurementSpec, ResolverEntry, is_usable, run_campaign
 from dnscdn.storage import CampaignRecord, read_records, write_records
 
@@ -135,20 +134,15 @@ def main():
             f"ttls seen {ttls}"
         )
 
-    usable = [s for s in sets if is_usable(s)]
-    print("\nVerdicts per site (cached should be all hit, fresh all miss),")
-    print("then the table aggregated per cdn/resolver/family:")
-    points = list(classify_sets(usable, {"www.cached.demo": AUTH_TTL, "www.fresh.demo": AUTH_TTL}))
-    per_site: dict[str, list] = {}
-    for mset, point in zip(usable, points):
-        per_site.setdefault(mset.website, []).append(point.verdict.value)
-    for site, verdicts in sorted(per_site.items()):
-        print(f"  {site}: {verdicts}")
-    for row in hit_rate_table(points):
-        print(
-            f"  -> {row.cdn}/{row.resolver_label}/{row.ip_version.value}: "
-            f"{row.hit_rate:.0f}% hit, {row.miss_rate:.0f}% miss over {row.count} sets"
-        )
+    print("\nHit rates per site (cached should be all hit, fresh all miss),")
+    print("one row per resolver and family:")
+    for site in ("www.cached.demo", "www.fresh.demo"):
+        site_sets = [s for s in sets if s.website == site]
+        for row in hit_rate_table(site_sets, {site: AUTH_TTL}):
+            print(
+                f"  {site} via {row.resolver_label}/{row.ip_version.value}: "
+                f"{row.hit_rate:.0f}% hit, {row.miss_rate:.0f}% miss over {row.count} sets"
+            )
 
     with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as handle:
         path = handle.name

@@ -8,6 +8,7 @@ from .analytics import (
     address_diversity,
     build_latency_points,
     distribution,
+    hit_rate_table,
     ipv6_penalty,
     ks_two_sample,
     per_cdn_median,
@@ -16,13 +17,11 @@ from .analytics import (
 )
 from .cache import (
     AuthoritativeTtl,
-    CacheVerdict,
     Convention,
     TtlQuirk,
     Verdict,
     classify,
     discover_authoritative_ttl,
-    hit_rate_table,
 )
 from .campaign import (
     MeasurementSet,

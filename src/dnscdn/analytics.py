@@ -6,7 +6,7 @@ medians collapse a vantage's websites to one latency point, and all
 tables, distributions, and tests operate on those points.  Everything
 here is pure; identical inputs give identical outputs.
 
-The three folds over sets, build_latency_points, classify_sets and
+The three folds over sets, build_latency_points, hit_rate_table and
 address_diversity, each skip a set that is not usable (is_usable) as it
 comes, so every output counts usable sets only.
 
@@ -21,11 +21,11 @@ import logging
 import math
 import statistics
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cache import ClassifiedPoint, Convention, EmptyInputError, TtlQuirk, classify
+from .cache import Convention, TtlQuirk, Verdict, classify
 from .campaign import MeasurementSet, is_usable
 from .mapping import mapping_latency, select_edge
 from .wire import IpVersion
@@ -43,6 +43,10 @@ class Metric(Enum):
 
 
 class TooFewResultsError(Exception):
+    pass
+
+
+class EmptyInputError(Exception):
     pass
 
 
@@ -407,23 +411,43 @@ def build_latency_points(
     return points
 
 
-def classify_sets(
+@dataclass
+class HitRateRow:
+    cdn: str
+    resolver_label: str
+    ip_version: IpVersion
+    count: int
+    hit_rate: float  # percent
+    miss_rate: float
+    unknown_rate: float
+    median_hit_ms: float | None
+    median_miss_ms: float | None
+    median_unknown_ms: float | None
+
+
+def hit_rate_table(
     sets: Iterable[MeasurementSet],
     auth_ttls: dict[str, int],
     *,
     quirks: dict[str, TtlQuirk] | None = None,
     convention: Convention = Convention.EQUAL_IS_HIT,
-) -> Iterator[ClassifiedPoint]:
-    """Cache verdicts paired with the latencies they explain.
+) -> list[HitRateRow]:
+    """Cache verdict rates per (cdn, resolver, family), over usable sets.
 
     For each usable set, the median-latency response among the latest
-    three supplies both the latency and the TTL that is classified —
-    verdict and latency always come from the same response.  auth_ttls is
-    keyed by website, falling back to the set's CDN name; quirks maps
-    resolver labels to their TTL quirk.  Points are yielded one set at a
-    time, as the sets come.
+    three supplies both the latency and the TTL that is classified (its
+    first address record, or else its first answer), so verdict and
+    latency always come from the same response; a set whose response has
+    no answer is skipped.  auth_ttls is keyed by website, falling back to
+    the set's CDN name; quirks maps resolver labels to their TTL quirk.
+
+    Each set's latency is folded into its row's latencies per verdict, and
+    the set is dropped.  Rates are percentages summing to 100 per row; a
+    verdict with no sets reports rate 0 and a missing median (rendered
+    "N/A" downstream).  Raises EmptyInputError when no set was classified.
     """
     quirks = quirks or {}
+    groups: dict[tuple, dict[Verdict, list[float]]] = {}
     for mset in sets:
         if not is_usable(mset):
             continue
@@ -433,13 +457,8 @@ def classify_sets(
             continue
         candidates = sorted(latest_three(mset), key=lambda r: r.latency_ms)
         median_response = candidates[len(candidates) // 2]
-        record = None
-        for rec in median_response.answers:
-            if rec.is_address:
-                record = rec
-                break
-        if record is None and median_response.answers:
-            record = median_response.answers[0]
+        answers = median_response.answers
+        record = next((rec for rec in answers if rec.is_address), answers[0] if answers else None)
         if record is None:
             continue
         verdict = classify(
@@ -448,10 +467,34 @@ def classify_sets(
             quirk=quirks.get(mset.resolver_label, TtlQuirk.NONE),
             convention=convention,
         )
-        yield ClassifiedPoint(
-            cdn=mset.cdn,
-            resolver_label=mset.resolver_label,
-            ip_version=mset.ip_version,
-            verdict=verdict.verdict,
-            latency_ms=median_response.latency_ms,
+        key = (mset.cdn, mset.resolver_label, mset.ip_version)
+        by_verdict = groups.get(key)
+        if by_verdict is None:
+            by_verdict = groups[key] = {v: [] for v in Verdict}
+        by_verdict[verdict].append(median_response.latency_ms)
+    if not groups:
+        raise EmptyInputError("no classified sets")
+    rows = []
+    for (cdn, resolver_label, ip_version), by_verdict in sorted(
+        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
+    ):
+        total = sum(map(len, by_verdict.values()))
+        rows.append(
+            HitRateRow(
+                cdn=cdn,
+                resolver_label=resolver_label,
+                ip_version=ip_version,
+                count=total,
+                hit_rate=100.0 * len(by_verdict[Verdict.HIT]) / total,
+                miss_rate=100.0 * len(by_verdict[Verdict.MISS]) / total,
+                unknown_rate=100.0 * len(by_verdict[Verdict.UNKNOWN]) / total,
+                median_hit_ms=_maybe_median(by_verdict[Verdict.HIT]),
+                median_miss_ms=_maybe_median(by_verdict[Verdict.MISS]),
+                median_unknown_ms=_maybe_median(by_verdict[Verdict.UNKNOWN]),
+            )
         )
+    return rows
+
+
+def _maybe_median(values: list[float]) -> float | None:
+    return statistics.median(values) if values else None

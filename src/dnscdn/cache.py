@@ -12,9 +12,7 @@ asserted as ground truth.)
 from __future__ import annotations
 
 import logging
-import statistics
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -52,10 +50,6 @@ class NoAuthorityError(Exception):
     """NS set unresolvable and no static default configured for the CDN."""
 
 
-class EmptyInputError(Exception):
-    pass
-
-
 @dataclass
 class AuthoritativeTtl:
     domain: str
@@ -69,20 +63,12 @@ class AuthoritativeTtl:
             raise ValueError("authoritative ttl must be positive")
 
 
-@dataclass
-class CacheVerdict:
-    verdict: Verdict
-    response_ttl: int
-    authoritative_ttl: int
-    quirk_applied: TtlQuirk = TtlQuirk.NONE
-
-
 def classify(
     response_ttl: int,
     authoritative_ttl: int,
     quirk: TtlQuirk = TtlQuirk.NONE,
     convention: Convention = Convention.EQUAL_IS_HIT,
-) -> CacheVerdict:
+) -> Verdict:
     """Classify one response TTL against the authoritative TTL.
 
     Total and deterministic.  Unknown always and only means the response
@@ -91,20 +77,13 @@ def classify(
     if response_ttl < 0 or authoritative_ttl < 0:
         raise ValueError("TTLs must be non-negative")
     if response_ttl > authoritative_ttl:
-        verdict = Verdict.UNKNOWN
-    elif convention is Convention.EQUAL_IS_HIT:
-        verdict = Verdict.HIT if response_ttl == authoritative_ttl else Verdict.MISS
-    else:
-        # Fresh-fetch signature: the unmodified authoritative TTL, or one
-        # less under the Google decrement quirk.
-        fresh = authoritative_ttl - (1 if quirk is TtlQuirk.GOOGLE_DECREMENT else 0)
-        verdict = Verdict.MISS if response_ttl == fresh else Verdict.HIT
-    return CacheVerdict(
-        verdict=verdict,
-        response_ttl=response_ttl,
-        authoritative_ttl=authoritative_ttl,
-        quirk_applied=quirk,
-    )
+        return Verdict.UNKNOWN
+    if convention is Convention.EQUAL_IS_HIT:
+        return Verdict.HIT if response_ttl == authoritative_ttl else Verdict.MISS
+    # Fresh-fetch signature: the unmodified authoritative TTL, or one less
+    # under the Google decrement quirk.
+    fresh = authoritative_ttl - (1 if quirk is TtlQuirk.GOOGLE_DECREMENT else 0)
+    return Verdict.MISS if response_ttl == fresh else Verdict.HIT
 
 
 def parse_ttl_table(text: str) -> dict[str, int]:
@@ -188,70 +167,3 @@ def _direct_query_ttl(domain, recursive_resolver, resolve_fn, timeout_ms) -> int
         return direct.answers[0].ttl
     raise NoAuthorityError(f"authoritative server returned no answers for {domain}")
 
-
-@dataclass
-class ClassifiedPoint:
-    """One verdict-plus-latency datum feeding the hit-rate table."""
-
-    cdn: str
-    resolver_label: str
-    ip_version: IpVersion
-    verdict: Verdict
-    latency_ms: float
-
-
-@dataclass
-class HitRateRow:
-    cdn: str
-    resolver_label: str
-    ip_version: IpVersion
-    count: int
-    hit_rate: float  # percent
-    miss_rate: float
-    unknown_rate: float
-    median_hit_ms: float | None
-    median_miss_ms: float | None
-    median_unknown_ms: float | None
-
-
-def hit_rate_table(points: Iterable[ClassifiedPoint]) -> list[HitRateRow]:
-    """Aggregate classified points into per-(cdn, resolver, ip version) rows.
-
-    Rates are percentages summing to 100 per row; a verdict class with no
-    points reports rate 0 and a missing median (rendered "N/A" downstream).
-    Each point is folded into its row's latencies per verdict, so a row
-    keeps one float per point.
-    """
-    groups: dict[tuple, dict[Verdict, list[float]]] = {}
-    for point in points:
-        key = (point.cdn, point.resolver_label, point.ip_version)
-        by_verdict = groups.get(key)
-        if by_verdict is None:
-            by_verdict = groups[key] = {v: [] for v in Verdict}
-        by_verdict[point.verdict].append(point.latency_ms)
-    if not groups:
-        raise EmptyInputError("no classified points")
-    rows = []
-    for (cdn, resolver_label, ip_version), by_verdict in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-    ):
-        total = sum(map(len, by_verdict.values()))
-        rows.append(
-            HitRateRow(
-                cdn=cdn,
-                resolver_label=resolver_label,
-                ip_version=ip_version,
-                count=total,
-                hit_rate=100.0 * len(by_verdict[Verdict.HIT]) / total,
-                miss_rate=100.0 * len(by_verdict[Verdict.MISS]) / total,
-                unknown_rate=100.0 * len(by_verdict[Verdict.UNKNOWN]) / total,
-                median_hit_ms=_maybe_median(by_verdict[Verdict.HIT]),
-                median_miss_ms=_maybe_median(by_verdict[Verdict.MISS]),
-                median_unknown_ms=_maybe_median(by_verdict[Verdict.UNKNOWN]),
-            )
-        )
-    return rows
-
-
-def _maybe_median(values: list[float]) -> float | None:
-    return statistics.median(values) if values else None

@@ -58,11 +58,20 @@ from dataclasses import dataclass, field
 from .cache import TtlQuirk
 from .mapping import HandshakeAttempt, HandshakeSample, measure_handshake, select_edge
 from .resolve import DnsExchange, QueryTimeoutError, ResolveError, TimedDnsResponse, resolve_once
-from .wire import DEFAULT_TIMEOUT_MS, DnsQuestion, IpVersion, MalformedMessageError, RecordType
+from .wire import (
+    DEFAULT_TIMEOUT_MS,
+    DnsQuestion,
+    InvalidNameError,
+    IpVersion,
+    MalformedMessageError,
+    RecordType,
+    validate_name,
+)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_PREWARM_GAP_S = 15.0
+USABLE_HANDSHAKES = 3  # successful handshakes a usable set holds
 
 
 @dataclass
@@ -99,11 +108,19 @@ class MeasurementSpec:
         # prewarm, which takes at least two post-prewarm readings.
         if self.dns_repeats < 2:
             raise ValueError("dns_repeats must be at least 2")
-        if self.handshake_repeats < 1:
-            raise ValueError("handshake_repeats must be at least 1")
+        if self.handshake_repeats < USABLE_HANDSHAKES:
+            raise ValueError(
+                f"handshake_repeats must be at least {USABLE_HANDSHAKES}: a set is usable "
+                f"only with {USABLE_HANDSHAKES} successful handshakes"
+            )
         if self.prewarm_gap_s < 0:
             raise ValueError("prewarm_gap_s must be non-negative")
         self.websites = [tuple(w) for w in self.websites]
+        for _, hostname in self.websites:
+            try:
+                validate_name(hostname)
+            except InvalidNameError as exc:
+                raise ValueError(f"website {hostname!r} is not a DNS name: {exc}") from exc
 
     def resolver_by_label(self, label: str) -> ResolverEntry:
         for entry in self.resolvers:
@@ -272,7 +289,10 @@ def run_measurement_set(
 def is_usable(mset: MeasurementSet) -> bool:
     """At least three DNS results (the prewarm counts) and at least three
     successful handshakes; stored failed samples do not count."""
-    return len(mset.dns_results) >= 3 and sum(1 for h in mset.handshake_results if h.success) >= 3
+    return (
+        len(mset.dns_results) >= 3
+        and sum(1 for h in mset.handshake_results if h.success) >= USABLE_HANDSHAKES
+    )
 
 
 def completeness_filter(sets: list[MeasurementSet], thresholds: dict[str, int]) -> set[tuple[str, str]]:

@@ -40,10 +40,10 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import analytics, atlas, storage
-from .cache import EmptyInputError, hit_rate_table, load_ttl_table
+from .cache import load_ttl_table
 from .campaign import MeasurementSet, MeasurementSpec, ResolverEntry, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
 from .discovery import CatalogError, CdnCatalog, load_domain_list, scan_domain_list
@@ -219,13 +219,18 @@ def _load_sites(path: str) -> list[tuple[str, str]]:
     return websites
 
 
-def _campaign_inputs(args) -> tuple[ToolConfig, list[tuple[str, str]]]:
-    """The config and websites that measure and schedule run on."""
+def _campaign_inputs(args) -> tuple[ToolConfig, MeasurementSpec]:
+    """The config, and the spec that measure and schedule run, checked
+    before any query is sent: a website the spec rejects is an error in
+    the file it came from."""
     config = _load_tool_config(args.config)
-    websites = _read_input(args.sites, _load_sites) if args.sites else config.websites
-    if not websites:
+    if args.sites:
+        spec = _read_input(args.sites, lambda path: config.to_measurement_spec(_load_sites(path)))
+    else:
+        spec = config.to_measurement_spec()
+    if not spec.websites:
         raise UnusableInputError("no websites; run `discover` or list them in the config")
-    return config, websites
+    return config, spec
 
 
 def _cmd_discover(args) -> int:
@@ -335,23 +340,29 @@ def _spec_snapshot(spec: MeasurementSpec) -> dict:
 
 
 def spec_from_snapshot(doc: dict) -> MeasurementSpec:
-    return MeasurementSpec(**{**doc, "resolvers": [ResolverEntry(*r) for r in doc["resolvers"]]})
+    """The spec a stored record was measured with; ValueError when the
+    stored spec cannot be rebuilt."""
+    try:
+        return MeasurementSpec(**{**doc, "resolvers": [ResolverEntry(*r) for r in doc["resolvers"]]})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"stored spec cannot be rebuilt: {exc!r}") from exc
 
 
-def _run_one_campaign(config: ToolConfig, websites, output_path, *, preflight=True) -> tuple[int, str]:
+def _run_one_campaign(
+    config: ToolConfig, spec: MeasurementSpec, output_path, *, preflight=True
+) -> tuple[int, str]:
     if preflight:
         kept, dropped = _preflight(
-            config.resolvers, timeout_ms=config.per_query_timeout_ms, resolver_port=config.resolver_port
+            spec.resolvers, timeout_ms=spec.per_query_timeout_ms, resolver_port=spec.resolver_port
         )
     else:
-        kept, dropped = config.resolvers, []
+        kept, dropped = spec.resolvers, []
     for r in dropped:
         print(f"notice: resolver {r.label} ({r.v4_address}) unreachable, dropped", file=sys.stderr)
     if not kept:
         print("error: no reachable resolvers", file=sys.stderr)
         return 1, ""
-    spec = config.to_measurement_spec(websites)
-    spec.resolvers = kept
+    spec = replace(spec, resolvers=kept)
     campaign_id = time.strftime("%Y%m%d-%H%M%S")
     sets = run_campaign(spec, vantage_id=config.vantage_id)
     if output_path is None:
@@ -369,18 +380,18 @@ def _run_one_campaign(config: ToolConfig, websites, output_path, *, preflight=Tr
 
 
 def _cmd_measure(args) -> int:
-    config, websites = _campaign_inputs(args)
-    status, _ = _run_one_campaign(config, websites, args.output, preflight=not args.skip_preflight)
+    config, spec = _campaign_inputs(args)
+    status, _ = _run_one_campaign(config, spec, args.output, preflight=not args.skip_preflight)
     return status
 
 
 def _cmd_schedule(args) -> int:
-    config, websites = _campaign_inputs(args)
+    config, spec = _campaign_inputs(args)
     interval = args.interval_s if args.interval_s is not None else config.recurrence_interval_s
     ran = 0
     worst = 0
     while True:
-        status, _ = _run_one_campaign(config, websites, None)
+        status, _ = _run_one_campaign(config, spec, None)
         worst = max(worst, status)
         ran += 1
         if args.count and ran >= args.count:
@@ -395,7 +406,10 @@ def _cmd_fill_in(args) -> int:
         return 1
     config = _load_tool_config(args.config)
     snapshot = records[0].spec_snapshot
-    spec = spec_from_snapshot(snapshot) if snapshot else config.to_measurement_spec()
+    if snapshot:
+        spec = _read_input(args.input, lambda _: spec_from_snapshot(snapshot))
+    else:
+        spec = config.to_measurement_spec()
     sets = [r.mset for r in records]
     before = sum(1 for s in sets if not is_usable(s))
     updated = fill_in(sets, spec)
@@ -541,7 +555,7 @@ def _cmd_report(args) -> int:
     report = io.StringIO()
     try:
         _write_report(report, args.kind, sets, config, geo)
-    except EmptyInputError:
+    except analytics.EmptyInputError:
         pass  # no usable set: the kind's header alone
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as out:
@@ -610,8 +624,7 @@ def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
                 "median_hit_ms", "median_miss_ms", "median_unknown_ms",
             ]
         )
-        points = analytics.classify_sets(sets, load_ttl_table(), quirks=config.quirk_map())
-        for row in hit_rate_table(points):
+        for row in analytics.hit_rate_table(sets, load_ttl_table(), quirks=config.quirk_map()):
             writer.writerow(
                 [
                     row.cdn,

@@ -54,7 +54,9 @@ class ToolConfig:
 
     def to_measurement_spec(self, websites: list[tuple[str, str]] | None = None) -> MeasurementSpec:
         shared = {f.name: getattr(self, f.name) for f in fields(MeasurementSpec)}
-        shared.update(websites=websites or self.websites, resolvers=list(self.resolvers))
+        shared.update(
+            websites=self.websites if websites is None else websites, resolvers=list(self.resolvers)
+        )
         return MeasurementSpec(**shared)
 
     def quirk_map(self) -> dict[str, TtlQuirk]:
@@ -62,18 +64,34 @@ class ToolConfig:
 
 
 def load_config(path: str) -> ToolConfig:
+    """The config file at path.  A document that is not an object, a
+    roster entry or website of the wrong shape, and values no measurement
+    spec accepts raise ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    resolvers = [
-        ResolverEntry(
-            label=e["label"],
-            v4_address=e["v4_address"],
-            v6_address=e["v6_address"],
-            ttl_quirk=TtlQuirk(e.get("ttl_quirk", "none")),
-        )
-        for e in doc.get("resolvers", [])
-    ] or default_resolvers()
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    entries, websites = doc.get("resolvers", []), doc.get("websites", [])
+    if not isinstance(entries, list) or not isinstance(websites, list):
+        raise ValueError("resolvers and websites must be lists")
+    for w in websites:
+        if not (isinstance(w, list) and len(w) == 2 and all(isinstance(part, str) for part in w)):
+            raise ValueError(f"website {w!r} is not a [cdn, hostname] pair of strings")
+    resolvers = [_resolver_entry(e) for e in entries] or default_resolvers()
     known = {f for f in ToolConfig.__dataclass_fields__ if f not in ("resolvers", "websites")}
     extra = {k: v for k, v in doc.items() if k in known}
-    websites = [tuple(w) for w in doc.get("websites", [])]
-    return ToolConfig(resolvers=resolvers, websites=websites, **extra)
+    config = ToolConfig(resolvers=resolvers, websites=[tuple(w) for w in websites], **extra)
+    config.to_measurement_spec()  # the spec's own checks, before any command runs
+    return config
+
+
+def _resolver_entry(entry) -> ResolverEntry:
+    names = ("label", "v4_address", "v6_address")
+    if not isinstance(entry, dict) or not all(isinstance(entry.get(name), str) for name in names):
+        raise ValueError(f"resolver {entry!r} needs label, v4_address and v6_address strings")
+    return ResolverEntry(
+        label=entry["label"],
+        v4_address=entry["v4_address"],
+        v6_address=entry["v6_address"],
+        ttl_quirk=TtlQuirk(entry.get("ttl_quirk", "none")),
+    )

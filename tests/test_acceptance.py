@@ -20,7 +20,7 @@ from test_storage import dns_entry, random_record, tls_entry, write_atlas
 from dnscdn.analytics import (
     Metric,
     build_latency_points,
-    classify_sets,
+    hit_rate_table,
     ipv6_penalty,
     ks_two_sample,
     per_cdn_median,
@@ -77,7 +77,7 @@ def test_cache_verdict_truth_table_and_sweep():
             (19, 20, TtlQuirk.GOOGLE_DECREMENT, Verdict.MISS),
         ]
         for response_ttl, auth_ttl, quirk, want in anchored:
-            assert classify(response_ttl, auth_ttl, quirk).verdict is want, (
+            assert classify(response_ttl, auth_ttl, quirk) is want, (
                 f"({response_ttl}, {auth_ttl}, {quirk.value})"
             )
         rng = random.Random(0xACCE55)
@@ -86,7 +86,7 @@ def test_cache_verdict_truth_table_and_sweep():
             auth_ttl = rng.randrange(0, 35)
             quirk = rng.choice(list(TtlQuirk))
             convention = rng.choice(list(Convention))
-            got = classify(response_ttl, auth_ttl, quirk, convention).verdict
+            got = classify(response_ttl, auth_ttl, quirk, convention)
             assert got is _verdict_rule(response_ttl, auth_ttl, quirk, convention)
 
 
@@ -337,13 +337,16 @@ def test_mock_network_end_to_end():
             target = 30.0 if point.metric is Metric.DNS else 25.0
             assert abs(point.value - target) <= 5.0
 
-        classified = list(classify_sets(sets, load_ttl_table()))
-        assert len(classified) == 8
-        verdicts = {}
-        for point in classified:
-            verdicts.setdefault(point.cdn, []).append(point.verdict)
-        assert verdicts["akamai"] == [Verdict.HIT] * 4
-        assert verdicts["fastly"] == [Verdict.MISS] * 4
+        rows = hit_rate_table(sets, load_ttl_table())
+        assert len(rows) == 4  # 2 cdns x 1 resolver x 2 families
+        counted = {}
+        for row in rows:
+            counted[row.cdn] = counted.get(row.cdn, 0) + row.count
+            if row.cdn == "akamai":
+                assert row.hit_rate == 100.0
+            else:
+                assert row.miss_rate == 100.0
+        assert counted == {"akamai": 4, "fastly": 4}
 
 
 # --- 6. wire-format conformance ---------------------------------------------

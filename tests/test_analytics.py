@@ -1,4 +1,4 @@
-"""Aggregation ladder, distributions, K-S, regional tables, diversity."""
+"""Aggregation ladder, distributions, K-S, regional tables, diversity, hit rates."""
 
 import itertools
 import random
@@ -7,7 +7,6 @@ import statistics
 import pytest
 
 from factories import make_response, make_set
-from dnscdn import cache
 from dnscdn.analytics import (
     UNASSIGNED_REGION,
     EmptyInputError,
@@ -16,9 +15,9 @@ from dnscdn.analytics import (
     TooFewResultsError,
     address_diversity,
     build_latency_points,
-    classify_sets,
     distribution,
     ecdf,
+    hit_rate_table,
     ipv6_penalty,
     ks_two_sample,
     latest_three,
@@ -30,7 +29,7 @@ from dnscdn.analytics import (
 from dnscdn.cache import Convention, TtlQuirk, Verdict
 from dnscdn.campaign import MeasurementSet
 from dnscdn.mapping import HandshakeSample
-from dnscdn.wire import IpVersion, ResourceRecord
+from dnscdn.wire import IpVersion, RecordType, ResourceRecord
 
 
 def median_oracle(values):
@@ -246,10 +245,11 @@ class TestKsTwoSample:
             ks_two_sample([1.0], [])
 
     def test_empty_input_is_the_cache_error(self):
-        # One class, importable from both modules, so one except clause
-        # covers empty input anywhere in the analysis.
-        with pytest.raises(cache.EmptyInputError):
-            ks_two_sample([], [1.0])
+        # The hit-rate table raises the one class every other empty input
+        # raises, so one except clause covers empty input anywhere in the
+        # analysis.
+        with pytest.raises(EmptyInputError):
+            hit_rate_table([], {"akamai": 20})
 
 
 def dns_point(vantage, value, *, cdn="akamai", resolver="google",
@@ -462,33 +462,131 @@ class TestClassifySets:
     def test_ttl_and_latency_come_from_the_same_response(self):
         # median-latency response (11ms) carries the only matching TTL
         mset = self._set_with_ttls([(10.0, 19), (11.0, 20), (12.0, 19)])
-        point = list(classify_sets([mset], {"akamai": 20}))[0]
-        assert point.verdict is Verdict.HIT
-        assert point.latency_ms == 11.0
+        (row,) = hit_rate_table([mset], {"akamai": 20})
+        assert row.hit_rate == 100.0
+        assert row.median_hit_ms == 11.0
+
+    def test_first_address_record_is_classified(self):
+        cname = ResourceRecord("www.example.com", int(RecordType.CNAME), 99, "edge.example.net")
+        address = ResourceRecord("edge.example.net", int(RecordType.A), 20, "192.0.2.1")
+        mset = make_set()
+        for result in mset.dns_results:
+            result.answers = [cname, address]
+        (row,) = hit_rate_table([mset], {"akamai": 20})
+        assert row.hit_rate == 100.0
+
+    def test_set_without_answers_is_skipped(self):
+        silent = make_set()
+        for result in silent.dns_results:
+            result.answers = []
+        (row,) = hit_rate_table([silent, make_set(ttl=20)], {"akamai": 20})
+        assert row.count == 1
 
     def test_website_ttl_overrides_cdn_ttl(self):
         mset = self._set_with_ttls([(10.0, 30), (11.0, 30), (12.0, 30)])
-        point = list(classify_sets([mset], {"www.example.com": 30, "akamai": 20}))[0]
-        assert point.verdict is Verdict.HIT
+        (row,) = hit_rate_table([mset], {"www.example.com": 30, "akamai": 20})
+        assert row.hit_rate == 100.0
 
     def test_quirk_applies_per_resolver_label(self):
         mset = self._set_with_ttls([(10.0, 19), (11.0, 19), (12.0, 19)])
-        point = list(
-            classify_sets(
-                [mset],
-                {"akamai": 20},
-                quirks={"google": TtlQuirk.GOOGLE_DECREMENT},
-                convention=Convention.EQUAL_IS_MISS,
-            )
-        )[0]
-        assert point.verdict is Verdict.MISS
+        (row,) = hit_rate_table(
+            [mset],
+            {"akamai": 20},
+            quirks={"google": TtlQuirk.GOOGLE_DECREMENT},
+            convention=Convention.EQUAL_IS_MISS,
+        )
+        assert row.miss_rate == 100.0
 
     def test_missing_ttl_reference_skips_set(self, caplog):
         mset = self._set_with_ttls([(10.0, 20), (11.0, 20), (12.0, 20)])
         with caplog.at_level("WARNING", logger="dnscdn.analytics"):
-            assert list(classify_sets([mset], {"fastly": 30})) == []
+            with pytest.raises(EmptyInputError):
+                hit_rate_table([mset], {"fastly": 30})
         assert any("no authoritative TTL" in rec.getMessage() for rec in caplog.records)
 
     def test_unusable_sets_skipped(self):
         broken = make_set(dns=((10.0, 16.0, False), (11.0, 16.1, False)))
-        assert list(classify_sets([broken], {"akamai": 20})) == []
+        (row,) = hit_rate_table([broken, make_set(ttl=5)], {"akamai": 20})
+        assert (row.count, row.miss_rate) == (1, 100.0)
+
+
+AUTH_TTL = 20
+VERDICT_TTLS = {Verdict.HIT: AUTH_TTL, Verdict.MISS: 5, Verdict.UNKNOWN: 25}
+
+
+def classified_set(verdict, latency, cdn="akamai", resolver="google", version=IpVersion.V4):
+    """A usable set whose latest three all take latency ms and read as verdict."""
+    return make_set(
+        cdn=cdn,
+        resolver_label=resolver,
+        ip_version=version,
+        dns=((latency, 1.0, True), (latency, 16.0, False), (latency, 16.1, False), (latency, 16.2, False)),
+        ttl=VERDICT_TTLS[verdict],
+    )
+
+
+def table(sets):
+    return hit_rate_table(sets, {"akamai": AUTH_TTL, "fastly": AUTH_TTL})
+
+
+class TestHitRateTable:
+    def test_three_hits_one_miss(self):
+        sets = [
+            classified_set(Verdict.HIT, 9.0),
+            classified_set(Verdict.HIT, 10.0),
+            classified_set(Verdict.HIT, 11.0),
+            classified_set(Verdict.MISS, 40.0),
+        ]
+        (row,) = table(sets)
+        assert row.count == 4
+        assert row.hit_rate == 75.0
+        assert row.miss_rate == 25.0
+        assert row.unknown_rate == 0.0
+        assert row.median_hit_ms == 10.0
+        assert row.median_miss_ms == 40.0
+        assert row.median_unknown_ms is None
+
+    def test_all_hits(self):
+        (row,) = table([classified_set(Verdict.HIT, 5.0), classified_set(Verdict.HIT, 6.0)])
+        assert (row.hit_rate, row.miss_rate, row.unknown_rate) == (100.0, 0.0, 0.0)
+        assert row.median_miss_ms is None
+
+    def test_empty_input(self):
+        with pytest.raises(EmptyInputError):
+            table([])
+
+    def test_keys_separate_rows(self):
+        sets = [
+            classified_set(Verdict.HIT, 5.0, resolver="google"),
+            classified_set(Verdict.MISS, 6.0, resolver="quad9"),
+            classified_set(Verdict.HIT, 6.0, resolver="google", version=IpVersion.V6),
+        ]
+        rows = table(sets)
+        assert len(rows) == 3
+        keys = {(r.cdn, r.resolver_label, r.ip_version) for r in rows}
+        assert ("akamai", "quad9", IpVersion.V4) in keys
+
+    def test_random_corpus_matches_counting_oracle(self):
+        rng = random.Random(99)
+        verdicts = [Verdict.HIT, Verdict.MISS, Verdict.UNKNOWN]
+        sets = []
+        planted = {}
+        for _ in range(2000):
+            cdn = rng.choice(["akamai", "fastly"])
+            resolver = rng.choice(["google", "quad9"])
+            version = rng.choice([IpVersion.V4, IpVersion.V6])
+            verdict = rng.choice(verdicts)
+            key = (cdn, resolver, version)
+            planted.setdefault(key, {v: 0 for v in verdicts})
+            planted[key][verdict] += 1
+            sets.append(classified_set(verdict, rng.uniform(1, 50), cdn, resolver, version))
+        rows = table(sets)
+        assert {(r.cdn, r.resolver_label, r.ip_version) for r in rows} == set(planted)
+        for row in rows:
+            counts = planted[(row.cdn, row.resolver_label, row.ip_version)]
+            total = sum(counts.values())
+            assert row.count == total
+            assert row.hit_rate == 100.0 * counts[Verdict.HIT] / total
+            assert row.miss_rate == 100.0 * counts[Verdict.MISS] / total
+            assert row.unknown_rate == 100.0 * counts[Verdict.UNKNOWN] / total
+            assert abs(row.hit_rate + row.miss_rate + row.unknown_rate - 100.0) < 1e-9

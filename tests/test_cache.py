@@ -1,4 +1,4 @@
-"""Cache verdict classification, TTL discovery, and hit-rate tables."""
+"""Cache verdict classification and TTL discovery."""
 
 import dataclasses
 import random
@@ -9,21 +9,18 @@ import mocknet
 from factories import make_response
 from dnscdn.cache import (
     AuthoritativeTtl,
-    ClassifiedPoint,
     Convention,
-    EmptyInputError,
     NoAuthorityError,
     TtlQuirk,
     TtlSource,
     Verdict,
     classify,
     discover_authoritative_ttl,
-    hit_rate_table,
     load_ttl_table,
     parse_ttl_table,
 )
 from dnscdn.resolve import QueryTimeoutError, resolve_once
-from dnscdn.wire import IpVersion, RecordType, ResourceRecord
+from dnscdn.wire import RecordType, ResourceRecord
 
 
 def default_rule_oracle(response_ttl, authoritative_ttl):
@@ -39,35 +36,33 @@ def default_rule_oracle(response_ttl, authoritative_ttl):
 
 class TestClassify:
     def test_equal_is_hit(self):
-        assert classify(20, 20).verdict is Verdict.HIT
+        assert classify(20, 20) is Verdict.HIT
 
     def test_lower_is_miss(self):
-        assert classify(5, 20).verdict is Verdict.MISS
+        assert classify(5, 20) is Verdict.MISS
 
     def test_greater_is_unknown(self):
-        assert classify(25, 20).verdict is Verdict.UNKNOWN
+        assert classify(25, 20) is Verdict.UNKNOWN
 
     def test_google_decrement_one_lower_is_miss(self):
-        result = classify(19, 20, quirk=TtlQuirk.GOOGLE_DECREMENT)
-        assert result.verdict is Verdict.MISS
-        assert result.quirk_applied is TtlQuirk.GOOGLE_DECREMENT
+        assert classify(19, 20, quirk=TtlQuirk.GOOGLE_DECREMENT) is Verdict.MISS
 
     def test_google_decrement_keeps_partition(self):
-        assert classify(20, 20, quirk=TtlQuirk.GOOGLE_DECREMENT).verdict is Verdict.HIT
-        assert classify(3, 20, quirk=TtlQuirk.GOOGLE_DECREMENT).verdict is Verdict.MISS
-        assert classify(21, 20, quirk=TtlQuirk.GOOGLE_DECREMENT).verdict is Verdict.UNKNOWN
+        assert classify(20, 20, quirk=TtlQuirk.GOOGLE_DECREMENT) is Verdict.HIT
+        assert classify(3, 20, quirk=TtlQuirk.GOOGLE_DECREMENT) is Verdict.MISS
+        assert classify(21, 20, quirk=TtlQuirk.GOOGLE_DECREMENT) is Verdict.UNKNOWN
 
     def test_inverted_convention_equal_is_miss(self):
-        assert classify(20, 20, convention=Convention.EQUAL_IS_MISS).verdict is Verdict.MISS
-        assert classify(5, 20, convention=Convention.EQUAL_IS_MISS).verdict is Verdict.HIT
-        assert classify(25, 20, convention=Convention.EQUAL_IS_MISS).verdict is Verdict.UNKNOWN
+        assert classify(20, 20, convention=Convention.EQUAL_IS_MISS) is Verdict.MISS
+        assert classify(5, 20, convention=Convention.EQUAL_IS_MISS) is Verdict.HIT
+        assert classify(25, 20, convention=Convention.EQUAL_IS_MISS) is Verdict.UNKNOWN
 
     def test_inverted_google_decrement_fresh_signature(self):
         kw = {"quirk": TtlQuirk.GOOGLE_DECREMENT, "convention": Convention.EQUAL_IS_MISS}
-        assert classify(19, 20, **kw).verdict is Verdict.MISS
-        assert classify(20, 20, **kw).verdict is Verdict.HIT
-        assert classify(18, 20, **kw).verdict is Verdict.HIT
-        assert classify(25, 20, **kw).verdict is Verdict.UNKNOWN
+        assert classify(19, 20, **kw) is Verdict.MISS
+        assert classify(20, 20, **kw) is Verdict.HIT
+        assert classify(18, 20, **kw) is Verdict.HIT
+        assert classify(25, 20, **kw) is Verdict.UNKNOWN
 
     def test_negative_ttls_rejected(self):
         with pytest.raises(ValueError):
@@ -75,21 +70,17 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(20, -1)
 
-    def test_verdict_carries_inputs(self):
-        result = classify(7, 30)
-        assert (result.response_ttl, result.authoritative_ttl) == (7, 30)
-
     def test_randomized_sweep_matches_rule_oracle(self):
         rng = random.Random(2022)
         for _ in range(2000):
             auth = rng.randint(0, 4000)
             response = rng.randint(0, 4000)
             quirk = rng.choice([TtlQuirk.NONE, TtlQuirk.GOOGLE_DECREMENT])
-            assert classify(response, auth, quirk).verdict is default_rule_oracle(response, auth)
+            assert classify(response, auth, quirk) is default_rule_oracle(response, auth)
 
     def test_unknown_iff_strictly_greater(self):
         for response in range(0, 42):
-            verdict = classify(response, 20).verdict
+            verdict = classify(response, 20)
             assert (verdict is Verdict.UNKNOWN) == (response > 20)
 
 
@@ -185,70 +176,3 @@ class TestDiscoverAuthoritativeTtl:
         with pytest.raises(ValueError):
             AuthoritativeTtl("x.example", "cdn", 0, TtlSource.STATIC_DEFAULT, 0.0)
 
-
-def point(verdict, latency, cdn="akamai", resolver="google", version=IpVersion.V4):
-    return ClassifiedPoint(
-        cdn=cdn, resolver_label=resolver, ip_version=version, verdict=verdict, latency_ms=latency
-    )
-
-
-class TestHitRateTable:
-    def test_three_hits_one_miss(self):
-        points = [
-            point(Verdict.HIT, 9.0),
-            point(Verdict.HIT, 10.0),
-            point(Verdict.HIT, 11.0),
-            point(Verdict.MISS, 40.0),
-        ]
-        (row,) = hit_rate_table(points)
-        assert row.count == 4
-        assert row.hit_rate == 75.0
-        assert row.miss_rate == 25.0
-        assert row.unknown_rate == 0.0
-        assert row.median_hit_ms == 10.0
-        assert row.median_miss_ms == 40.0
-        assert row.median_unknown_ms is None
-
-    def test_all_hits(self):
-        points = [point(Verdict.HIT, 5.0), point(Verdict.HIT, 6.0)]
-        (row,) = hit_rate_table(points)
-        assert (row.hit_rate, row.miss_rate, row.unknown_rate) == (100.0, 0.0, 0.0)
-        assert row.median_miss_ms is None
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
-            hit_rate_table([])
-
-    def test_keys_separate_rows(self):
-        points = [
-            point(Verdict.HIT, 5.0, resolver="google"),
-            point(Verdict.MISS, 6.0, resolver="quad9"),
-            point(Verdict.HIT, 6.0, resolver="google", version=IpVersion.V6),
-        ]
-        rows = hit_rate_table(points)
-        assert len(rows) == 3
-        keys = {(r.cdn, r.resolver_label, r.ip_version) for r in rows}
-        assert ("akamai", "quad9", IpVersion.V4) in keys
-
-    def test_random_corpus_matches_counting_oracle(self):
-        rng = random.Random(99)
-        verdicts = [Verdict.HIT, Verdict.MISS, Verdict.UNKNOWN]
-        points = []
-        planted = {}
-        for _ in range(2000):
-            cdn = rng.choice(["akamai", "fastly"])
-            resolver = rng.choice(["google", "quad9"])
-            version = rng.choice([IpVersion.V4, IpVersion.V6])
-            verdict = rng.choice(verdicts)
-            key = (cdn, resolver, version)
-            planted.setdefault(key, {v: 0 for v in verdicts})
-            planted[key][verdict] += 1
-            points.append(point(verdict, rng.uniform(1, 50), cdn, resolver, version))
-        for row in hit_rate_table(points):
-            counts = planted[(row.cdn, row.resolver_label, row.ip_version)]
-            total = sum(counts.values())
-            assert row.count == total
-            assert row.hit_rate == 100.0 * counts[Verdict.HIT] / total
-            assert row.miss_rate == 100.0 * counts[Verdict.MISS] / total
-            assert row.unknown_rate == 100.0 * counts[Verdict.UNKNOWN] / total
-            assert abs(row.hit_rate + row.miss_rate + row.unknown_rate - 100.0) < 1e-9

@@ -69,9 +69,18 @@ class TestMeasurementSpec:
         spec = MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER], dns_repeats=2)
         assert spec.dns_repeats == 2
 
-    def test_zero_handshakes_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER], handshake_repeats=0)
+    @pytest.mark.parametrize("repeats", [0, 1, 2])
+    def test_zero_handshakes_rejected(self, repeats):
+        # is_usable needs three successful handshakes.
+        with pytest.raises(ValueError, match="usable"):
+            MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER], handshake_repeats=repeats)
+
+    @pytest.mark.parametrize(
+        "hostname", ["a..b", "x" * 64 + ".example", ""], ids=["empty-label", "long-label", "empty"]
+    )
+    def test_website_that_is_not_a_dns_name_rejected(self, hostname):
+        with pytest.raises(ValueError, match="website"):
+            MeasurementSpec(websites=[("akamai", hostname)], resolvers=[RESOLVER])
 
     def test_resolver_needs_both_families(self):
         with pytest.raises(ValueError):

@@ -209,13 +209,14 @@ class TestFillIn:
         assert not updated[1].mset.failed_twice
         assert "1 before, 0 after" in capsys.readouterr().out
 
-    def test_double_failure_is_marked_and_reported(self, tmp_path):
+    def test_double_failure_is_marked_and_reported(self, tmp_path, capsys):
         dead_dns, dead_tcp = free_port(), free_port()
         path, _ = broken_campaign_file(tmp_path, dead_dns, dead_tcp)
         assert cli.main(["fill-in", "--input", path]) == 1
         updated = read_records(path)
         assert updated[1].mset.failed_twice
         assert len(updated[1].mset.dns_results) == 2
+        assert "unusable sets: 1 before, 1 after" in capsys.readouterr().out
 
     def test_output_flag_leaves_input_alone(self, tmp_path):
         with mock_network() as (dns_port, tcp_port):
@@ -225,19 +226,33 @@ class TestFillIn:
         assert read_records(path) == originals
         assert all(is_usable(r.mset) for r in read_records(out))
 
-    def test_counts_match_the_sets_it_retried(self, tmp_path, capsys):
-        # Two successful handshakes are not usable, even when the snapshot's
-        # spec asks for only two; the printed counts must say what was retried.
+    STORED_SPECS = {
+        "no-resolvers": {"resolvers": None},
+        "resolver-without-v6": {"resolvers": [["google", "8.8.8.8"]]},
+        "unknown-field": {"bogus": 1},
+        "website-not-a-dns-name": {"websites": [["akamai", "a..b"]]},
+        # is_usable needs three successful handshakes, so such a spec could
+        # never repair a set.
+        "two-handshakes": {"handshake_repeats": 2},
+    }
+
+    @pytest.mark.parametrize("change", STORED_SPECS.values(), ids=STORED_SPECS)
+    def test_stored_spec_that_cannot_be_rebuilt_is_an_error_line(self, tmp_path, capsys, monkeypatch, change):
+        def no_network(*args, **kwargs):
+            raise AssertionError("no query may be sent")
+
+        monkeypatch.setattr(cli, "fill_in", no_network)
+        snapshot = {**snapshot_for(53, 443), **change}
+        snapshot = {key: value for key, value in snapshot.items() if value is not None}
         mset = make_set(website="www.wide.example", resolver_label="local", handshakes=(25.0, 25.5))
-        with mock_network() as (dns_port, tcp_port):
-            snapshot = {**snapshot_for(dns_port, tcp_port), "handshake_repeats": 2}
-            path = str(tmp_path / "campaign.jsonl")
-            write_records([CampaignRecord(campaign_id="c1", mset=mset, spec_snapshot=snapshot)], path)
-            status = cli.main(["fill-in", "--input", path])
-        marked = sum(r.mset.failed_twice for r in read_records(path))
-        assert marked == 1
-        assert f"unusable sets: {marked} before, {marked} after" in capsys.readouterr().out
-        assert status == 1
+        path = tmp_path / "campaign.jsonl"
+        write_records([CampaignRecord(campaign_id="c1", mset=mset, spec_snapshot=snapshot)], str(path))
+        before = path.read_bytes()
+        assert cli.main(["fill-in", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+        assert path.read_bytes() == before
 
     def test_empty_input_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -654,6 +669,17 @@ SITES_CASES = {
     "sites-not-a-list": '{"akamai": "www.example.com"}',
     "no-terminal-cname": '{"akamai": [{"rank": 1, "site_domain": "example.com"}]}',
     "terminal-cname-not-a-string": '{"akamai": [{"terminal_cname": 5}]}',
+    "terminal-cname-not-a-dns-name": '{"akamai": [{"terminal_cname": "a..b"}]}',
+}
+CONFIG_CASES = {
+    "not-an-object": "[]",
+    "resolver-without-label": '{"resolvers": [{"v4_address": "127.0.0.1"}]}',
+    "resolvers-not-a-list": '{"resolvers": "x"}',
+    "resolver-not-an-object": '{"resolvers": [["local", "127.0.0.1", "::1"]]}',
+    "website-not-a-pair": '{"websites": [["akamai"]]}',
+    "website-not-strings": '{"websites": [["akamai", 5]]}',
+    "website-not-a-dns-name": '{"websites": [["akamai", "a..b"]]}',
+    "two-handshakes": '{"websites": [["akamai", "www.wide.example"]], "handshake_repeats": 2}',
 }
 UNUSABLE_INPUT_PATHS = {
     **{f"analyze-data-dir-{case}": ("analyze", "--data-dir", content)
@@ -668,6 +694,8 @@ UNUSABLE_INPUT_PATHS = {
        }.items()},
     **{f"discover-catalog-{case}": ("discover", "--catalog", content)
        for case, content in {"missing": None, "one-field-line": "akamai\n"}.items()},
+    **{f"{command}-config-{case}": (command, "--config", content)
+       for command in ("measure", "schedule", "report") for case, content in CONFIG_CASES.items()},
 }
 
 
@@ -686,6 +714,7 @@ class TestUnusableInputPath:
             "measure": ["measure", "--config", config, "--output", output],
             "schedule": ["schedule", "--config", config, "--count", "1"],
             "discover": ["discover", "--domains", str(domains), "--config", config, "--output", output],
+            "report": ["report", "--kind", "hit-rate", "--input", analysis_fixture(tmp_path)[0], "--output", output],
         }[command] + [flag, path]
 
     @pytest.mark.parametrize(
