@@ -714,7 +714,8 @@ class TestUnusableInputPath:
             "measure": ["measure", "--config", config, "--output", output],
             "schedule": ["schedule", "--config", config, "--count", "1"],
             "discover": ["discover", "--domains", str(domains), "--config", config, "--output", output],
-            "report": ["report", "--kind", "hit-rate", "--input", analysis_fixture(tmp_path)[0], "--output", output],
+            "report": ["report", "--kind", "hit-rate", "--input", analysis_fixture(tmp_path)[0],
+                       "--output", output],
         }[command] + [flag, path]
 
     @pytest.mark.parametrize(
