@@ -52,8 +52,10 @@ import random
 import selectors
 import socket
 import time
+import types
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .cache import TtlQuirk
 from .mapping import HandshakeAttempt, HandshakeSample, measure_handshake, select_edge
@@ -74,9 +76,43 @@ DEFAULT_PREWARM_GAP_S = 15.0
 USABLE_HANDSHAKES = 3  # successful handshakes a usable set holds
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a field declares: a bool is not a
+    number, an int is a float, a list is a tuple, and unions, lists,
+    tuples and dicts are checked to their parts."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(key, args[0]) and _fits(item, args[1]) for key, item in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def checked_fields(cls, doc: dict, *, skip: str) -> dict:
+    """The values in doc that name a field of the dataclass cls, other than
+    skip, each checked against the type its field declares; ValueError
+    names the first that does not fit.  Other keys are left out."""
+    hints = get_type_hints(cls)
+    values = {f.name: doc[f.name] for f in fields(cls) if f.name in doc and f.name != skip}
+    for name, value in values.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            raise ValueError(f"{name} is {value!r}, not {hint.__name__ if isinstance(hint, type) else hint}")
+    return values
+
+
 @dataclass
 class ResolverEntry:
-    """One resolver service, reachable over both address families."""
+    """One resolver service, reachable over both address families.  A
+    stored quirk value ("google-decrement") becomes its TtlQuirk."""
 
     label: str
     v4_address: str
@@ -84,6 +120,7 @@ class ResolverEntry:
     ttl_quirk: TtlQuirk = TtlQuirk.NONE
 
     def __post_init__(self):
+        self.ttl_quirk = TtlQuirk(self.ttl_quirk)
         if IpVersion.of_address(self.v4_address) is not IpVersion.V4:
             raise ValueError(f"{self.label}: {self.v4_address} is not IPv4")
         if IpVersion.of_address(self.v6_address) is not IpVersion.V6:
@@ -121,6 +158,29 @@ class MeasurementSpec:
                 validate_name(hostname)
             except InvalidNameError as exc:
                 raise ValueError(f"website {hostname!r} is not a DNS name: {exc}") from exc
+
+    def snapshot(self) -> dict:
+        """The spec as stored with each record: each website as
+        [cdn, hostname], and each resolver as [label, v4, v6], with its TTL
+        quirk's value as a fourth item when it has one."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["websites"] = [list(w) for w in self.websites]
+        doc["resolvers"] = [
+            [r.label, r.v4_address, r.v6_address]
+            + ([] if r.ttl_quirk is TtlQuirk.NONE else [r.ttl_quirk.value])
+            for r in self.resolvers
+        ]
+        return doc
+
+    @classmethod
+    def from_snapshot(cls, doc: dict) -> MeasurementSpec:
+        """The spec a stored record was measured with; ValueError when the
+        stored spec cannot be rebuilt."""
+        try:
+            checked_fields(cls, doc, skip="resolvers")
+            return cls(**{**doc, "resolvers": [ResolverEntry(*entry) for entry in doc["resolvers"]]})
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"stored spec cannot be rebuilt: {exc!r}") from exc
 
     def resolver_by_label(self, label: str) -> ResolverEntry:
         for entry in self.resolvers:

@@ -36,15 +36,16 @@ import gc
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from . import analytics, atlas, storage
 from .cache import load_ttl_table
-from .campaign import MeasurementSet, MeasurementSpec, ResolverEntry, fill_in, is_usable, run_campaign
+from .campaign import MeasurementSet, MeasurementSpec, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
 from .discovery import CatalogError, CdnCatalog, load_domain_list, scan_domain_list
 from .resolve import ResolveError, resolve_once
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="run campaigns on a recurring interval")
     p.add_argument("--config", help="tool config JSON")
     p.add_argument("--sites", help="site list JSON from `discover`")
-    p.add_argument("--interval-s", type=float, help="override the configured interval")
+    p.add_argument("--interval-s", type=_seconds, help="override the configured interval")
     p.add_argument("--count", type=int, default=0, help="stop after N campaigns (0 = forever)")
 
     p = sub.add_parser("fill-in", help="retry unusable sets in a stored campaign")
@@ -139,6 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--campaign-id", default="atlas-import")
 
     return parser
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative number of seconds")
+    return value
 
 
 @contextlib.contextmanager
@@ -224,10 +232,9 @@ def _campaign_inputs(args) -> tuple[ToolConfig, MeasurementSpec]:
     before any query is sent: a website the spec rejects is an error in
     the file it came from."""
     config = _load_tool_config(args.config)
+    spec = config.spec
     if args.sites:
-        spec = _read_input(args.sites, lambda path: config.to_measurement_spec(_load_sites(path)))
-    else:
-        spec = config.to_measurement_spec()
+        spec = _read_input(args.sites, lambda path: replace(config.spec, websites=_load_sites(path)))
     if not spec.websites:
         raise UnusableInputError("no websites; run `discover` or list them in the config")
     return config, spec
@@ -242,10 +249,10 @@ def _cmd_discover(args) -> int:
         domains,
         catalog,
         config.quotas,
-        config.resolvers,
+        config.spec.resolvers,
         scan_embedded=not args.no_embedded,
         fanout=config.fanout,
-        timeout_ms=config.per_query_timeout_ms,
+        timeout_ms=config.spec.per_query_timeout_ms,
     )
     doc = {
         cdn: [
@@ -277,7 +284,7 @@ def _cmd_detect_isp(args) -> int:
     except NoConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    timeout_ms = _load_tool_config(args.config).per_query_timeout_ms
+    timeout_ms = _load_tool_config(args.config).spec.per_query_timeout_ms
     vantage = {}
     for version, override in ((IpVersion.V4, args.vantage_v4), (IpVersion.V6, args.vantage_v6)):
         try:
@@ -309,10 +316,10 @@ def _cmd_detect_isp(args) -> int:
     return 0
 
 
-def _preflight(resolvers, *, timeout_ms, resolver_port) -> tuple[list, list]:
+def _preflight(spec: MeasurementSpec) -> tuple[list, list]:
     """Drop resolvers that fail on either family; they cannot be compared."""
     kept, dropped = [], []
-    for resolver in resolvers:
+    for resolver in spec.resolvers:
         try:
             for address in (resolver.v4_address, resolver.v6_address):
                 resolve_once(
@@ -320,8 +327,8 @@ def _preflight(resolvers, *, timeout_ms, resolver_port) -> tuple[list, list]:
                         qname=PREFLIGHT_PROBE_NAME,
                         qtype=RecordType.A,
                         resolver_address=address,
-                        timeout_ms=timeout_ms,
-                        resolver_port=resolver_port,
+                        timeout_ms=spec.per_query_timeout_ms,
+                        resolver_port=spec.resolver_port,
                     )
                 )
         except (ResolveError, MalformedMessageError):
@@ -331,44 +338,23 @@ def _preflight(resolvers, *, timeout_ms, resolver_port) -> tuple[list, list]:
     return kept, dropped
 
 
-def _spec_snapshot(spec: MeasurementSpec) -> dict:
-    """The spec as stored with each record: resolvers as [label, v4, v6]."""
-    doc = asdict(spec)
-    doc["websites"] = [list(w) for w in spec.websites]
-    doc["resolvers"] = [[r.label, r.v4_address, r.v6_address] for r in spec.resolvers]
-    return doc
-
-
-def spec_from_snapshot(doc: dict) -> MeasurementSpec:
-    """The spec a stored record was measured with; ValueError when the
-    stored spec cannot be rebuilt."""
-    try:
-        return MeasurementSpec(**{**doc, "resolvers": [ResolverEntry(*r) for r in doc["resolvers"]]})
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"stored spec cannot be rebuilt: {exc!r}") from exc
-
-
-def _run_one_campaign(
-    config: ToolConfig, spec: MeasurementSpec, output_path, *, preflight=True
-) -> tuple[int, str]:
+def _run_one_campaign(config: ToolConfig, spec: MeasurementSpec, output_path, *, preflight=True) -> int:
     if preflight:
-        kept, dropped = _preflight(
-            spec.resolvers, timeout_ms=spec.per_query_timeout_ms, resolver_port=spec.resolver_port
-        )
+        kept, dropped = _preflight(spec)
     else:
         kept, dropped = spec.resolvers, []
     for r in dropped:
         print(f"notice: resolver {r.label} ({r.v4_address}) unreachable, dropped", file=sys.stderr)
     if not kept:
         print("error: no reachable resolvers", file=sys.stderr)
-        return 1, ""
+        return 1
     spec = replace(spec, resolvers=kept)
     campaign_id = time.strftime("%Y%m%d-%H%M%S")
     sets = run_campaign(spec, vantage_id=config.vantage_id)
     if output_path is None:
         os.makedirs(config.output_dir, exist_ok=True)
         output_path = os.path.join(config.output_dir, f"campaign-{campaign_id}.jsonl")
-    snapshot = _spec_snapshot(spec)
+    snapshot = spec.snapshot()
     records = [
         storage.CampaignRecord(campaign_id=campaign_id, mset=s, spec_snapshot=snapshot)
         for s in sets
@@ -376,13 +362,12 @@ def _run_one_campaign(
     storage.write_records(records, output_path)
     usable = sum(1 for s in sets if is_usable(s))
     print(f"wrote {len(sets)} sets ({usable} usable) to {output_path}")
-    return (1 if dropped else 0), output_path
+    return 1 if dropped else 0
 
 
 def _cmd_measure(args) -> int:
     config, spec = _campaign_inputs(args)
-    status, _ = _run_one_campaign(config, spec, args.output, preflight=not args.skip_preflight)
-    return status
+    return _run_one_campaign(config, spec, args.output, preflight=not args.skip_preflight)
 
 
 def _cmd_schedule(args) -> int:
@@ -391,8 +376,7 @@ def _cmd_schedule(args) -> int:
     ran = 0
     worst = 0
     while True:
-        status, _ = _run_one_campaign(config, spec, None)
-        worst = max(worst, status)
+        worst = max(worst, _run_one_campaign(config, spec, None))
         ran += 1
         if args.count and ran >= args.count:
             return worst
@@ -407,9 +391,9 @@ def _cmd_fill_in(args) -> int:
     config = _load_tool_config(args.config)
     snapshot = records[0].spec_snapshot
     if snapshot:
-        spec = _read_input(args.input, lambda _: spec_from_snapshot(snapshot))
+        spec = _read_input(args.input, lambda _: MeasurementSpec.from_snapshot(snapshot))
     else:
-        spec = config.to_measurement_spec()
+        spec = config.spec
     sets = [r.mset for r in records]
     before = sum(1 for s in sets if not is_usable(s))
     updated = fill_in(sets, spec)
@@ -624,7 +608,8 @@ def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
                 "median_hit_ms", "median_miss_ms", "median_unknown_ms",
             ]
         )
-        for row in analytics.hit_rate_table(sets, load_ttl_table(), quirks=config.quirk_map()):
+        quirks = {r.label: r.ttl_quirk for r in config.spec.resolvers}
+        for row in analytics.hit_rate_table(sets, load_ttl_table(), quirks=quirks):
             writer.writerow(
                 [
                     row.cdn,

@@ -85,6 +85,16 @@ class TestUsageErrors:
         assert cli.main(["measure"]) == 2
         assert "no websites" in capsys.readouterr().err
 
+    def test_schedule_rejects_a_negative_interval(self, tmp_path, capsys, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("no query may be sent")
+
+        for name in ("resolve_once", "run_campaign"):
+            monkeypatch.setattr(cli, name, no_network)
+        argv = ["schedule", "--config", write_config(tmp_path), "--count", "1", "--interval-s", "-1"]
+        assert cli.main(argv) == 2
+        assert "--interval-s" in capsys.readouterr().err
+
 
 class TestMeasure:
     def test_campaign_reaches_disk_and_is_usable(self, tmp_path, capsys):
@@ -234,6 +244,9 @@ class TestFillIn:
         # is_usable needs three successful handshakes, so such a spec could
         # never repair a set.
         "two-handshakes": {"handshake_repeats": 2},
+        "unknown-quirk": {"resolvers": [["local", "127.0.0.1", "::1", "bogus"]]},
+        "gap-a-bool": {"prewarm_gap_s": True},
+        "repeats-a-string": {"dns_repeats": "3"},
     }
 
     @pytest.mark.parametrize("change", STORED_SPECS.values(), ids=STORED_SPECS)
@@ -680,6 +693,17 @@ CONFIG_CASES = {
     "website-not-strings": '{"websites": [["akamai", 5]]}',
     "website-not-a-dns-name": '{"websites": [["akamai", "a..b"]]}',
     "two-handshakes": '{"websites": [["akamai", "www.wide.example"]], "handshake_repeats": 2}',
+    "resolver-with-unknown-quirk":
+        '{"resolvers": [{"label": "l", "v4_address": "127.0.0.1", "v6_address": "::1", "ttl_quirk": "x"}]}',
+    # Each value must have the type its field declares.
+    "repeats-a-string": '{"handshake_repeats": "3"}',
+    "gap-a-bool": '{"prewarm_gap_s": true}',
+    "vantage-a-number": '{"vantage_id": 5}',
+    "quotas-a-number": '{"quotas": 5}',
+    "quota-a-string": '{"quotas": {"akamai": "5"}}',
+    "catalog-path-a-number": '{"catalog_path": 5}',
+    "negative-quota": '{"quotas": {"akamai": -1}}',
+    "negative-interval": '{"recurrence_interval_s": -1}',
 }
 UNUSABLE_INPUT_PATHS = {
     **{f"analyze-data-dir-{case}": ("analyze", "--data-dir", content)
@@ -695,7 +719,8 @@ UNUSABLE_INPUT_PATHS = {
     **{f"discover-catalog-{case}": ("discover", "--catalog", content)
        for case, content in {"missing": None, "one-field-line": "akamai\n"}.items()},
     **{f"{command}-config-{case}": (command, "--config", content)
-       for command in ("measure", "schedule", "report") for case, content in CONFIG_CASES.items()},
+       for command in ("measure", "schedule", "report", "discover")
+       for case, content in CONFIG_CASES.items()},
 }
 
 

@@ -1,15 +1,18 @@
 """Tool config file round trips and the stored spec snapshot format."""
 
+import importlib
 import json
-from dataclasses import asdict, fields
+import pathlib
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from dnscdn import analytics
 from dnscdn.cache import TtlQuirk
 from dnscdn.campaign import MeasurementSpec, ResolverEntry
-from dnscdn.cli import _spec_snapshot, spec_from_snapshot
 from dnscdn.config import ToolConfig, default_resolvers, load_config
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 SPEC = MeasurementSpec(
     websites=[("akamai", "www.example.com"), ("fastly", "img.example.net")],
@@ -39,25 +42,34 @@ def write_json(tmp_path, doc):
     return str(path)
 
 
+def config_file_doc(config: ToolConfig) -> dict:
+    """config as the one flat JSON object a config file holds."""
+    doc = {name: value for name, value in asdict(config).items() if name != "spec"}
+    doc.update(asdict(config.spec))
+    for entry in doc["resolvers"]:
+        entry["ttl_quirk"] = entry["ttl_quirk"].value
+    return doc
+
+
 class TestConfigFile:
     def test_save_then_load_round_trips(self, tmp_path):
         config = ToolConfig(
-            resolvers=[
-                ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888", TtlQuirk.GOOGLE_DECREMENT),
-                ResolverEntry("local", "127.0.0.1", "::1"),
-            ],
-            websites=[("akamai", "www.example.com")],
-            prewarm_gap_s=2.0,
-            resolver_port=5353,
+            spec=MeasurementSpec(
+                websites=[("akamai", "www.example.com")],
+                resolvers=[
+                    ResolverEntry("google", "8.8.8.8", "2001:4860:4860::8888", TtlQuirk.GOOGLE_DECREMENT),
+                    ResolverEntry("local", "127.0.0.1", "::1"),
+                ],
+                prewarm_gap_s=2.0,
+                resolver_port=5353,
+            ),
+            catalog_path="catalog.txt",
+            quotas={"akamai": 7},
             vantage_id="desk",
         )
-        doc = asdict(config)
-        for entry in doc["resolvers"]:
-            entry["ttl_quirk"] = entry["ttl_quirk"].value
-        loaded = load_config(write_json(tmp_path, doc))
+        loaded = load_config(write_json(tmp_path, config_file_doc(config)))
         assert loaded == config
-        assert loaded.resolvers[0].ttl_quirk is TtlQuirk.GOOGLE_DECREMENT
-        assert loaded.quirk_map() == {"google": TtlQuirk.GOOGLE_DECREMENT, "local": TtlQuirk.NONE}
+        assert [r.ttl_quirk for r in loaded.spec.resolvers] == [TtlQuirk.GOOGLE_DECREMENT, TtlQuirk.NONE]
 
     def test_swapped_family_addresses_rejected(self, tmp_path):
         path = write_json(
@@ -68,11 +80,12 @@ class TestConfigFile:
             load_config(path)
 
     def test_unknown_keys_are_ignored(self, tmp_path):
-        path = write_json(tmp_path, {"no_such_option": 1, "dns_repeats": 4})
+        # "spec" is the name of a ToolConfig field, not a key of the file.
+        path = write_json(tmp_path, {"no_such_option": 1, "spec": 1, "dns_repeats": 4})
         config = load_config(path)
-        assert config.dns_repeats == 4
+        assert config.spec.dns_repeats == 4
         assert not hasattr(config, "no_such_option")
-        assert config.resolvers == default_resolvers()
+        assert config.spec.resolvers == default_resolvers()
 
     def test_config_with_the_retired_geo_path_still_loads(self, tmp_path):
         # Regions reach the CLI through --geo only; older configs carry geo_path.
@@ -84,16 +97,17 @@ class TestConfigFile:
     def test_threshold_defaults_to_the_analytics_constant(self):
         assert ToolConfig().happy_eyeballs_threshold_ms == analytics.HAPPY_EYEBALLS_THRESHOLD_MS
 
-    def test_spec_carries_the_roster(self):
-        config = ToolConfig(websites=[["akamai", "www.example.com"]])
-        spec = config.to_measurement_spec()
-        assert spec.resolvers == config.resolvers
-        assert spec.websites == [("akamai", "www.example.com")]
+    def test_spec_carries_the_roster(self, tmp_path):
+        assert ToolConfig().spec.resolvers == default_resolvers()
+        for doc in ({}, {"resolvers": []}):  # no roster, or an empty one
+            assert load_config(write_json(tmp_path, doc)).spec.resolvers == default_resolvers()
 
-    def test_spec_carries_every_shared_field(self):
-        shared = {
-            "websites": [("fastly", "img.example.net")],
-            "resolvers": [ResolverEntry("local", "127.0.0.1", "::1")],
+    def test_spec_carries_every_shared_field(self, tmp_path):
+        # Every key of the file that names a MeasurementSpec field reaches
+        # config.spec as written.
+        doc = {
+            "websites": [["fastly", "img.example.net"]],
+            "resolvers": [{"label": "local", "v4_address": "127.0.0.1", "v6_address": "::1"}],
             "dns_repeats": 5,
             "prewarm_gap_s": 2.5,
             "handshake_repeats": 4,
@@ -101,25 +115,68 @@ class TestConfigFile:
             "resolver_port": 5353,
             "handshake_port": 8443,
         }
-        assert set(shared) == {f.name for f in fields(MeasurementSpec)}
-        assert all(value != getattr(ToolConfig(), name) for name, value in shared.items())
-        spec = ToolConfig(**shared).to_measurement_spec()
-        assert {name: getattr(spec, name) for name in shared} == shared
+        assert set(doc) == {f.name for f in fields(MeasurementSpec)}
+        spec = load_config(write_json(tmp_path, doc)).spec
+        default = ToolConfig().spec
+        assert all(getattr(spec, name) != getattr(default, name) for name in doc)
+        assert spec == MeasurementSpec(
+            **{**doc, "websites": [("fastly", "img.example.net")],
+               "resolvers": [ResolverEntry("local", "127.0.0.1", "::1")]}
+        )
 
     def test_websites_argument_overrides_the_config(self):
-        config = ToolConfig(websites=[("akamai", "www.example.com")])
-        spec = config.to_measurement_spec([("fastly", "img.example.net")])
-        assert spec.websites == [("fastly", "img.example.net")]
+        # measure and schedule --sites: replace runs the spec's checks again.
+        spec = ToolConfig(spec=SPEC).spec
+        assert replace(spec, websites=[["fastly", "cdn.example"]]).websites == [("fastly", "cdn.example")]
+        with pytest.raises(ValueError, match="not a DNS name"):
+            replace(spec, websites=[("akamai", "a..b")])
+
+    def test_tool_settings_and_spec_fields_do_not_overlap(self):
+        tool = {f.name for f in fields(ToolConfig)}
+        assert not tool & {f.name for f in fields(MeasurementSpec)}
+        # The file's keys: the spec's fields and the tool's own settings.
+        assert len(tool - {"spec"}) + len(fields(MeasurementSpec)) == 16
+
+    def test_loads_the_benchmark_campaign_config(self, tmp_path, monkeypatch):
+        # campaign-loopback runs `measure --config` on exactly this file.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+        truth = gen.write_campaign(str(tmp_path), 7)
+        config = load_config(gen.write_campaign_config(str(tmp_path), truth, 5353, 8443))
+        assert config.vantage_id == "loopback"
+        assert config.spec.websites == [tuple(w) for w in truth["websites"]]
+        assert [r.label for r in config.spec.resolvers] == list(gen.CAMPAIGN_LABELS)
+        assert (config.spec.resolver_port, config.spec.handshake_port) == (5353, 8443)
+        assert config.spec.prewarm_gap_s == truth["gap_s"]
 
 
 class TestSpecSnapshot:
     def test_golden_line(self):
-        assert json.dumps(_spec_snapshot(SPEC)) == SNAPSHOT_LINE
+        assert json.dumps(SPEC.snapshot()) == SNAPSHOT_LINE
 
     def test_round_trip(self):
-        assert spec_from_snapshot(_spec_snapshot(SPEC)) == SPEC
+        assert MeasurementSpec.from_snapshot(SPEC.snapshot()) == SPEC
 
     def test_stored_line_loads(self):
-        spec = spec_from_snapshot(json.loads(SNAPSHOT_LINE))
+        spec = MeasurementSpec.from_snapshot(json.loads(SNAPSHOT_LINE))
         assert spec == SPEC
         assert spec.resolver_by_label("quad9").v6_address == "2620:fe::fe"
+
+    def test_ttl_quirk_survives(self):
+        spec = replace(SPEC, resolvers=default_resolvers())
+        doc = json.loads(json.dumps(spec.snapshot()))
+        assert doc["resolvers"][0] == ["google", "8.8.8.8", "2001:4860:4860::8888", "google-decrement"]
+        assert doc["resolvers"][1] == ["cloudflare", "1.1.1.1", "2606:4700:4700::1111"]
+        back = MeasurementSpec.from_snapshot(doc)
+        assert back == spec
+        assert back.resolver_by_label("google").ttl_quirk is TtlQuirk.GOOGLE_DECREMENT
+
+    def test_unknown_quirk_is_rejected(self):
+        doc = {**SPEC.snapshot(), "resolvers": [["local", "127.0.0.1", "::1", "bogus"]]}
+        with pytest.raises(ValueError):
+            MeasurementSpec.from_snapshot(doc)
+
+    @pytest.mark.parametrize("doc", [5, [1], "resolvers"])
+    def test_stored_spec_that_is_not_an_object_is_rejected(self, doc):
+        with pytest.raises(ValueError):
+            MeasurementSpec.from_snapshot(doc)
