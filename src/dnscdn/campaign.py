@@ -78,15 +78,15 @@ USABLE_HANDSHAKES = 3  # successful handshakes a usable set holds
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has the type a field declares: a bool is not a
-    number, an int is a float, a list is a tuple, and unions, lists,
-    tuples and dicts are checked to their parts."""
+    number, an int is a float, an array is a tuple of its length, and
+    unions, lists, tuples and dicts are checked to their parts."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is types.UnionType:
         return any(_fits(value, arg) for arg in args)
     if origin is list:
         return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
     if origin is tuple:
-        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
+        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
     if origin is dict:
         return isinstance(value, dict) and all(
             _fits(key, args[0]) and _fits(item, args[1]) for key, item in value.items()
@@ -150,8 +150,8 @@ class MeasurementSpec:
                 f"handshake_repeats must be at least {USABLE_HANDSHAKES}: a set is usable "
                 f"only with {USABLE_HANDSHAKES} successful handshakes"
             )
-        if self.prewarm_gap_s < 0:
-            raise ValueError("prewarm_gap_s must be non-negative")
+        if not 0 <= self.prewarm_gap_s < math.inf:
+            raise ValueError("prewarm_gap_s must be a non-negative number of seconds")
         self.websites = [tuple(w) for w in self.websites]
         for _, hostname in self.websites:
             try:

@@ -704,6 +704,7 @@ CONFIG_CASES = {
     "catalog-path-a-number": '{"catalog_path": 5}',
     "negative-quota": '{"quotas": {"akamai": -1}}',
     "negative-interval": '{"recurrence_interval_s": -1}',
+    "gap-not-a-finite-number": '{"prewarm_gap_s": NaN}',
 }
 UNUSABLE_INPUT_PATHS = {
     **{f"analyze-data-dir-{case}": ("analyze", "--data-dir", content)
