@@ -129,7 +129,8 @@ class ResolverEntry:
 
 @dataclass
 class MeasurementSpec:
-    """What to measure: websites (with their CDN), resolvers, and cadence."""
+    """What to measure: websites (with their CDN), resolvers, and cadence.
+    Every stored record carries its snapshot(), so fill_in can re-run it."""
 
     websites: list[tuple[str, str]]  # (cdn, hostname)
     resolvers: list[ResolverEntry]
@@ -152,6 +153,10 @@ class MeasurementSpec:
             )
         if not 0 <= self.prewarm_gap_s < math.inf:
             raise ValueError("prewarm_gap_s must be a non-negative number of seconds")
+        if not 0 < self.per_query_timeout_ms < math.inf:
+            raise ValueError("per_query_timeout_ms must be a positive number")
+        if not (0 < self.resolver_port < 65536 and 0 < self.handshake_port < 65536):
+            raise ValueError("resolver_port and handshake_port must be in 1-65535")
         self.websites = [tuple(w) for w in self.websites]
         for _, hostname in self.websites:
             try:

@@ -705,6 +705,9 @@ CONFIG_CASES = {
     "negative-quota": '{"quotas": {"akamai": -1}}',
     "negative-interval": '{"recurrence_interval_s": -1}',
     "gap-not-a-finite-number": '{"prewarm_gap_s": NaN}',
+    "timeout-not-positive": '{"per_query_timeout_ms": 0}',
+    "resolver-port-out-of-range": '{"resolver_port": 70000}',
+    "negative-handshake-port": '{"handshake_port": -1}',
 }
 UNUSABLE_INPUT_PATHS = {
     **{f"analyze-data-dir-{case}": ("analyze", "--data-dir", content)
