@@ -30,9 +30,14 @@ timeouts:
   Every set that reaches its queries therefore waited at least
   prewarm_gap_s after its prewarm's answer, and at most that plus the
   slowest answer from its address plus 5 ms.
-- A DNS reading's clock stops at the select() return that reported its
-  socket readable, before the reply is read or decoded.  A handshake is
-  a non-blocking connect on the same loop, timed to the return that
+- A DNS reading's clock starts right before its send.  Over UDP it
+  stops at the kernel's receive stamp of the reply (Linux), so a late
+  wake-up of the loop stays out of the reading; without a usable stamp,
+  and for the TCP retry, it stops at the select() return that reported
+  the socket readable, before the reply is read or decoded.  A lane is
+  freed, and its slowest answer measured, on that select() return, since
+  the loop learns of the answer only then.  A handshake is a
+  non-blocking connect on the same loop, timed to the return that
   reported it writable; handshakes do not hold a lane.
 
 A campaign therefore takes about one gap plus the busiest lane's query
@@ -120,6 +125,8 @@ class ResolverEntry:
     ttl_quirk: TtlQuirk = TtlQuirk.NONE
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError(f"resolver label {self.label!r} is not a non-empty string")
         self.ttl_quirk = TtlQuirk(self.ttl_quirk)
         if IpVersion.of_address(self.v4_address) is not IpVersion.V4:
             raise ValueError(f"{self.label}: {self.v4_address} is not IPv4")
@@ -157,6 +164,11 @@ class MeasurementSpec:
             raise ValueError("per_query_timeout_ms must be a positive number")
         if not (0 < self.resolver_port < 65536 and 0 < self.handshake_port < 65536):
             raise ValueError("resolver_port and handshake_port must be in 1-65535")
+        labels = set()
+        for resolver in self.resolvers:
+            if resolver.label in labels:
+                raise ValueError(f"resolver label {resolver.label!r} is given twice")
+            labels.add(resolver.label)
         self.websites = [tuple(w) for w in self.websites]
         for _, hostname in self.websites:
             try:

@@ -2,9 +2,14 @@
 
 A DnsExchange is one query as two non-blocking steps: start() sends it,
 and on_ready(stamp) consumes what its socket holds once a selector has
-reported it ready.  The reading's clock stops at `stamp`, the moment
-select() returned, before the reply is read or decoded, so the tool's
-own decoding never shows up in a latency.  The campaign loop runs many
+reported it ready.  The reading's clock starts right before the send,
+after the socket is opened and connected.  On Linux a UDP reading stops
+at the kernel's receive stamp of the reply (SO_TIMESTAMPNS), so neither
+the tool's decoding nor a late wake-up of its loop shows up in a
+latency.  Where there is no such stamp (another system, the option
+refused, no ancillary data) or it falls outside (send, stamp], and for
+the TCP retry, the clock stops at `stamp`, the moment select() returned,
+before the reply is read or decoded.  The campaign loop runs many
 exchanges at once; resolve_once drives a single one to completion.
 
 There are no retransmissions at this layer; retries are a campaign-level
@@ -19,6 +24,7 @@ import random
 import selectors
 import socket
 import struct
+import sys
 import time
 from dataclasses import dataclass
 
@@ -33,6 +39,13 @@ from .wire import (
 )
 
 _UDP_RECV_SIZE = 4096
+
+# Linux's SO_TIMESTAMPNS: the kernel stamps each datagram with its
+# CLOCK_REALTIME arrival, as a timespec.  Python has no constant for it,
+# and 35 is another option elsewhere.
+_SO_TIMESTAMPNS = 35 if sys.platform == "linux" else None
+_TIMESPEC = struct.Struct("@ll")
+_STAMP_SPACE = socket.CMSG_SPACE(_TIMESPEC.size) if _SO_TIMESTAMPNS else None
 
 # Transaction ids have their own generator, so code that seeds the random
 # module's shared one does not fix them.
@@ -150,16 +163,21 @@ class DnsExchange:
     def _open(self, kind: int):
         sock = socket.socket(_family(self.question.transport_version), kind)
         sock.setblocking(False)
+        if kind == socket.SOCK_DGRAM and _SO_TIMESTAMPNS:
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
+            except OSError:
+                pass  # read on without kernel stamps
         return sock
 
     def start(self) -> None:
-        """Send the query over UDP; the clock starts here."""
+        """Send the query over UDP; the clock starts right before the send."""
         try:
             self.sock = self._open(socket.SOCK_DGRAM)
+            self.sock.connect(self._peer())
             self.sent_at_wall = time.time()
             self.sent_at = time.perf_counter()
             self.deadline = self.sent_at + self.question.timeout_ms / 1000.0
-            self.sock.connect(self._peer())
             self.sock.send(self._payload)
         except OSError as exc:
             raise _resolve_error(exc) from exc
@@ -185,18 +203,38 @@ class DnsExchange:
     def _read_udp(self, stamp: float) -> TimedDnsResponse | None:
         while True:
             try:
-                data = self.sock.recv(_UDP_RECV_SIZE)
+                if _SO_TIMESTAMPNS:
+                    data, ancdata, flags, _ = self.sock.recvmsg(_UDP_RECV_SIZE, _STAMP_SPACE)
+                else:  # recvmsg is not on every system
+                    data, ancdata, flags = self.sock.recv(_UDP_RECV_SIZE), (), 0
             except BlockingIOError:
                 return None  # only stray datagrams were waiting
             except OSError as exc:
                 raise _resolve_error(exc) from exc
+            wall_ns, now = time.time_ns(), time.perf_counter()
             if len(data) >= 2 and struct.unpack_from("!H", data)[0] != self.txid:
                 continue  # stray or spoofed reply; keep waiting
             message = decode_response(data)
             if not message.truncated:
-                return self._answer(message, stamp, truncated_retried=False)
+                received = self._received_at(ancdata, flags, wall_ns, now, stamp)
+                return self._answer(message, received, truncated_retried=False)
             self._start_tcp()
             return None
+
+    def _received_at(self, ancdata, flags: int, wall_ns: int, now: float, stamp: float) -> float:
+        """The datagram's kernel receive stamp on the perf_counter clock,
+        converted with the wall-clock and perf_counter pair (wall_ns, now)
+        read right after recvmsg; `stamp` when there is none, or when it
+        does not fall in (sent_at, stamp]."""
+        if not ancdata or flags & socket.MSG_CTRUNC:
+            return stamp
+        for level, kind, data in ancdata:
+            if (level, kind) == (socket.SOL_SOCKET, _SO_TIMESTAMPNS) and len(data) >= _TIMESPEC.size:
+                sec, nsec = _TIMESPEC.unpack_from(data)
+                received = now - (wall_ns - sec * 1_000_000_000 - nsec) / 1e9
+                if self.sent_at < received <= stamp:
+                    return received
+        return stamp
 
     def _start_tcp(self) -> None:
         """Re-ask the same question over TCP (RFC 1035 2-byte length framing)."""

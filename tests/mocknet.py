@@ -10,12 +10,18 @@ import heapq
 import itertools
 import os
 import socket
+import statistics
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
 
 A, NS, CNAME, TXT, AAAA = 1, 2, 5, 16, 28
+
+# Linux's SO_TIMESTAMPNS, for which Python has no constant: the kernel
+# stamps each datagram with its CLOCK_REALTIME arrival, as a timespec.
+SO_TIMESTAMPNS = 35
+_TIMESPEC = struct.Struct("@ll")
 
 
 def name_bytes(name: str) -> bytes:
@@ -84,6 +90,69 @@ def parse_query(data: bytes):
 
 
 @dataclass
+class Served:
+    """One query the mock took in, stamped on the perf_counter clock.
+
+    A UDP query arrives at the kernel's receive stamp; a TCP query once it
+    has been read whole.  replied_at is taken right before the reply's
+    send, so the measured hold (replied_at - arrived_at) covers the
+    scripted delay with however far the mock overshot it, and any wait for
+    the mock's thread.  It stays None for a dropped query.
+    """
+
+    host: str
+    qname: str
+    qtype: int
+    txid: int
+    arrived_at: float
+    replied_at: float | None = None
+
+    @property
+    def hold_ms(self) -> float:
+        return (self.replied_at - self.arrived_at) * 1000.0
+
+
+def served_for(served, response) -> Served:
+    """The one query in served that a TimedDnsResponse timed: same resolver
+    address, name and type, arrived between its send and its reading's end."""
+    question = response.question
+    end = response.sent_at_monotonic + response.latency_ms / 1000.0
+    (match,) = [
+        s
+        for s in served
+        if s.host == question.resolver_address
+        and s.qname.lower() == question.qname.rstrip(".").lower()
+        and s.qtype == int(question.qtype)
+        and response.sent_at_monotonic < s.arrived_at < end
+    ]
+    return match
+
+
+def excess_ms(served, responses) -> list[float]:
+    """Each reading minus the hold the mock measured for it."""
+    return [r.latency_ms - served_for(served, r).hold_ms for r in responses]
+
+
+def assert_tracks_holds(excess, jitter_ms, *, median=False):
+    """No reading is shorter than its measured hold, and each (or, with
+    median, their median) exceeds it by at most jitter_ms."""
+    assert min(excess) >= 0.0, excess
+    assert (statistics.median(excess) if median else max(excess)) <= jitter_ms, excess
+
+
+def _arrival(ancdata) -> float:
+    """A datagram's kernel receive stamp on the perf_counter clock, or the
+    present moment when the kernel gave none.  The wall clock is read first,
+    so a pause between the two reads makes the stamp late, never early."""
+    wall_ns, now = time.time_ns(), time.perf_counter()
+    for level, kind, data in ancdata:
+        if (level, kind) == (socket.SOL_SOCKET, SO_TIMESTAMPNS) and len(data) >= _TIMESPEC.size:
+            sec, nsec = _TIMESPEC.unpack_from(data)
+            return now - (wall_ns - sec * 1_000_000_000 - nsec) / 1e9
+    return now
+
+
+@dataclass
 class MockReply:
     answers: list = field(default_factory=list)  # (name, rtype, ttl, rdata)
     rcode: int = 0
@@ -109,6 +178,9 @@ class MockDnsServer:
     drops the query.  The TCP side answers length-prefixed queries with
     the same script, tc stripped — pair it with a tc=True UDP reply to
     exercise truncation retry.
+
+    Every query taken in is appended to `served` (a fresh list unless one
+    is passed, so servers can share it) with its measured hold.
     """
 
     def __init__(
@@ -118,30 +190,47 @@ class MockDnsServer:
         host: str = "127.0.0.1",
         tcp: bool = False,
         port: int = 0,
+        served: list | None = None,
     ):
         self.script = script or constant_script([])
         self.delay_ms = delay_ms
         self.host = host
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
-        self._udp = socket.socket(family, socket.SOCK_DGRAM)
-        self._udp.bind((host, port))
+        self._udp, self._tcp = self._bind(family, port, tcp)
         self._udp.settimeout(0.05)
+        self._udp.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
         self.port = self._udp.getsockname()[1]
-        self.queries: list[tuple[str, int, int]] = []  # (qname, qtype, txid)
+        self.served: list[Served] = [] if served is None else served
         self._counts: dict[tuple[str, int], int] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._threads = [threading.Thread(target=self._udp_loop, daemon=True)]
-        self._tcp = None
         if tcp:
-            self._tcp = socket.socket(family, socket.SOCK_STREAM)
-            self._tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._tcp.bind((host, self.port))
             self._tcp.listen(8)
             self._tcp.settimeout(0.05)
             self._threads.append(threading.Thread(target=self._tcp_loop, daemon=True))
         for t in self._threads:
             t.start()
+
+    def _bind(self, family, port, tcp, attempts=5):
+        """A UDP socket bound to port and, with tcp, a TCP one on the same
+        port.  A drawn port (port 0) may be taken for TCP by some other
+        socket; then both are closed and another port is drawn."""
+        for attempt in range(attempts):
+            udp = socket.socket(family, socket.SOCK_DGRAM)
+            udp.bind((self.host, port))
+            if not tcp:
+                return udp, None
+            stream = socket.socket(family, socket.SOCK_STREAM)
+            stream.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            try:
+                stream.bind((self.host, udp.getsockname()[1]))
+                return udp, stream
+            except OSError:
+                udp.close()
+                stream.close()
+                if port or attempt == attempts - 1:
+                    raise
 
     @property
     def address(self):
@@ -154,13 +243,16 @@ class MockDnsServer:
             self._counts[key] = count + 1
             return count
 
-    def _render(self, data, *, allow_tc):
+    def _render(self, data, arrived_at, *, allow_tc):
+        """The reply's bytes, its MockReply and its Served entry, after the
+        hold; (None, None, None) when the script drops the query."""
         txid, qname, qtype = parse_query(data)
+        served = Served(self.host, qname, qtype, txid, arrived_at)
         with self._lock:
-            self.queries.append((qname, qtype, txid))
+            self.served.append(served)
         reply = self.script(qname, qtype, self._next_count(qname, qtype))
         if reply is None:
-            return None, None
+            return None, None, None
         if reply.raw_tail is not None:
             wire = struct.pack("!H", txid) + reply.raw_tail
         else:
@@ -177,17 +269,18 @@ class MockDnsServer:
         total_delay = (self.delay_ms + reply.delay_ms) / 1000.0
         if total_delay:
             time.sleep(total_delay)
-        return wire, reply
+        return wire, reply, served
 
     def _udp_loop(self):
         while not self._stop.is_set():
             try:
-                data, peer = self._udp.recvfrom(4096)
+                data, ancdata, _, peer = self._udp.recvmsg(4096, socket.CMSG_SPACE(_TIMESPEC.size))
             except (socket.timeout, OSError):
                 continue
-            wire, reply = self._render(data, allow_tc=True)
+            wire, reply, served = self._render(data, _arrival(ancdata), allow_tc=True)
             if wire is None:
                 continue
+            served.replied_at = time.perf_counter()
             if reply.wrong_txid_first:
                 bogus = bytearray(wire)
                 bogus[0] ^= 0xFF
@@ -212,8 +305,9 @@ class MockDnsServer:
                     if not chunk:
                         break
                     data += chunk
-                wire, _ = self._render(data, allow_tc=False)
+                wire, _, served = self._render(data, time.perf_counter(), allow_tc=False)
                 if wire is not None:
+                    served.replied_at = time.perf_counter()
                     conn.sendall(struct.pack("!H", len(wire)) + wire)
             finally:
                 conn.close()
@@ -313,12 +407,16 @@ class _DelayedConnectSocket:
     starts the real connect and reports it in progress.  fileno() is the
     write end of a pipe kept full until a timer drains it delay_s later,
     so a selector sees the socket writable only then; SO_ERROR is the real
-    connect's outcome.
+    connect's outcome.  connect_at and fired_at (perf_counter) record when
+    connect_ex() was called and when the timer actually began to drain the
+    pipe.
     """
 
     def __init__(self, sock, delay_s: float):
         self._sock = sock
         self._delay_s = delay_s
+        self.address = None
+        self.connect_at = self.fired_at = None
         self._error = 0
         self._lock = threading.Lock()
         self._read_fd, self._write_fd = os.pipe()
@@ -333,7 +431,13 @@ class _DelayedConnectSocket:
     def setblocking(self, flag):
         self._sock.setblocking(flag)
 
+    @property
+    def hold_ms(self) -> float:
+        return (self.fired_at - self.connect_at) * 1000.0
+
     def connect_ex(self, address):
+        self.connect_at = time.perf_counter()
+        self.address = address[0]
         err = self._sock.connect_ex(address)
         if err not in (0, errno.EINPROGRESS):
             self._error = err
@@ -344,6 +448,9 @@ class _DelayedConnectSocket:
         with self._lock:
             if self._read_fd is None:
                 return  # closed before its time
+            # Stamped before the first read, which already makes the
+            # socket writable.
+            self.fired_at = time.perf_counter()
             try:
                 while os.read(self._read_fd, 65536):
                     pass
@@ -368,7 +475,29 @@ class _DelayedConnectSocket:
 
 
 def delayed_socket_factory(delay_ms: float):
-    def factory(family, type_, *args, **kwargs):
-        return _DelayedConnectSocket(socket.socket(family, type_, *args, **kwargs), delay_ms / 1000.0)
+    """A socket_factory of _DelayedConnectSockets; each one it makes is
+    appended to its `sockets` list."""
 
+    def factory(family, type_, *args, **kwargs):
+        sock = _DelayedConnectSocket(socket.socket(family, type_, *args, **kwargs), delay_ms / 1000.0)
+        factory.sockets.append(sock)
+        return sock
+
+    factory.sockets = []
     return factory
+
+
+def handshake_excess_ms(samples, sockets) -> list[float]:
+    """Handshake readings minus the holds the sockets measured, paired in
+    sorted order per address.  A sample does not say which socket it
+    timed, but if some pairing puts every reading within [0, jitter] of its
+    hold then so does the sorted one, so a bound on each of these checks
+    the same bound on each reading.  Their median is the pooled median of
+    the readings' excess over the holds, paired by rank."""
+    excess = []
+    for address in {s.address for s in samples}:
+        rtts = sorted(s.rtt_ms for s in samples if s.address == address)
+        holds = sorted(s.hold_ms for s in sockets if s.address == address)
+        assert len(rtts) == len(holds), (address, rtts, holds)
+        excess += [rtt - hold for rtt, hold in zip(rtts, holds)]
+    return excess

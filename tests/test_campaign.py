@@ -4,7 +4,6 @@ import contextlib
 import functools
 import random
 import socket
-import statistics
 import time
 
 import pytest
@@ -12,7 +11,7 @@ import pytest
 import mocknet
 from factories import make_response, make_set
 from dnscdn import campaign, resolve
-from dnscdn.analytics import build_latency_points, per_website_median
+from dnscdn.analytics import build_latency_points, latest_three
 from dnscdn.campaign import (
     MeasurementSet,
     MeasurementSpec,
@@ -23,7 +22,7 @@ from dnscdn.campaign import (
     run_campaign,
     run_measurement_set,
 )
-from dnscdn.mapping import HandshakeFailure, HandshakeSample, mapping_latency, measure_handshake
+from dnscdn.mapping import HandshakeFailure, HandshakeSample, measure_handshake
 from dnscdn.wire import IpVersion
 
 JITTER_MS = 5.0
@@ -88,6 +87,16 @@ class TestMeasurementSpec:
         with pytest.raises(ValueError):
             MeasurementSpec(websites=[WEBSITE], resolvers=[ResolverEntry("swapped", "::1", "127.0.0.1")])
 
+    @pytest.mark.parametrize("label", [5, None, ""])
+    def test_resolver_label_must_be_a_non_empty_string(self, label):
+        with pytest.raises(ValueError, match="label"):
+            ResolverEntry(label, "127.0.0.1", "::1")
+
+    def test_duplicate_resolver_label_rejected(self):
+        twin = ResolverEntry("local", "127.0.0.2", "::2")
+        with pytest.raises(ValueError, match="'local'"):
+            MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER, twin])
+
     def test_lookup_helpers(self):
         spec = MeasurementSpec(websites=[WEBSITE], resolvers=[RESOLVER])
         assert spec.website_by_name("www.wide.example") == WEBSITE
@@ -136,7 +145,8 @@ class TestRunMeasurementSet:
         assert mset.dns_results[0].is_prewarm
         assert sum(1 for r in mset.dns_results if r.is_prewarm) == 1
         for result in mset.dns_results:
-            assert 20.0 <= result.latency_ms <= 20.0 + JITTER_MS
+            assert 20.0 <= result.latency_ms
+        mocknet.assert_tracks_holds(mocknet.excess_ms(server.served, mset.dns_results), JITTER_MS)
         assert len(mset.handshake_results) == 3
         assert mset.key == ("probe-7", "www.wide.example", "local", IpVersion.V4)
         assert mset.cdn == "akamai"
@@ -222,9 +232,8 @@ class TestRunMeasurementSet:
     def test_full_stack_with_real_handshakes(self):
         """DNS delayed 20ms, TCP connect delayed 25ms, both recovered."""
         script = mocknet.constant_script([("www.wide.example", mocknet.A, 20, "127.0.0.1")])
-        handshake_fn = functools.partial(
-            measure_handshake, socket_factory=mocknet.delayed_socket_factory(25.0)
-        )
+        factory = mocknet.delayed_socket_factory(25.0)
+        handshake_fn = functools.partial(measure_handshake, socket_factory=factory)
         with mocknet.MockDnsServer(script, delay_ms=20.0) as server, mocknet.MockTcpListener() as edge:
             mset = run_measurement_set(
                 loopback_spec(server, handshake_port=edge.port),
@@ -235,8 +244,10 @@ class TestRunMeasurementSet:
             )
         assert len(mset.handshake_results) == 3
         for sample in mset.handshake_results:
-            assert 25.0 <= sample.rtt_ms <= 25.0 + JITTER_MS
+            assert 25.0 <= sample.rtt_ms
             assert sample.port == edge.port
+        excess = mocknet.handshake_excess_ms(mset.handshake_results, factory.sockets)
+        mocknet.assert_tracks_holds(excess, JITTER_MS)
 
 
 class TestIsUsable:
@@ -420,11 +431,12 @@ def dual_family_script(tc_site=None, **reply_kwargs):
 
 
 @contextlib.contextmanager
-def loopback_network(script, delay_ms=0.0, tcp=False):
-    """DNS servers on 127.0.0.1 and ::1 sharing a port, and TCP edges likewise."""
+def loopback_network(script, delay_ms=0.0, tcp=False, served=None):
+    """DNS servers on 127.0.0.1 and ::1 sharing a port, and TCP edges
+    likewise.  Both DNS servers record the queries they take in on served."""
 
     def dns(host, port):
-        return mocknet.MockDnsServer(script, delay_ms=delay_ms, host=host, port=port, tcp=tcp)
+        return mocknet.MockDnsServer(script, delay_ms=delay_ms, host=host, port=port, tcp=tcp, served=served)
 
     with contextlib.ExitStack() as stack:
         yield bind_pair(stack, dns), bind_pair(stack, mocknet.MockTcpListener)
@@ -613,15 +625,19 @@ class TestRunCampaign:
         assert all(len(s.dns_results) == 4 and s.handshake_results == [] for s in sets)
 
     def test_scripted_handshake_rtt_is_recovered(self):
-        with loopback_network(dual_family_script(), delay_ms=20.0) as (dns_port, tcp_port):
+        served, factory = [], mocknet.delayed_socket_factory(25.0)
+        with loopback_network(dual_family_script(), delay_ms=20.0, served=served) as (dns_port, tcp_port):
             spec = self._spec(dns_port, tcp_port, websites=[WEBSITE], resolvers=[RESOLVER])
-            sets = run_campaign(spec, socket_factory=mocknet.delayed_socket_factory(25.0))
+            sets = run_campaign(spec, socket_factory=factory)
         for mset in sets:
+            # One set per address, so the sockets to its edge are its own.
             assert len(mset.handshake_results) == 3
             assert all(sample.rtt_ms >= 25.0 for sample in mset.handshake_results)
-            assert mapping_latency(mset.handshake_results) <= 25.0 + JITTER_MS
+            excess = mocknet.handshake_excess_ms(mset.handshake_results, factory.sockets)
+            mocknet.assert_tracks_holds(excess, JITTER_MS, median=True)
             assert all(r.latency_ms >= 20.0 for r in mset.dns_results)
-            assert per_website_median(mset) <= 20.0 + JITTER_MS
+            excess = mocknet.excess_ms(served, latest_three(mset))
+            mocknet.assert_tracks_holds(excess, JITTER_MS, median=True)
 
 
 def drive_steps(late_times):
@@ -705,8 +721,10 @@ def test_decode_cost_stays_out_of_campaign_readings(monkeypatch):
     # Only the v4 resolver answers, so no reply waits on another's decode.
     with mocknet.MockDnsServer(script, delay_ms=20.0) as server, mocknet.MockTcpListener() as edge:
         sets = run_campaign(loopback_spec(server, per_query_timeout_ms=300.0, handshake_port=edge.port))
-    readings = [r.latency_ms for s in sets for r in s.dns_results]
-    assert len(readings) == 4
-    # A clock that ran through the decode would read at least 20 + 20 ms.
-    assert all(20.0 <= ms < 20.0 + 20.0 for ms in readings)
-    assert statistics.median(readings) <= 20.0 + JITTER_MS
+    responses = [r for s in sets for r in s.dns_results]
+    assert len(responses) == 4
+    excess = mocknet.excess_ms(server.served, responses)
+    # A clock that ran through the decode would read at least 20 ms over.
+    assert all(20.0 <= r.latency_ms for r in responses)
+    assert all(e < 20.0 for e in excess)
+    mocknet.assert_tracks_holds(excess, JITTER_MS, median=True)

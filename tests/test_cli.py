@@ -247,6 +247,9 @@ class TestFillIn:
         "unknown-quirk": {"resolvers": [["local", "127.0.0.1", "::1", "bogus"]]},
         "gap-a-bool": {"prewarm_gap_s": True},
         "repeats-a-string": {"dns_repeats": "3"},
+        "resolver-label-a-number": {"resolvers": [[5, "127.0.0.1", "::1"]]},
+        "resolver-label-empty": {"resolvers": [["", "127.0.0.1", "::1"]]},
+        "duplicate-resolver-label": {"resolvers": [["local", "127.0.0.1", "::1"], ["local", "127.0.0.2", "::2"]]},
     }
 
     @pytest.mark.parametrize("change", STORED_SPECS.values(), ids=STORED_SPECS)
@@ -708,6 +711,11 @@ CONFIG_CASES = {
     "timeout-not-positive": '{"per_query_timeout_ms": 0}',
     "resolver-port-out-of-range": '{"resolver_port": 70000}',
     "negative-handshake-port": '{"handshake_port": -1}',
+    "resolver-label-empty": '{"resolvers": [{"label": "", "v4_address": "127.0.0.1", "v6_address": "::1"}]}',
+    # Two resolvers under one label would fold into one row everywhere.
+    "duplicate-resolver-label":
+        '{"resolvers": [{"label": "l", "v4_address": "127.0.0.1", "v6_address": "::1"},'
+        ' {"label": "l", "v4_address": "127.0.0.2", "v6_address": "::2"}]}',
 }
 UNUSABLE_INPUT_PATHS = {
     **{f"analyze-data-dir-{case}": ("analyze", "--data-dir", content)

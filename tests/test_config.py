@@ -179,6 +179,15 @@ class TestSpecSnapshot:
         with pytest.raises(ValueError):
             MeasurementSpec.from_snapshot(doc)
 
+    @pytest.mark.parametrize(
+        "resolvers",
+        [[[5, "8.8.8.8", "::1"]], [["", "8.8.8.8", "::1"]], [["x", "127.0.0.1", "::1"], ["x", "127.0.0.2", "::2"]]],
+        ids=["label-a-number", "label-empty", "duplicate-label"],
+    )
+    def test_stored_resolver_labels_are_checked(self, resolvers):
+        with pytest.raises(ValueError):
+            MeasurementSpec.from_snapshot({"websites": [], "resolvers": resolvers})
+
     @pytest.mark.parametrize("doc", [5, [1], "resolvers"])
     def test_stored_spec_that_is_not_an_object_is_rejected(self, doc):
         with pytest.raises(ValueError):

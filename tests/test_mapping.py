@@ -87,14 +87,12 @@ class TestSelectEdge:
 
 class TestMeasureHandshake:
     def test_injected_delay_shows_in_rtt(self):
+        factory = mocknet.delayed_socket_factory(25.0)
         with mocknet.MockTcpListener() as listener:
-            sample = measure_handshake(
-                listener.host,
-                listener.port,
-                socket_factory=mocknet.delayed_socket_factory(25.0),
-            )
+            sample = measure_handshake(listener.host, listener.port, socket_factory=factory)
         assert sample.success
-        assert 25.0 <= sample.rtt_ms <= 25.0 + JITTER_MS
+        assert 25.0 <= sample.rtt_ms
+        mocknet.assert_tracks_holds(mocknet.handshake_excess_ms([sample], factory.sockets), JITTER_MS)
 
     def test_plain_loopback_connect_succeeds_fast(self):
         with mocknet.MockTcpListener() as listener:

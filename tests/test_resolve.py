@@ -1,22 +1,25 @@
-"""resolve_once against scripted loopback resolvers.
+"""resolve_once and DnsExchange against scripted loopback resolvers.
 
-Loopback delivery adds some scheduling jitter; latency assertions allow
-5 ms of slack, same bound as the end-to-end suite.
+Each reading is compared with the hold the mock measured for its reply:
+it may not be shorter, and may exceed it by at most 5 ms of loopback
+delivery and scheduling, the same bound as the end-to-end suite.
 """
 
 import socket
-import statistics
 import time
+import types
 
 import pytest
 
 import mocknet
 from dnscdn import resolve
 from dnscdn.resolve import (
+    DnsExchange,
     NetworkUnreachableError,
     QueryTimeoutError,
     TimedDnsResponse,
     resolve_once,
+    wait_ready,
 )
 from dnscdn.wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
 
@@ -48,9 +51,76 @@ def test_latency_tracks_injected_delay():
         response = resolve_once(loopback_question(server))
     assert response.rcode == 0
     assert response.answers[0].rdata == "192.0.2.10"
-    assert 30.0 <= response.latency_ms <= 30.0 + JITTER_MS
+    assert 30.0 <= response.latency_ms
+    mocknet.assert_tracks_holds(mocknet.excess_ms(server.served, [response]), JITTER_MS)
     assert response.sent_at_wall > 0
     assert not response.truncated_retried
+
+
+def late_reading(server, stall_s, stamp=None):
+    """One exchange whose on_ready runs stall_s after select() reported the
+    reply.  It is handed stamp(exchange), by default the moment the stall
+    ends, as its select() stamp.  Returns that stamp, the exchange and the
+    response."""
+    exchange = DnsExchange(loopback_question(server))
+    try:
+        exchange.start()
+        assert wait_ready(exchange.sock, exchange.events, exchange.deadline) is not None
+        time.sleep(stall_s)
+        handed = time.perf_counter() if stamp is None else stamp(exchange)
+        return handed, exchange, exchange.on_ready(handed)
+    finally:
+        exchange.close()
+
+
+def test_a_late_wake_up_stays_out_of_the_reading():
+    # The reply is in 5 ms after the send; the loop learns of it 20 ms late.
+    with mocknet.MockDnsServer(answer_script(), delay_ms=5.0) as server:
+        stamp, exchange, response = late_reading(server, 0.02)
+    assert 5.0 <= response.latency_ms
+    mocknet.assert_tracks_holds(mocknet.excess_ms(server.served, [response]), JITTER_MS)
+    assert (stamp - exchange.sent_at) * 1000.0 >= 5.0 + 20.0
+
+
+def assert_select_reading(stamp, exchange, response):
+    assert response is not None
+    assert response.latency_ms == (stamp - exchange.sent_at) * 1000.0
+
+
+def test_refused_stamp_option_falls_back_to_the_select_stamp(monkeypatch):
+    monkeypatch.setattr(resolve, "_SO_TIMESTAMPNS", 0x7FFF)  # an option no kernel has
+    with mocknet.MockDnsServer(answer_script(), delay_ms=5.0) as server:
+        assert_select_reading(*late_reading(server, 0.02))
+
+
+def test_datagram_without_a_stamp_falls_back_to_the_select_stamp(monkeypatch):
+    start = DnsExchange.start
+
+    def start_unstamped(self):
+        start(self)
+        self.sock.setsockopt(socket.SOL_SOCKET, mocknet.SO_TIMESTAMPNS, 0)
+
+    monkeypatch.setattr(DnsExchange, "start", start_unstamped)
+    with mocknet.MockDnsServer(answer_script(), delay_ms=5.0) as server:
+        assert_select_reading(*late_reading(server, 0.02))
+
+
+def test_stamp_after_the_select_stamp_is_not_used():
+    # Handed a stamp from before the reply arrived, the kernel's is later.
+    with mocknet.MockDnsServer(answer_script(), delay_ms=5.0) as server:
+        reading = late_reading(server, 0.0, stamp=lambda exchange: exchange.sent_at + 1e-4)
+    assert_select_reading(*reading)
+    assert reading[2].latency_ms == pytest.approx(0.1)
+
+
+def test_stamp_before_the_send_is_not_used(monkeypatch):
+    # A wall clock stepped 10 s ahead between the kernel's stamp and the
+    # reading puts the converted stamp before the send.
+    shifted = types.SimpleNamespace(**vars(time))
+    shifted.time_ns = lambda: time.time_ns() + 10_000_000_000
+    monkeypatch.setattr(resolve, "time", shifted)
+    with mocknet.MockDnsServer(answer_script(), delay_ms=5.0) as server:
+        assert_select_reading(*late_reading(server, 0.02))
 
 
 def test_decode_cost_stays_out_of_the_reading(monkeypatch):
@@ -62,10 +132,12 @@ def test_decode_cost_stays_out_of_the_reading(monkeypatch):
 
     monkeypatch.setattr(resolve, "decode_response", slow_decode)
     with mocknet.MockDnsServer(answer_script(), delay_ms=20.0) as server:
-        readings = [resolve_once(loopback_question(server)).latency_ms for _ in range(3)]
-    # A clock that ran through the decode would read at least 20 + 20 ms.
-    assert all(20.0 <= ms < 20.0 + 20.0 for ms in readings)
-    assert statistics.median(readings) <= 20.0 + JITTER_MS
+        responses = [resolve_once(loopback_question(server)) for _ in range(3)]
+    excess = mocknet.excess_ms(server.served, responses)
+    # A clock that ran through the decode would read at least 20 ms over.
+    assert all(20.0 <= r.latency_ms for r in responses)
+    assert all(e < 20.0 for e in excess)
+    mocknet.assert_tracks_holds(excess, JITTER_MS, median=True)
 
 
 def test_timeout_when_server_stays_silent():
