@@ -103,7 +103,6 @@ class Served:
     host: str
     qname: str
     qtype: int
-    txid: int
     arrived_at: float
     replied_at: float | None = None
 
@@ -247,7 +246,7 @@ class MockDnsServer:
         """The reply's bytes, its MockReply and its Served entry, after the
         hold; (None, None, None) when the script drops the query."""
         txid, qname, qtype = parse_query(data)
-        served = Served(self.host, qname, qtype, txid, arrived_at)
+        served = Served(self.host, qname, qtype, arrived_at)
         with self._lock:
             self.served.append(served)
         reply = self.script(qname, qtype, self._next_count(qname, qtype))
