@@ -12,15 +12,19 @@ import os
 import socket
 import statistics
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
+
+from dnscdn.mapping import HandshakeAttempt
 
 A, NS, CNAME, TXT, AAAA = 1, 2, 5, 16, 28
 
 # Linux's SO_TIMESTAMPNS, for which Python has no constant: the kernel
 # stamps each datagram with its CLOCK_REALTIME arrival, as a timespec.
-SO_TIMESTAMPNS = 35
+# Option 35 means something else on other systems.
+SO_TIMESTAMPNS = 35 if sys.platform == "linux" else None
 _TIMESPEC = struct.Struct("@ll")
 
 
@@ -197,7 +201,8 @@ class MockDnsServer:
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._udp, self._tcp = self._bind(family, port, tcp)
         self._udp.settimeout(0.05)
-        self._udp.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
+        if SO_TIMESTAMPNS:
+            self._udp.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
         self.port = self._udp.getsockname()[1]
         self.served: list[Served] = [] if served is None else served
         self._counts: dict[tuple[str, int], int] = {}
@@ -414,7 +419,6 @@ class _DelayedConnectSocket:
     def __init__(self, sock, delay_s: float):
         self._sock = sock
         self._delay_s = delay_s
-        self.address = None
         self.connect_at = self.fired_at = None
         self._error = 0
         self._lock = threading.Lock()
@@ -436,7 +440,6 @@ class _DelayedConnectSocket:
 
     def connect_ex(self, address):
         self.connect_at = time.perf_counter()
-        self.address = address[0]
         err = self._sock.connect_ex(address)
         if err not in (0, errno.EINPROGRESS):
             self._error = err
@@ -474,29 +477,29 @@ class _DelayedConnectSocket:
 
 
 def delayed_socket_factory(delay_ms: float):
-    """A socket_factory of _DelayedConnectSockets; each one it makes is
-    appended to its `sockets` list."""
-
     def factory(family, type_, *args, **kwargs):
-        sock = _DelayedConnectSocket(socket.socket(family, type_, *args, **kwargs), delay_ms / 1000.0)
-        factory.sockets.append(sock)
-        return sock
+        return _DelayedConnectSocket(socket.socket(family, type_, *args, **kwargs), delay_ms / 1000.0)
 
-    factory.sockets = []
     return factory
 
 
-def handshake_excess_ms(samples, sockets) -> list[float]:
-    """Handshake readings minus the holds the sockets measured, paired in
-    sorted order per address.  A sample does not say which socket it
-    timed, but if some pairing puts every reading within [0, jitter] of its
-    hold then so does the sorted one, so a bound on each of these checks
-    the same bound on each reading.  Their median is the pooled median of
-    the readings' excess over the holds, paired by rank."""
-    excess = []
-    for address in {s.address for s in samples}:
-        rtts = sorted(s.rtt_ms for s in samples if s.address == address)
-        holds = sorted(s.hold_ms for s in sockets if s.address == address)
-        assert len(rtts) == len(holds), (address, rtts, holds)
-        excess += [rtt - hold for rtt, hold in zip(rtts, holds)]
-    return excess
+def record_timed_sockets(monkeypatch) -> dict:
+    """Wrap HandshakeAttempt.finish, through monkeypatch, so that the dict
+    returned maps id(sample) of each sample it makes to the sample and the
+    socket that sample timed.  The samples are kept, so no id is reused."""
+    finish = HandshakeAttempt.finish
+    timed = {}
+
+    def recording_finish(self, stamp):
+        sample = finish(self, stamp)
+        timed[id(sample)] = (sample, self.sock)
+        return sample
+
+    monkeypatch.setattr(HandshakeAttempt, "finish", recording_finish)
+    return timed
+
+
+def handshake_excess_ms(samples, timed) -> list[float]:
+    """Each handshake reading minus the hold its own socket measured; timed
+    comes from record_timed_sockets."""
+    return [s.rtt_ms - timed[id(s)][1].hold_ms for s in samples]

@@ -299,8 +299,9 @@ def _e2e_script(qname, qtype, count):
     return mocknet.MockReply(answers=[(qname, qtype, ttl, address)])
 
 
-def test_mock_network_end_to_end():
+def test_mock_network_end_to_end(monkeypatch):
     factory = mocknet.delayed_socket_factory(25.0)
+    timed = mocknet.record_timed_sockets(monkeypatch)
     with budget("mock end-to-end", 120.0):
         with mocknet.MockDnsServer(_e2e_script, delay_ms=30.0) as dns4, \
                 mocknet.MockDnsServer(_e2e_script, delay_ms=30.0, host="::1", port=dns4.port) as dns6, \
@@ -328,17 +329,15 @@ def test_mock_network_end_to_end():
 
         assert len(sets) == 8  # 4 websites x 1 resolver x 2 families
         assert all(is_usable(s) for s in sets)
-        # Readings against the holds the mock measured, within 5 ms in the
-        # median: a set's DNS readings against their own holds; handshakes,
-        # whose sockets no sample names, pooled per address by rank.
+        # Each set's readings against the holds the mock measured for them:
+        # none shorter, and the set's median within 5 ms.
         served = dns4.served + dns6.served
         for mset in sets:
             assert per_website_median(mset) >= 30.0 - 5.0
             mocknet.assert_tracks_holds(mocknet.excess_ms(served, latest_three(mset)), 5.0, median=True)
-            mapping = statistics.median(h.rtt_ms for h in mset.handshake_results)
-            assert mapping >= 25.0 - 5.0
-        samples = [h for mset in sets for h in mset.handshake_results]
-        mocknet.assert_tracks_holds(mocknet.handshake_excess_ms(samples, factory.sockets), 5.0, median=True)
+            assert statistics.median(h.rtt_ms for h in mset.handshake_results) >= 25.0 - 5.0
+            excess = mocknet.handshake_excess_ms(mset.handshake_results, timed)
+            mocknet.assert_tracks_holds(excess, 5.0, median=True)
 
         points = build_latency_points(sets)
         assert len(points) == 8  # 2 cdns x 2 families x 2 metrics

@@ -229,11 +229,11 @@ class TestRunMeasurementSet:
         assert len(mset.dns_results) == 4
         assert mset.handshake_results == []
 
-    def test_full_stack_with_real_handshakes(self):
+    def test_full_stack_with_real_handshakes(self, monkeypatch):
         """DNS delayed 20ms, TCP connect delayed 25ms, both recovered."""
         script = mocknet.constant_script([("www.wide.example", mocknet.A, 20, "127.0.0.1")])
-        factory = mocknet.delayed_socket_factory(25.0)
-        handshake_fn = functools.partial(measure_handshake, socket_factory=factory)
+        timed = mocknet.record_timed_sockets(monkeypatch)
+        handshake_fn = functools.partial(measure_handshake, socket_factory=mocknet.delayed_socket_factory(25.0))
         with mocknet.MockDnsServer(script, delay_ms=20.0) as server, mocknet.MockTcpListener() as edge:
             mset = run_measurement_set(
                 loopback_spec(server, handshake_port=edge.port),
@@ -246,7 +246,7 @@ class TestRunMeasurementSet:
         for sample in mset.handshake_results:
             assert 25.0 <= sample.rtt_ms
             assert sample.port == edge.port
-        excess = mocknet.handshake_excess_ms(mset.handshake_results, factory.sockets)
+        excess = mocknet.handshake_excess_ms(mset.handshake_results, timed)
         mocknet.assert_tracks_holds(excess, JITTER_MS)
 
 
@@ -624,16 +624,15 @@ class TestRunCampaign:
         assert len(sets) == 4
         assert all(len(s.dns_results) == 4 and s.handshake_results == [] for s in sets)
 
-    def test_scripted_handshake_rtt_is_recovered(self):
-        served, factory = [], mocknet.delayed_socket_factory(25.0)
+    def test_scripted_handshake_rtt_is_recovered(self, monkeypatch):
+        served, timed = [], mocknet.record_timed_sockets(monkeypatch)
         with loopback_network(dual_family_script(), delay_ms=20.0, served=served) as (dns_port, tcp_port):
             spec = self._spec(dns_port, tcp_port, websites=[WEBSITE], resolvers=[RESOLVER])
-            sets = run_campaign(spec, socket_factory=factory)
+            sets = run_campaign(spec, socket_factory=mocknet.delayed_socket_factory(25.0))
         for mset in sets:
-            # One set per address, so the sockets to its edge are its own.
             assert len(mset.handshake_results) == 3
             assert all(sample.rtt_ms >= 25.0 for sample in mset.handshake_results)
-            excess = mocknet.handshake_excess_ms(mset.handshake_results, factory.sockets)
+            excess = mocknet.handshake_excess_ms(mset.handshake_results, timed)
             mocknet.assert_tracks_holds(excess, JITTER_MS, median=True)
             assert all(r.latency_ms >= 20.0 for r in mset.dns_results)
             excess = mocknet.excess_ms(served, latest_three(mset))

@@ -86,13 +86,15 @@ class TestSelectEdge:
 
 
 class TestMeasureHandshake:
-    def test_injected_delay_shows_in_rtt(self):
-        factory = mocknet.delayed_socket_factory(25.0)
+    def test_injected_delay_shows_in_rtt(self, monkeypatch):
+        timed = mocknet.record_timed_sockets(monkeypatch)
         with mocknet.MockTcpListener() as listener:
-            sample = measure_handshake(listener.host, listener.port, socket_factory=factory)
+            sample = measure_handshake(
+                listener.host, listener.port, socket_factory=mocknet.delayed_socket_factory(25.0)
+            )
         assert sample.success
         assert 25.0 <= sample.rtt_ms
-        mocknet.assert_tracks_holds(mocknet.handshake_excess_ms([sample], factory.sockets), JITTER_MS)
+        mocknet.assert_tracks_holds(mocknet.handshake_excess_ms([sample], timed), JITTER_MS)
 
     def test_plain_loopback_connect_succeeds_fast(self):
         with mocknet.MockTcpListener() as listener:
