@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .campaign import MeasurementSet
@@ -25,7 +26,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PAIRING_WINDOW_S = 900.0
 
 # A question echo of any other type is stored as an A question.
-_KNOWN_QTYPES = frozenset(RecordType)
+_QTYPES = {member.value: member for member in RecordType}
 
 
 class AtlasFileError(Exception):
@@ -63,27 +64,56 @@ def _dns_payloads(entry) -> list:
     return payloads
 
 
-def _parse_dns_entry(entry: dict, payload: dict) -> TimedDnsResponse:
+def _number(value) -> float:
+    """value as a finite float; ValueError for a bool or a value that is not
+    finite, TypeError or ValueError for anything float() refuses."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
+def _reading(value) -> float:
+    """A latency in ms: a finite number >= 0, or ValueError/TypeError."""
+    number = _number(value)
+    if number < 0:
+        raise ValueError(f"negative reading {value!r}")
+    return number
+
+
+def _parse_dns_entry(entry: dict, payload: dict, questions: dict) -> tuple[str, TimedDnsResponse]:
+    """(website, response) for one DNS payload.
+
+    questions maps (echoed name, echoed type, resolver) to the question
+    and website built for it, so every response to one question shares
+    one DnsQuestion.
+    """
     result = payload["result"]
-    raw = base64.b64decode(result["abuf"])
-    message = decode_response(raw)
+    message = decode_response(base64.b64decode(result["abuf"]))
     if not message.questions:
         raise ValueError("abuf carries no question section")
     echo = message.questions[0]
     resolver = payload.get("dst_addr") or entry.get("dst_addr")
     if not resolver:
         raise ValueError("no resolver address on DNS result")
-    timestamp = float(payload.get("timestamp") or entry["timestamp"])
-    question = DnsQuestion(
-        qname=echo.name,
-        qtype=RecordType(echo.qtype) if echo.qtype in _KNOWN_QTYPES else RecordType.A,
-        resolver_address=resolver,
-    )
-    return TimedDnsResponse(
+    timestamp = _number(payload.get("timestamp") or entry["timestamp"])
+    key = (echo.name, echo.qtype, resolver)
+    known = questions.get(key)
+    if known is None:
+        question = DnsQuestion(
+            qname=echo.name,
+            qtype=_QTYPES.get(echo.qtype, RecordType.A),
+            resolver_address=resolver,
+        )
+        known = questions[key] = (question, question.qname.lower().rstrip("."))
+    question, website = known
+    return website, TimedDnsResponse(
         question=question,
         rcode=message.rcode,
-        answers=list(message.answers),
-        latency_ms=float(result["rt"]),
+        answers=message.answers,
+        latency_ms=_reading(result["rt"]),
         sent_at_monotonic=timestamp,
         sent_at_wall=timestamp,
     )
@@ -92,12 +122,16 @@ def _parse_dns_entry(entry: dict, payload: dict) -> TimedDnsResponse:
 def _parse_tls_entry(entry) -> tuple[tuple[str, str], float, HandshakeSample]:
     """((probe, target), timestamp, handshake) for one TLS result.
 
-    KeyError, ValueError or TypeError for a result that lacks a target, a
-    timing, an address or a timestamp, or carries one of the wrong type or
-    an address that is not one.
+    KeyError, ValueError or TypeError for a result that lacks a probe id,
+    a target, a timing, an address or a timestamp, or carries one of the
+    wrong type, a timing or timestamp that is not a finite number (or a
+    timing below 0), or an address that is not one.
     """
     if not isinstance(entry, dict):
         raise TypeError(f"TLS result is a {type(entry).__name__}, not an object")
+    prb = entry.get("prb_id")
+    if prb is None:
+        raise ValueError("TLS result lacks a probe id")
     target = entry.get("dst_name") or ""
     if not isinstance(target, str):
         raise TypeError(f"dst_name is a {type(target).__name__}, not a string")
@@ -109,10 +143,10 @@ def _parse_tls_entry(entry) -> tuple[tuple[str, str], float, HandshakeSample]:
     handshake = HandshakeSample(
         address=entry["dst_addr"],
         port=int(entry.get("dst_port", 443)),
-        rtt_ms=float(rt),
+        rtt_ms=_reading(rt),
         success=True,
     )
-    return (str(entry.get("prb_id")), target), float(entry["timestamp"]), handshake
+    return (str(prb), target), _number(entry["timestamp"]), handshake
 
 
 def import_atlas(
@@ -125,13 +159,18 @@ def import_atlas(
 
     Per (probe, target, resolver), DNS results within
     DEFAULT_PAIRING_WINDOW_S of each other form one set; the earliest
-    result in a multi-result set is treated as the prewarm.  TLS results
-    attach to the nearest set for their (probe, target); ones with no DNS
-    counterpart are counted as orphans.  Undecodable or damaged entries (a
-    missing or non-numeric field, a TLS address that is not one, an entry
-    that is not an object, a resultset that is not an array) are skipped
-    and counted, never fatal.  A file that cannot be read as a JSON array
-    raises AtlasFileError.
+    result in a multi-result set is treated as the prewarm.  A TLS result
+    joins the first set for its (probe, target), in sorted (probe, target,
+    resolver, start) order, whose start is within DEFAULT_PAIRING_WINDOW_S
+    of its timestamp; that set need not be the nearest, nor the one whose
+    resolver answered the address it reached (ROADMAP direction 2).  TLS
+    results that join no set are counted as orphans.  Undecodable or
+    damaged entries (a missing or non-numeric field, a result without a
+    probe id, a timing or timestamp that is not a finite number or a
+    timing below 0, a TLS address that is not one, an entry that is not
+    an object, a resultset that is not an array) are skipped and counted,
+    never fatal.  A file that cannot be read as a JSON array raises
+    AtlasFileError.
     """
     out = ImportResult()
     if catalog is None:
@@ -141,6 +180,7 @@ def import_atlas(
             catalog = None
 
     grouped: dict[tuple, list[TimedDnsResponse]] = {}
+    questions: dict[tuple, tuple[DnsQuestion, str]] = {}
     for entry in _load_array(dns_path):
         try:
             payloads = _dns_payloads(entry)
@@ -149,18 +189,19 @@ def import_atlas(
             out.skipped += 1
             continue
         prb = entry.get("prb_id")
+        if prb is None:
+            log.debug("skipping %d DNS results without a probe id", len(payloads))
+            out.skipped += len(payloads)
+            continue
+        vantage = str(prb)
         for payload in payloads:
             try:
-                response = _parse_dns_entry(entry, payload)
+                website, response = _parse_dns_entry(entry, payload, questions)
             except (KeyError, ValueError, TypeError, WireError, OSError) as exc:
                 log.debug("skipping DNS result from probe %s: %s", prb, exc)
                 out.skipped += 1
                 continue
-            key = (
-                str(prb),
-                response.question.qname.lower().rstrip("."),
-                response.question.resolver_address,
-            )
+            key = (vantage, website, response.question.resolver_address)
             grouped.setdefault(key, []).append(response)
 
     tls_by_target: dict[tuple, list[tuple[float, HandshakeSample]]] = {}
@@ -175,6 +216,7 @@ def import_atlas(
 
     # Each handshake joins at most one set; claimed holds their ids.
     claimed: set[int] = set()
+    cdns: dict[str, str] = {}
     for (prb, qname, resolver), responses in sorted(grouped.items()):
         responses.sort(key=lambda r: r.sent_at_monotonic)
         batches: list[list[TimedDnsResponse]] = []
@@ -204,7 +246,9 @@ def import_atlas(
                 claimed.add(id(handshake))
                 handshakes.append(handshake)
             qtype = batch[0].question.qtype
-            cdn = (catalog.match(qname) if catalog else None) or "unknown"
+            cdn = cdns.get(qname)
+            if cdn is None:
+                cdn = cdns[qname] = (catalog.match(qname) if catalog else None) or "unknown"
             out.sets.append(
                 MeasurementSet(
                     vantage_id=prb,

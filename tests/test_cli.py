@@ -888,6 +888,28 @@ class TestImportAtlas:
         assert "skipped 1" in capsys.readouterr().out
         assert [len(r.mset.dns_results) for r in read_records(out)] == [2]
 
+    def test_readings_that_are_no_number_stay_out_of_the_file(self, tmp_path, capsys):
+        qname = "www.wide.example"
+        dns = [
+            {
+                "prb_id": 11,
+                "timestamp": 1_650_000_000 + offset,
+                "dst_addr": "8.8.8.8",
+                "result": {"rt": rt, "abuf": self._abuf(qname)},
+            }
+            for offset, rt in ((0, 20.0), (5, "nan"), (6, "inf"), (15, 21.0))
+        ]
+        dns_path, tls_path = self._write_inputs(tmp_path, dns, [])
+        out = tmp_path / "imported.jsonl"
+        assert cli.main(["import-atlas", "--dns", dns_path, "--tls", tls_path, "--output", str(out)]) == 0
+        assert "skipped 2" in capsys.readouterr().out
+
+        def not_json(constant):
+            raise AssertionError(f"{constant} stored in the imported file")
+
+        stored = [json.loads(line, parse_constant=not_json) for line in out.read_text().splitlines()]
+        assert [r["latency_ms"] for r in stored[0]["set"]["dns_results"]] == [20.0, 21.0]
+
     def test_empty_import_exits_nonzero(self, tmp_path):
         dns_path, tls_path = self._write_inputs(tmp_path, [], [])
         out = str(tmp_path / "none.jsonl")

@@ -595,6 +595,76 @@ class TestAtlasImport:
         assert len(result.sets[0].dns_results) == 4
         assert [h.rtt_ms for h in result.sets[0].handshake_results] == [25.0, 26.0, 27.0]
 
+    # One result without a probe id, or with a reading or timestamp that is
+    # no usable number, added to a complete set's input: (file, entry).
+    @pytest.mark.parametrize(
+        "damaged",
+        [
+            ("dns", {k: v for k, v in dns_entry(1, QNAME, BASE + 1, 11.0).items() if k != "prb_id"}),
+            ("dns", dns_entry(None, QNAME, BASE + 1, 11.0)),
+            (
+                "dns",
+                {
+                    "timestamp": BASE + 1,
+                    "resultset": [
+                        {"dst_addr": "8.8.8.8", "timestamp": BASE + 1, "result": {"rt": 11.0, "abuf": dns_abuf(QNAME)}}
+                    ],
+                },
+            ),
+            ("tls", {k: v for k, v in tls_entry(1, QNAME, BASE + 9, rt=30.0).items() if k != "prb_id"}),
+            ("dns", dns_entry(1, QNAME, BASE + 1, "nan")),
+            ("dns", dns_entry(1, QNAME, BASE + 1, "inf")),
+            ("dns", dns_entry(1, QNAME, BASE + 1, -3)),
+            ("dns", dns_entry(1, QNAME, BASE + 1, True)),
+            ("dns", dns_entry(1, QNAME, "nan", 11.0)),
+            ("dns", dns_entry(1, QNAME, "-inf", 11.0)),
+            ("dns", dns_entry(1, QNAME, True, 11.0)),
+            ("tls", tls_entry(1, QNAME, BASE + 9, rt="nan")),
+            ("tls", tls_entry(1, QNAME, BASE + 9, ttc="inf")),
+            ("tls", tls_entry(1, QNAME, BASE + 9, rt=-3)),
+            ("tls", tls_entry(1, QNAME, BASE + 9, rt=False, ttc=30.0)),
+            ("tls", tls_entry(1, QNAME, "nan", rt=30.0)),
+            ("tls", tls_entry(1, QNAME, "inf", rt=30.0)),
+        ],
+        ids=[
+            "dns-probe-missing",
+            "dns-probe-null",
+            "resultset-probe-missing",
+            "tls-probe-missing",
+            "dns-rt-nan",
+            "dns-rt-inf",
+            "dns-rt-negative",
+            "dns-rt-bool",
+            "dns-timestamp-nan",
+            "dns-timestamp-minus-inf",
+            "dns-timestamp-bool",
+            "tls-rt-nan",
+            "tls-ttc-inf",
+            "tls-rt-negative",
+            "tls-rt-bool",
+            "tls-timestamp-nan",
+            "tls-timestamp-inf",
+        ],
+    )
+    def test_result_without_probe_or_usable_number_is_skipped(self, tmp_path, damaged):
+        dns = [dns_entry(1, self.QNAME, self.BASE + i, 10.0 + i) for i in range(4)]
+        tls = [tls_entry(1, self.QNAME, self.BASE + 5 + i, rt=25.0 + i) for i in range(3)]
+        kind, entry = damaged
+        (tls if kind == "tls" else dns).insert(1, entry)
+        result = import_atlas(*write_atlas(tmp_path, dns, tls))
+        assert (result.skipped, result.orphans) == (1, 0)
+        assert len(result.sets) == 1
+        assert [r.latency_ms for r in result.sets[0].dns_results] == [10.0, 11.0, 12.0, 13.0]
+        assert [h.rtt_ms for h in result.sets[0].handshake_results] == [25.0, 26.0, 27.0]
+
+    def test_zero_reading_is_kept(self, tmp_path):
+        dns = [dns_entry(1, self.QNAME, self.BASE, 0)]
+        tls = [tls_entry(1, self.QNAME, self.BASE + 1, rt=0.0)]
+        result = import_atlas(*write_atlas(tmp_path, dns, tls))
+        assert result.skipped == 0
+        assert result.sets[0].dns_results[0].latency_ms == 0.0
+        assert result.sets[0].handshake_results[0].rtt_ms == 0.0
+
     # Question names that decode but that DnsQuestion rejects.
     @pytest.mark.parametrize(
         "echo", [".", ".".join(["a" * 63] * 5)], ids=["root-name", "name-over-255-octets"]
