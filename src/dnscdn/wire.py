@@ -5,9 +5,12 @@ name-compression pointers.  Only the record types needed for latency and
 CDN-mapping measurements get typed rdata; everything else is kept as
 opaque bytes so responses survive a store/reload round trip.
 
-A and AAAA rdata are formatted straight from their octets into the text
-ipaddress gives for them (the ::a.b.c.d forms go through ipaddress
-itself), and ResourceRecord still checks every address it is given.
+A rdata is formatted straight from its octets, and AAAA rdata by
+socket.inet_ntop, into the text ipaddress gives for them.  An AAAA
+address whose first 10 octets are zero (the ::ffff:a.b.c.d and ::a.b.c.d
+forms) goes through ipaddress itself, since inet_ntop prints those with
+an IPv4 part and ipaddress prints them differently between Python
+versions.  ResourceRecord still checks every address it is given.
 
 decode_response keeps a table of the names it has decoded in one
 message, by start offset, with the pointer hops each took.  A name that
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import re
+import socket
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -63,9 +67,13 @@ class RecordType(IntEnum):
 
 
 _RECORD_TYPES = {member.value: member for member in RecordType}
+# Module-level names for the members the codec tests on every record: a
+# global read is cheaper than RecordType.X, an attribute of the enum class.
+_A, _AAAA, _TXT, _OPT = RecordType.A, RecordType.AAAA, RecordType.TXT, RecordType.OPT
+_ADDRESS_TYPES = (_A, _AAAA)
+_NAME_TYPES = (RecordType.NS, RecordType.CNAME)
 # type, class, ttl, rdlength
 _RR_HEADER = struct.Struct("!HHIH")
-_HEXTETS = struct.Struct("!8H")
 _TEN_ZERO_OCTETS = bytes(10)
 
 
@@ -215,22 +223,22 @@ class ResourceRecord:
     def __post_init__(self):
         if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"ttl {self.ttl} outside [0, 2^31-1]")
-        if self.rtype == RecordType.A:
+        if self.rtype == _A:
             if not isinstance(self.rdata, str) or _ip_version(self.rdata) != 4:
                 raise ValueError("A record rdata must be an IPv4 address string")
-        elif self.rtype == RecordType.AAAA:
+        elif self.rtype == _AAAA:
             if not isinstance(self.rdata, str) or _ip_version(self.rdata) != 6:
                 raise ValueError("AAAA record rdata must be an IPv6 address string")
-        elif self.rtype in (RecordType.NS, RecordType.CNAME):
+        elif self.rtype in _NAME_TYPES:
             if not isinstance(self.rdata, str):
                 raise ValueError("NS/CNAME rdata must be a domain name string")
-        elif self.rtype == RecordType.TXT:
+        elif self.rtype == _TXT:
             if not isinstance(self.rdata, list):
                 raise ValueError("TXT rdata must be a list of strings")
 
     @property
     def is_address(self) -> bool:
-        return self.rtype in (RecordType.A, RecordType.AAAA)
+        return self.rtype in _ADDRESS_TYPES
 
 
 @dataclass(slots=True)
@@ -334,42 +342,28 @@ def _decode_name(data: bytes, offset: int, names: dict) -> tuple[str, int]:
 
 
 def _format_ipv6(raw: bytes) -> str:
-    """The text str(ipaddress.IPv6Address(raw)) gives, built from the octets."""
+    """The text str(ipaddress.IPv6Address(raw)) gives."""
     if raw[:10] == _TEN_ZERO_OCTETS:
         # ::ffff:a.b.c.d and ::a.b.c.d; how ipaddress prints these differs
-        # between Python versions.
+        # between Python versions, and inet_ntop prints the IPv4 part.
         return str(ipaddress.IPv6Address(raw))
-    hextets = ["%x" % h for h in _HEXTETS.unpack(raw)]
-    # The longest run of two or more zero hextets (the leftmost on a tie)
-    # becomes "::".
-    best_start, best_len, start = 0, 1, -1
-    for i, hextet in enumerate(hextets):
-        if hextet != "0":
-            start = -1
-            continue
-        if start < 0:
-            start = i
-        if i - start >= best_len:
-            best_start, best_len = start, i - start + 1
-    if best_len == 1:
-        return ":".join(hextets)
-    return ":".join(hextets[:best_start]) + "::" + ":".join(hextets[best_start + best_len :])
+    return socket.inet_ntop(socket.AF_INET6, raw)
 
 
 def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int, names: dict):
     rdata_bytes = data[offset : offset + rdlength]
-    if rtype == RecordType.A:
+    if rtype == _A:
         if rdlength != 4:
             raise MalformedMessageError("A rdata must be 4 octets")
         return "%d.%d.%d.%d" % tuple(rdata_bytes)
-    if rtype == RecordType.AAAA:
+    if rtype == _AAAA:
         if rdlength != 16:
             raise MalformedMessageError("AAAA rdata must be 16 octets")
         return _format_ipv6(rdata_bytes)
-    if rtype in (RecordType.NS, RecordType.CNAME):
+    if rtype in _NAME_TYPES:
         name, _ = _decode_name(data, offset, names)
         return name
-    if rtype == RecordType.TXT:
+    if rtype == _TXT:
         strings = []
         pos = offset
         while pos < offset + rdlength:
@@ -380,25 +374,6 @@ def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int, names: di
             pos += 1 + n
         return strings
     return rdata_bytes
-
-
-def _decode_record(data: bytes, offset: int, names: dict) -> tuple[ResourceRecord, int]:
-    name, pos = _decode_name(data, offset, names)
-    if pos + 10 > len(data):
-        raise MalformedMessageError("truncated record header")
-    rtype, rclass, ttl, rdlength = _RR_HEADER.unpack_from(data, pos)
-    pos += 10
-    if pos + rdlength > len(data):
-        raise MalformedMessageError("rdata runs past end of message")
-    if ttl > MAX_TTL:
-        ttl = 0  # RFC 2181 section 8: treat high-bit TTLs as zero
-    rtype = _RECORD_TYPES.get(rtype, rtype)
-    rdata = _decode_rdata(data, pos, rdlength, rtype, names)
-    # OPT smuggles flags into class/ttl; keep it opaque rather than lying
-    # about a ttl that is not a ttl.
-    if rtype == RecordType.OPT:
-        ttl = 0
-    return ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata), pos + rdlength
 
 
 def decode_response(data: bytes) -> DnsMessage:
@@ -412,16 +387,31 @@ def decode_response(data: bytes) -> DnsMessage:
     txid, flags, qdcount, ancount, nscount, arcount = struct.unpack_from("!HHHHHH", data, 0)
     msg = DnsMessage(txid=txid, flags=flags)
     names: dict[int, tuple[str, int]] = {}
+    size = len(data)
     pos = 12
     for _ in range(qdcount):
         name, pos = _decode_name(data, pos, names)
-        if pos + 4 > len(data):
+        if pos + 4 > size:
             raise MalformedMessageError("truncated question")
         qtype, qclass = struct.unpack_from("!HH", data, pos)
         pos += 4
         msg.questions.append(QuestionEcho(name=name, qtype=qtype, qclass=qclass))
     for count, section in ((ancount, msg.answers), (nscount, msg.authority), (arcount, msg.additional)):
         for _ in range(count):
-            record, pos = _decode_record(data, pos, names)
-            section.append(record)
+            name, pos = _decode_name(data, pos, names)
+            if pos + 10 > size:
+                raise MalformedMessageError("truncated record header")
+            rtype, rclass, ttl, rdlength = _RR_HEADER.unpack_from(data, pos)
+            pos += 10
+            if pos + rdlength > size:
+                raise MalformedMessageError("rdata runs past end of message")
+            rtype = _RECORD_TYPES.get(rtype, rtype)
+            rdata = _decode_rdata(data, pos, rdlength, rtype, names)
+            # RFC 2181 section 8: treat high-bit TTLs as zero.  OPT smuggles
+            # flags into class/ttl; keep it opaque rather than lying about a
+            # ttl that is not a ttl.
+            if ttl > MAX_TTL or rtype is _OPT:
+                ttl = 0
+            section.append(ResourceRecord(name, rtype, ttl, rdata))
+            pos += rdlength
     return msg
