@@ -49,7 +49,9 @@ from .campaign import MeasurementSet
 from .wire import WireError
 
 SCHEMA_VERSION = 1
-_SEPARATORS = (",", ":")
+# json.dumps with separators builds an encoder per call; this one serves
+# every line.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class Provenance(Enum):
@@ -181,12 +183,12 @@ def record_from_dict(d: dict) -> CampaignRecord:
 
 
 def _record_line(record: CampaignRecord) -> str:
-    return json.dumps(record_to_dict(record), separators=_SEPARATORS) + "\n"
+    return _ENCODER.encode(record_to_dict(record)) + "\n"
 
 
 def _spec_text(spec) -> str:
     """How _record_line writes spec, with the keys on either side."""
-    return f'"spec":{json.dumps(spec, separators=_SEPARATORS)},"set":'
+    return f'"spec":{_ENCODER.encode(spec)},"set":'
 
 
 def write_records(records: list[CampaignRecord], path: str):
