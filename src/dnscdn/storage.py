@@ -22,10 +22,17 @@ else is a schema error naming its line: one that is not JSON, is blank,
 holds bytes that are not UTF-8, or stores a value the record types
 refuse.  Blank lines at the end of a file are ignored.
 
-Consecutive records of one file whose stored specs are equal (and written
-the same way) share one spec_snapshot dict, so a campaign costs one copy
-of its spec, not one per record.  Callers must not mutate a spec_snapshot
-they read; the change would show in every record sharing it.
+Spec sharing is one text rule.  A line laid out as write_records writes
+it (keys in that order, no spaces, ASCII only, nothing after the set) is
+read key by key; when the text between "spec": and ,"set": is the
+previous record's, it is not parsed again and the record shares the
+previous record's spec_snapshot dict, so a campaign costs one spec parse
+and one copy, not one per record.  A line written any other way reads as
+the same record, with the same errors, through the full parse of the
+line, and shares nothing.  write_records encodes a spec once for each run
+of records holding the same dict.  Callers must not mutate a
+spec_snapshot they read; the change would show in every record sharing
+it.
 
 The record types (MeasurementSet and the wire, resolve and mapping types
 it holds) are slotted dataclasses: a record carries its fields and
@@ -52,6 +59,11 @@ SCHEMA_VERSION = 1
 # json.dumps with separators builds an encoder per call; this one serves
 # every line.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+# How every written line starts.
+_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"campaign_id":'
+# What decoding a stored value of the wrong shape raises.
+_DAMAGE = (KeyError, ValueError, TypeError, WireError)
 
 
 class Provenance(Enum):
@@ -182,13 +194,16 @@ def record_from_dict(d: dict) -> CampaignRecord:
     )
 
 
-def _record_line(record: CampaignRecord) -> str:
-    return _ENCODER.encode(record_to_dict(record)) + "\n"
-
-
-def _spec_text(spec) -> str:
-    """How _record_line writes spec, with the keys on either side."""
-    return f'"spec":{_ENCODER.encode(spec)},"set":'
+def _record_lines(records) -> Iterator[str]:
+    """The stored lines of records, each what encoding record_to_dict
+    writes; a run of records sharing one spec dict encodes it once."""
+    spec, spec_text = None, "null"  # None as it is written
+    for record in records:
+        d = record_to_dict(record)
+        stored_spec, stored_set = d.pop("spec"), d.pop("set")
+        if stored_spec is not spec:
+            spec, spec_text = stored_spec, _ENCODER.encode(stored_spec)
+        yield f'{_ENCODER.encode(d)[:-1]},"spec":{spec_text},"set":{_ENCODER.encode(stored_set)}}}\n'
 
 
 def write_records(records: list[CampaignRecord], path: str):
@@ -202,7 +217,7 @@ def write_records(records: list[CampaignRecord], path: str):
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(map(_record_line, records))
+                fh.writelines(_record_lines(records))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -217,7 +232,7 @@ def write_records(records: list[CampaignRecord], path: str):
 def append_records(records: list[CampaignRecord], path: str):
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            fh.writelines(map(_record_line, records))
+            fh.writelines(_record_lines(records))
     except OSError as exc:
         raise IoFailureError(f"cannot append to {path}: {exc}") from exc
 
@@ -256,7 +271,7 @@ def read_records(path: str) -> list[CampaignRecord]:
 
 
 def _decode_lines(lines) -> Iterator[CampaignRecord]:
-    spec, spec_text = None, ""
+    spec, spec_text = None, None  # the previous record's spec, and its text in a written line
     blank = 0  # the first blank line since the last record, if any
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -265,15 +280,38 @@ def _decode_lines(lines) -> Iterator[CampaignRecord]:
             continue
         if blank:
             _decode_line("", blank, [line])  # an interior blank line: raises
-        record = _decode_line(line, lineno, lines)
-        # A record whose spec equals the previous one's shares its dict.  The
-        # text test keeps apart specs that compare equal but are written
-        # differently (1 and 1.0), so every record writes back unchanged.
-        if record.spec_snapshot == spec and spec_text in line:
-            record.spec_snapshot = spec
-        else:
-            spec, spec_text = record.spec_snapshot, _spec_text(record.spec_snapshot)
+        try:
+            decoded = _decode_written(line, spec, spec_text)
+        except _DAMAGE:
+            decoded = None
+        record, spec_text = decoded or (_decode_line(line, lineno, lines), None)
+        spec = record.spec_snapshot
         yield record
+
+
+def _decode_written(line: str, spec, spec_text):
+    """(record, its spec text up to the set) for a line laid out as
+    _record_lines writes it, else None.  A line holding spec_text, the
+    previous record's, shares spec, its dict.  Damage raises."""
+    if not (line.isascii() and line.startswith(_HEAD)):
+        return None
+    campaign_id, i = _DECODER.raw_decode(line, len(_HEAD))
+    if not line.startswith(',"provenance":', i):
+        return None
+    provenance, i = _DECODER.raw_decode(line, i + len(',"provenance":'))
+    if not line.startswith(',"spec":', i):
+        return None
+    i += len(',"spec":')
+    if not (spec_text and line.startswith(spec_text, i)):
+        spec, end = _DECODER.raw_decode(line, i)
+        if not line.startswith(',"set":', end):
+            return None
+        spec_text = line[i : end + len(',"set":')]
+    stored_set, i = _DECODER.raw_decode(line, i + len(spec_text))
+    if line[i:] != "}":
+        return None
+    stored = {"schema_version": SCHEMA_VERSION, "campaign_id": campaign_id, "provenance": provenance}
+    return record_from_dict({**stored, "spec": spec, "set": stored_set}), spec_text
 
 
 def _decode_line(line: str, lineno: int, rest) -> CampaignRecord:
@@ -298,7 +336,7 @@ def _decode_line(line: str, lineno: int, rest) -> CampaignRecord:
         )
     try:
         return record_from_dict(obj)
-    except (KeyError, ValueError, TypeError, WireError) as exc:
+    except _DAMAGE as exc:
         raise _damage(f"malformed record: {exc}", lineno, rest) from exc
 
 

@@ -2,11 +2,18 @@
 
 import base64
 import contextlib
+import copy
 import gc
 import json
 import random
+import unittest.mock
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test skips itself
+    given = settings = st = None
 
 import mocknet
 from factories import make_question, make_response, make_set
@@ -25,6 +32,7 @@ from dnscdn.storage import (
     append_records,
     iter_records,
     read_records,
+    record_from_dict,
     record_to_dict,
     write_records,
 )
@@ -194,10 +202,19 @@ NESTED_DAMAGE = [
 ]
 
 
-def damaged_golden_line(damage) -> str:
+def damaged_golden_line(damage, separators=None) -> str:
     obj = json.loads(GOLDEN_LINE)
     damage(obj["set"])
-    return json.dumps(obj)
+    return json.dumps(obj, separators=separators)
+
+
+def shared_spec_damaged_line(damage) -> str:
+    """golden_record's line with its set damaged, written as write_records
+    writes, so its spec text is the golden line's."""
+    line = damaged_golden_line(damage, separators=(",", ":"))
+    spec_end = GOLDEN_LINE.index(',"set":')
+    assert line[:spec_end] == GOLDEN_LINE[:spec_end] and line != GOLDEN_LINE
+    return line
 
 
 class TestRoundTrip:
@@ -454,6 +471,149 @@ class TestSchemaHandling:
             read_records(str(path))
         assert excinfo.value.line_number == 3
         assert excinfo.value.records == [golden_record(), golden_record()]
+
+    @pytest.mark.parametrize("damage", NESTED_DAMAGE)
+    def test_damaged_set_under_a_shared_spec_midfile_is_schema_mismatch(self, tmp_path, damage):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{shared_spec_damaged_line(damage)}\n{GOLDEN_LINE}\n")
+        with pytest.raises(SchemaMismatchError, match="^line 2: malformed record: ") as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("damage", NESTED_DAMAGE)
+    def test_damaged_set_under_a_shared_spec_on_the_last_line_is_truncated(self, tmp_path, damage, capsys):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(f"{GOLDEN_LINE}\n{GOLDEN_LINE}\n{shared_spec_damaged_line(damage)}\n")
+        with pytest.raises(TruncatedFileError) as excinfo:
+            read_records(str(path))
+        assert excinfo.value.line_number == 3
+        assert excinfo.value.records == [golden_record(), golden_record()]
+        assert cli.main(["analyze", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"damaged input: {path}: truncated at line 3; salvaged 2 record(s)"
+        ]
+
+
+# Specs and campaign ids the equivalence test draws from: 15 and 15.0 compare
+# equal but are stored differently, and an id may hold text that looks like
+# the keys around a stored spec.
+EQUIVALENCE_SPECS = [
+    {"prewarm_gap_s": 15},
+    {"prewarm_gap_s": 15.0},
+    {"dns_repeats": 3, "prewarm_gap_s": 15.0},
+    {},
+    {"note": '"spec":{},"set":'},
+    None,
+]
+EQUIVALENCE_IDS = ["c1", 'c"1', "c\\1", '"spec":{},"set":', '","spec":{"prewarm_gap_s":15},"set":']
+
+
+def _mutations():
+    """Changes to one line as write_records writes it, each drawing what
+    else it needs."""
+
+    def cut(draw, line):
+        return line[: draw(st.integers(0, len(line)))]
+
+    def replace_byte(draw, line):
+        at = draw(st.integers(0, len(line) - 1))
+        return line[:at] + bytes([draw(st.integers(0, 255))]) + line[at + 1 :]
+
+    def insert_non_ascii(draw, line):
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + draw(st.sampled_from(["\u00e9", "\u2028", "\U0001f600"])).encode() + line[at:]
+
+    def space_after_colon(draw, line):
+        colons = [i for i, byte in enumerate(line) if byte == ord(":")]
+        at = draw(st.sampled_from(colons)) + 1
+        return line[:at] + b" " + line[at:]
+
+    def reorder_keys(draw, line):
+        obj = json.loads(line)
+        keys = draw(st.permutations(list(obj)))
+        return json.dumps({k: obj[k] for k in keys}, separators=(",", ":")).encode()
+
+    def append(draw, line):
+        return line + draw(st.sampled_from([b" ", b"\t", b"}", b"0", b'{"set":{}}']))
+
+    def duplicate_key(draw, line):
+        key = draw(st.sampled_from([b'"campaign_id":"c9"', b'"provenance":"native"', b'"spec":{}', b'"set":{}']))
+        return line[:-1] + b"," + key + b"}"
+
+    def spec_number(draw, line):
+        if b'"prewarm_gap_s":15.0' in line:
+            return line.replace(b'"prewarm_gap_s":15.0', b'"prewarm_gap_s":15', 1)
+        return line.replace(b'"prewarm_gap_s":15', b'"prewarm_gap_s":15.0', 1)
+
+    def replacing(old, new):
+        return lambda draw, line: line.replace(old, new, 1)
+
+    renames = [replacing(b'"%s":' % key, b'"%sx":' % key[:-1]) for key in (b"campaign_id", b"provenance", b"spec", b"set")]
+    versions = [replacing(b'"schema_version":1,', b'"schema_version":%s,' % v) for v in (b"2", b"1.0")]
+    return [
+        cut, replace_byte, insert_non_ascii, space_after_colon, reorder_keys,
+        append, duplicate_key, spec_number, *renames, *versions,
+    ]
+
+
+def _outcome(path):
+    """The records iter_records yields from path, and what it raises after."""
+    records = []
+    try:
+        for record in iter_records(path):
+            records.append(record)
+    except Exception as exc:
+        return records, (type(exc), str(exc), getattr(exc, "line_number", None))
+    return records, None
+
+
+def _property(test):
+    """test run on 100 draws of data by hypothesis, or skipped without it."""
+    if given is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    return settings(max_examples=100)(given(data=st.data())(test))
+
+
+class TestSpecReuseEquivalence:
+    @staticmethod
+    def _assert_reads_as_the_full_parse(path):
+        got, got_error = _outcome(path)
+        with unittest.mock.patch("dnscdn.storage._decode_written", return_value=None):
+            want, want_error = _outcome(path)  # every line through the full parse
+        assert got == want
+        assert got_error == want_error
+        assert [json.dumps(record_to_dict(r)) for r in got] == [json.dumps(record_to_dict(r)) for r in want]
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            stored = [line.rstrip("\n") for line in fh]
+        for record, line in zip(got, [line for line in stored if line]):
+            assert record == record_from_dict(json.loads(line))
+
+    @_property
+    def test_reading_equals_the_full_parse_of_every_line(self, tmp_path_factory, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        records = []
+        for index in range(data.draw(st.integers(1, 5))):
+            record = random_record(rng, index)
+            record.campaign_id = data.draw(st.sampled_from(EQUIVALENCE_IDS))
+            spec = data.draw(st.sampled_from(EQUIVALENCE_SPECS))
+            record.spec_snapshot = spec if data.draw(st.booleans()) else copy.deepcopy(spec)
+            records.append(record)
+        path = str(tmp_path_factory.mktemp("equivalence") / "campaign.jsonl")
+        write_records(records, path)
+        with open(path, "rb") as fh:
+            written = fh.read().split(b"\n")[:-1]
+        self._assert_reads_as_the_full_parse(path)
+        back = read_records(path)  # one text rule: equal spec text, one dict
+        for before, after in zip(back, back[1:]):
+            same_text = json.dumps(before.spec_snapshot) == json.dumps(after.spec_snapshot)
+            assert (before.spec_snapshot is after.spec_snapshot) == same_text
+        for mutate in _mutations():  # each kind of change, to one line
+            lines = list(written)
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = mutate(data.draw, lines[at])
+            with open(path, "wb") as fh:
+                fh.write(b"".join(line + b"\n" for line in lines))
+            self._assert_reads_as_the_full_parse(path)
 
 
 def dns_abuf(qname: str, address: str = "192.0.2.7", qtype: int = mocknet.A) -> str:
