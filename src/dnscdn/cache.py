@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .resolve import resolve_once
-from .wire import DEFAULT_TIMEOUT_MS, KNOWN_GOOD_RESOLVER, DnsQuestion, IpVersion, RecordType
+from .resolve import QUERY_FAILURES, ask
+from .wire import KNOWN_GOOD_RESOLVER, InvalidNameError, IpVersion, RecordType
 
 log = logging.getLogger(__name__)
 
@@ -117,24 +117,24 @@ def discover_authoritative_ttl(
     cdn: str,
     *,
     recursive_resolver: str = KNOWN_GOOD_RESOLVER,
-    resolve_fn=resolve_once,
+    ask=ask,
     static_defaults: dict[str, int] | None = None,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> AuthoritativeTtl:
     """Learn the authoritative TTL of domain's A record.
 
     Finds the NS set through a recursive resolver (walking up parent zones
     when the exact name has none), queries one authoritative server
-    directly, and reads the TTL off its answer.  On any failure the static
-    defaults table supplies the value; with no default either, raises
-    NoAuthorityError.
+    directly, and reads the TTL off its answer.  When a query fails
+    (QUERY_FAILURES), no authority or answer turns up, or a name or the TTL
+    read is unusable, the static defaults table supplies the value; with
+    no default either, raises NoAuthorityError.
     """
     if static_defaults is None:
         static_defaults = load_ttl_table()
     try:
-        ttl = _direct_query_ttl(domain, recursive_resolver, resolve_fn, timeout_ms)
+        ttl = _direct_query_ttl(domain, recursive_resolver, ask)
         return AuthoritativeTtl(domain, cdn, ttl, TtlSource.DIRECT_QUERY, time.time())
-    except Exception as exc:  # noqa: BLE001 - any lookup failure falls back
+    except (*QUERY_FAILURES, NoAuthorityError, InvalidNameError, ValueError) as exc:
         log.debug("direct TTL discovery for %s failed: %s", domain, exc)
     default = static_defaults.get(cdn.lower())
     if default is None:
@@ -142,24 +142,24 @@ def discover_authoritative_ttl(
     return AuthoritativeTtl(domain, cdn, default, TtlSource.STATIC_DEFAULT, time.time())
 
 
-def _direct_query_ttl(domain, recursive_resolver, resolve_fn, timeout_ms) -> int:
+def _direct_query_ttl(domain, recursive_resolver, ask) -> int:
     # Walk up from the exact name until some zone yields NS records.
     labels = domain.rstrip(".").split(".")
     ns_name = None
     for start in range(len(labels) - 1):
         zone = ".".join(labels[start:])
-        reply = resolve_fn(DnsQuestion(zone, RecordType.NS, recursive_resolver, timeout_ms=timeout_ms))
+        reply = ask(zone, RecordType.NS, recursive_resolver)
         names = [r.rdata for r in reply.answers if r.rtype == RecordType.NS]
         if names:
             ns_name = names[0]
             break
     if ns_name is None:
         raise NoAuthorityError(f"no NS records found above {domain}")
-    ns_reply = resolve_fn(DnsQuestion(ns_name, RecordType.A, recursive_resolver, timeout_ms=timeout_ms))
+    ns_reply = ask(ns_name, RecordType.A, recursive_resolver)
     ns_addr = ns_reply.first_address(IpVersion.V4)
     if ns_addr is None:
         raise NoAuthorityError(f"authoritative server {ns_name} has no A record")
-    direct = resolve_fn(DnsQuestion(domain, RecordType.A, ns_addr, timeout_ms=timeout_ms))
+    direct = ask(domain, RecordType.A, ns_addr)
     for record in direct.answers:
         if record.rtype == RecordType.A:
             return record.ttl

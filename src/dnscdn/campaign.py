@@ -64,13 +64,12 @@ from typing import get_args, get_origin, get_type_hints
 
 from .cache import TtlQuirk
 from .mapping import HandshakeAttempt, HandshakeSample, measure_handshake, select_edge
-from .resolve import DnsExchange, QueryTimeoutError, ResolveError, TimedDnsResponse, resolve_once
+from .resolve import QUERY_FAILURES, DnsExchange, QueryTimeoutError, TimedDnsResponse, resolve_once
 from .wire import (
     DEFAULT_TIMEOUT_MS,
     DnsQuestion,
     InvalidNameError,
     IpVersion,
-    MalformedMessageError,
     RecordType,
     validate_name,
 )
@@ -247,10 +246,6 @@ _MAX_RESTARTS = 5
 # lag in waking for the gap's end and handing the lane over.
 _GAP_SLACK_S = 0.005
 
-# What a failed query raises; each leaves a gap in dns_results.
-_QUERY_FAILURES = (ResolveError, MalformedMessageError, OSError)
-
-
 def _set_steps(spec, website, resolver, ip_version, vantage_id):
     """One measurement set as a generator of steps.
 
@@ -354,7 +349,7 @@ def run_measurement_set(
         if kind in (_PREWARM, _QUERY):
             try:
                 outcome = resolve_fn(arg)
-            except _QUERY_FAILURES as exc:
+            except QUERY_FAILURES as exc:
                 outcome = exc
         elif kind == _GAP:
             time.sleep(arg)
@@ -592,7 +587,7 @@ class _CampaignLoop:
         job.question = None
         try:
             exchange.start()
-        except _QUERY_FAILURES as exc:
+        except QUERY_FAILURES as exc:
             exchange.close()
             job.lane.record(0.0, answered=False)
             self._advance(job, exc)
@@ -621,7 +616,7 @@ class _CampaignLoop:
         else:
             try:
                 outcome = io.on_ready(stamp)
-            except _QUERY_FAILURES as exc:
+            except QUERY_FAILURES as exc:
                 outcome = exc
             if outcome is None:  # not yet: a stray reply, or on to TCP
                 self._watch(job, io.sock, io.events)

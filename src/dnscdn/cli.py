@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
@@ -48,16 +49,18 @@ from .cache import load_ttl_table
 from .campaign import MeasurementSet, MeasurementSpec, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
 from .discovery import CatalogError, CdnCatalog, load_domain_list, scan_domain_list
-from .resolve import ResolveError, resolve_once
+from .resolve import QUERY_FAILURES, ask
 from .resolver_id import (
     Classification,
+    NoAnswerError,
     NoConfigError,
+    ParseFailureError,
     classify_resolver,
     discover_vantage_address,
     enumerate_local_resolvers,
     is_isp_usable,
 )
-from .wire import DnsQuestion, IpVersion, MalformedMessageError, RecordType
+from .wire import IpVersion, RecordType
 
 log = logging.getLogger(__name__)
 
@@ -250,9 +253,9 @@ def _cmd_discover(args) -> int:
         catalog,
         config.quotas,
         config.spec.resolvers,
+        ask=functools.partial(ask, timeout_ms=config.spec.per_query_timeout_ms),
         scan_embedded=not args.no_embedded,
         fanout=config.fanout,
-        timeout_ms=config.spec.per_query_timeout_ms,
     )
     doc = {
         cdn: [
@@ -284,12 +287,12 @@ def _cmd_detect_isp(args) -> int:
     except NoConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    timeout_ms = _load_tool_config(args.config).spec.per_query_timeout_ms
+    timed_ask = functools.partial(ask, timeout_ms=_load_tool_config(args.config).spec.per_query_timeout_ms)
     vantage = {}
     for version, override in ((IpVersion.V4, args.vantage_v4), (IpVersion.V6, args.vantage_v6)):
         try:
-            vantage[version] = discover_vantage_address(version, override=override, timeout_ms=timeout_ms)
-        except Exception as exc:  # noqa: BLE001 - absence handled per resolver
+            vantage[version] = discover_vantage_address(version, ask=timed_ask, override=override)
+        except (NoAnswerError, ParseFailureError) as exc:  # absence is handled per resolver
             log.debug("vantage discovery for %s failed: %s", version.value, exc)
     results = []
     for resolver in resolvers:
@@ -297,7 +300,7 @@ def _cmd_detect_isp(args) -> int:
         if vantage_ip is None:
             print(f"{resolver.address}\t{resolver.family.value}\tindeterminate\t(no vantage address)")
             continue
-        decision = classify_resolver(resolver, vantage_ip, timeout_ms=timeout_ms)
+        decision = classify_resolver(resolver, vantage_ip, ask=timed_ask)
         results.append(decision)
         detail = (
             f"egress={decision.egress_address} asn={decision.egress_asn}"
@@ -316,38 +319,39 @@ def _cmd_detect_isp(args) -> int:
     return 0
 
 
-def _preflight(spec: MeasurementSpec) -> tuple[list, list]:
-    """Drop resolvers that fail on either family; they cannot be compared."""
-    kept, dropped = [], []
+def _preflight(spec: MeasurementSpec) -> list:
+    """The resolvers that answer on both families; each one that fails on
+    either cannot be compared, and is dropped with a notice naming the
+    address and the failure."""
+    probe = functools.partial(
+        ask,
+        PREFLIGHT_PROBE_NAME,
+        RecordType.A,
+        timeout_ms=spec.per_query_timeout_ms,
+        port=spec.resolver_port,
+    )
+    kept = []
     for resolver in spec.resolvers:
         try:
             for address in (resolver.v4_address, resolver.v6_address):
-                resolve_once(
-                    DnsQuestion(
-                        qname=PREFLIGHT_PROBE_NAME,
-                        qtype=RecordType.A,
-                        resolver_address=address,
-                        timeout_ms=spec.per_query_timeout_ms,
-                        resolver_port=spec.resolver_port,
-                    )
-                )
-        except (ResolveError, MalformedMessageError):
-            dropped.append(resolver)
+                probe(address)
+        except QUERY_FAILURES as exc:
+            print(
+                f"notice: resolver {resolver.label} dropped: {address} failed "
+                f"with {type(exc).__name__} ({exc})",
+                file=sys.stderr,
+            )
         else:
             kept.append(resolver)
-    return kept, dropped
+    return kept
 
 
 def _run_one_campaign(config: ToolConfig, spec: MeasurementSpec, output_path, *, preflight=True) -> int:
-    if preflight:
-        kept, dropped = _preflight(spec)
-    else:
-        kept, dropped = spec.resolvers, []
-    for r in dropped:
-        print(f"notice: resolver {r.label} ({r.v4_address}) unreachable, dropped", file=sys.stderr)
+    kept = _preflight(spec) if preflight else spec.resolvers
     if not kept:
         print("error: no reachable resolvers", file=sys.stderr)
         return 1
+    dropped = len(kept) < len(spec.resolvers)
     spec = replace(spec, resolvers=kept)
     campaign_id = time.strftime("%Y%m%d-%H%M%S")
     sets = run_campaign(spec, vantage_id=config.vantage_id)

@@ -8,7 +8,10 @@ AAAA lookups succeed through every configured resolver.
 Chains are followed through the first configured resolver (the known-good
 public resolver when none is configured), capped at DEFAULT_CHAIN_CAP
 names; front pages are fetched once each, within PAGE_TIMEOUT_S and
-PAGE_BYTE_CAP.
+PAGE_BYTE_CAP.  Every lookup goes through one `ask` (resolve.ask unless a
+caller binds its own); a query that fails with resolve.QUERY_FAILURES
+means no chain or no address, and a hostname that is not a DNS name is
+skipped.
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ from importlib import resources
 from urllib.parse import urlsplit
 
 from .campaign import ResolverEntry
-from .resolve import ResolveError, resolve_once
-from .wire import (
-    DEFAULT_TIMEOUT_MS,
-    KNOWN_GOOD_RESOLVER,
-    DnsQuestion,
-    MalformedMessageError,
-    RecordType,
-    validate_name,
-)
+from .resolve import QUERY_FAILURES, ask
+from .wire import KNOWN_GOOD_RESOLVER, InvalidNameError, RecordType, validate_name
 
 log = logging.getLogger(__name__)
 
@@ -118,27 +114,17 @@ class CandidateSite:
             raise ValueError("rank must be positive")
 
 
-def follow_cname_chain(
-    name: str,
-    resolver_address: str,
-    *,
-    resolve_fn=resolve_once,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-) -> list[str]:
+def follow_cname_chain(name: str, resolver_address: str, *, ask=ask) -> list[str]:
     """Issue one A query and read the CNAME chain out of the answer section.
 
     Returns [queried name, alias, ..., terminal name]; a name with a direct
     address record yields the single-element chain.  Raises ChainLoopError
-    when the answer's CNAMEs cycle or run past DEFAULT_CHAIN_CAP names.
+    when the answer's CNAMEs cycle or run past DEFAULT_CHAIN_CAP names,
+    InvalidNameError for a name that is not a DNS name, and what ask
+    raises (QUERY_FAILURES) for a failed query.
     """
     validate_name(name)
-    question = DnsQuestion(
-        qname=name,
-        qtype=RecordType.A,
-        resolver_address=resolver_address,
-        timeout_ms=timeout_ms,
-    )
-    reply = resolve_fn(question)
+    reply = ask(name, RecordType.A, resolver_address)
     aliases = {}
     for record in reply.answers:
         if record.rtype == RecordType.CNAME:
@@ -224,16 +210,10 @@ def load_domain_list(path: str) -> list[str]:
     return domains
 
 
-def _has_address(name, resolver_address, qtype, resolve_fn, timeout_ms) -> bool:
-    question = DnsQuestion(
-        qname=name,
-        qtype=qtype,
-        resolver_address=resolver_address,
-        timeout_ms=timeout_ms,
-    )
+def _has_address(name, resolver_address, qtype, ask) -> bool:
     try:
-        reply = resolve_fn(question)
-    except (ResolveError, MalformedMessageError):
+        reply = ask(name, qtype, resolver_address)
+    except QUERY_FAILURES:
         return False
     return any(r.rtype == qtype for r in reply.answers)
 
@@ -244,29 +224,22 @@ def scan_domain_list(
     quotas: dict[str, int],
     resolvers: list[ResolverEntry],
     *,
-    resolve_fn=resolve_once,
-    chain_fn=None,
+    ask=ask,
     page_fn=fetch_page,
     scan_embedded: bool = True,
     fanout: int = 1,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> dict[str, list[CandidateSite]]:
     """Walk domains in rank order until each CDN's quota is filled.
 
     A domain is accepted for the first catalog match found along its own
     CNAME chain or an embedded domain's chain, and only if both A and AAAA
-    resolve through every resolver's address of that family.  Exhausting
-    the list with quotas unmet logs a warning and returns the partial
-    result.
+    resolve through every resolver's address of that family.  A domain
+    that is not a DNS name is skipped, and so is an embedded hostname that
+    is not one.  Exhausting the list with quotas unmet logs a warning and
+    returns the partial result.
     """
     if any(q < 0 for q in quotas.values()):
         raise ValueError("quotas must be non-negative")
-    if chain_fn is None:
-        def chain_fn(name, resolver_address):  # noqa: E731 - default wiring
-            return follow_cname_chain(
-                name, resolver_address, resolve_fn=resolve_fn, timeout_ms=timeout_ms
-            )
-
     chain_resolver = resolvers[0].v4_address if resolvers else KNOWN_GOOD_RESOLVER
     selected: dict[str, list[CandidateSite]] = {cdn: [] for cdn, q in quotas.items() if q > 0}
 
@@ -275,6 +248,10 @@ def scan_domain_list(
 
     def scan_one(item):
         rank, domain = item
+        try:
+            validate_name(domain)
+        except (InvalidNameError, ValueError):
+            return None  # not a DNS name: it has no address to check
         # Probe the domain itself first, then anything its page references.
         names = [domain]
         if scan_embedded and page_fn is not None:
@@ -283,8 +260,8 @@ def scan_domain_list(
                 names.extend(h for h in extract_embedded_domains(body) if h != domain)
         for probe in names:
             try:
-                chain = chain_fn(probe, chain_resolver)
-            except (ResolveError, MalformedMessageError, ChainLoopError, ValueError):
+                chain = follow_cname_chain(probe, chain_resolver, ask=ask)
+            except (*QUERY_FAILURES, ChainLoopError, InvalidNameError, ValueError):
                 continue
             cdn = catalog.match(chain[-1])
             if cdn is not None:
@@ -307,7 +284,7 @@ def scan_domain_list(
                 rank, domain, terminal, cdn = hit
                 if cdn not in selected or len(selected[cdn]) >= quotas[cdn]:
                     continue
-                checks = _dual_stack_checks(domain, resolvers, resolve_fn, timeout_ms)
+                checks = _dual_stack_checks(domain, resolvers, ask)
                 if all(ok for per in checks.values() for ok in per.values()):
                     selected[cdn].append(
                         CandidateSite(
@@ -325,11 +302,11 @@ def scan_domain_list(
     return selected
 
 
-def _dual_stack_checks(domain, resolvers, resolve_fn, timeout_ms):
+def _dual_stack_checks(domain, resolvers, ask):
     checks: dict[str, dict[str, bool]] = {}
     for r in resolvers:
         checks[r.label] = {
-            "v4": _has_address(domain, r.v4_address, RecordType.A, resolve_fn, timeout_ms),
-            "v6": _has_address(domain, r.v6_address, RecordType.AAAA, resolve_fn, timeout_ms),
+            "v4": _has_address(domain, r.v4_address, RecordType.A, ask),
+            "v6": _has_address(domain, r.v6_address, RecordType.AAAA, ask),
         }
     return checks

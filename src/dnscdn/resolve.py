@@ -12,6 +12,11 @@ the TCP retry, the clock stops at `stamp`, the moment select() returned,
 before the reply is read or decoded.  The campaign loop runs many
 exchanges at once; resolve_once drives a single one to completion.
 
+The tool's own lookups (preflight, discovery, resolver identification,
+authoritative TTLs) go through ask, which builds the question from its
+parts, and treat QUERY_FAILURES, the campaign loop's failure rule, as
+"no answer".
+
 There are no retransmissions at this layer; retries are a campaign-level
 concern so that each latency reading keeps clean semantics.
 """
@@ -29,6 +34,7 @@ import time
 from dataclasses import dataclass
 
 from .wire import (
+    DEFAULT_TIMEOUT_MS,
     DnsQuestion,
     IpVersion,
     MalformedMessageError,
@@ -75,6 +81,11 @@ _UNREACH_ERRNOS = {
 }
 
 IN_PROGRESS_ERRNOS = {0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY}
+
+# What a query that was sent, or tried to be, can fail with.  A socket
+# error outside _UNREACH_ERRNOS stays an OSError: EINVAL, for one, from an
+# unscoped link-local address such as fe80::1.
+QUERY_FAILURES = (ResolveError, MalformedMessageError, OSError)
 
 
 @dataclass(slots=True)
@@ -298,8 +309,8 @@ def resolve_once(question: DnsQuestion) -> TimedDnsResponse:
     and the reported latency covers the combined span.  Replies whose
     transaction id does not match are discarded and the wait continues.
 
-    Raises QueryTimeoutError, NetworkUnreachableError, or
-    MalformedMessageError.
+    Raises QueryTimeoutError, NetworkUnreachableError,
+    MalformedMessageError, or another OSError (QUERY_FAILURES).
     """
     exchange = DnsExchange(question)
     try:
@@ -313,3 +324,19 @@ def resolve_once(question: DnsQuestion) -> TimedDnsResponse:
                 return response
     finally:
         exchange.close()
+
+
+def ask(
+    qname: str,
+    qtype: RecordType,
+    resolver_address: str,
+    *,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
+    port: int = 53,
+) -> TimedDnsResponse:
+    """resolve_once for the question these parts make.  A name or address
+    the question rejects raises InvalidNameError or ValueError before
+    anything is sent."""
+    return resolve_once(
+        DnsQuestion(qname, qtype, resolver_address, timeout_ms=timeout_ms, resolver_port=port)
+    )

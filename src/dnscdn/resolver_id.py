@@ -9,8 +9,12 @@ treated as external.
 
 Each kind of lookup has one service: egress addresses come from Akamai's
 whoami, and ASNs from Team Cymru's origin zones, asked through the
-known-good public resolver (wire.KNOWN_GOOD_RESOLVER).  Nothing is
-cached; detect-isp classifies a handful of resolvers once.
+known-good public resolver (wire.KNOWN_GOOD_RESOLVER).  Every query goes
+through one `ask` (resolve.ask unless a caller binds its own), and one
+that fails with resolve.QUERY_FAILURES is NoAnswerError, so a resolver
+that cannot be asked at all (an unscoped link-local fe80::1 fails with
+EINVAL) is classified Indeterminate.  Nothing is cached; detect-isp
+classifies a handful of resolvers once.
 """
 
 from __future__ import annotations
@@ -19,15 +23,8 @@ import ipaddress
 from dataclasses import dataclass
 from enum import Enum
 
-from .resolve import ResolveError, resolve_once
-from .wire import (
-    DEFAULT_TIMEOUT_MS,
-    KNOWN_GOOD_RESOLVER,
-    DnsQuestion,
-    IpVersion,
-    MalformedMessageError,
-    RecordType,
-)
+from .resolve import QUERY_FAILURES, ask
+from .wire import KNOWN_GOOD_RESOLVER, IpVersion, RecordType
 
 WHOAMI_V4 = "whoami.ipv4.akahelp.net"
 WHOAMI_V6 = "whoami.ipv6.akahelp.net"
@@ -127,13 +124,7 @@ def _txt_strings(reply) -> list[str]:
     return strings
 
 
-def whoami_egress(
-    resolver_address: str,
-    family: IpVersion,
-    *,
-    resolve_fn=resolve_once,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-) -> str:
+def whoami_egress(resolver_address: str, family: IpVersion, *, ask=ask) -> str:
     """Ask the whoami service which address the resolver egresses from.
 
     The akahelp answer is a TXT record of key/value string pairs; the "ns"
@@ -142,15 +133,9 @@ def whoami_egress(
     ParseFailureError.
     """
     service = WHOAMI_V4 if family is IpVersion.V4 else WHOAMI_V6
-    question = DnsQuestion(
-        qname=service,
-        qtype=RecordType.TXT,
-        resolver_address=resolver_address,
-        timeout_ms=timeout_ms,
-    )
     try:
-        reply = resolve_fn(question)
-    except (ResolveError, MalformedMessageError) as exc:
+        reply = ask(service, RecordType.TXT, resolver_address)
+    except QUERY_FAILURES as exc:
         raise NoAnswerError(f"no whoami answer through {resolver_address}: {exc}") from exc
     strings = _txt_strings(reply)
     if not strings:
@@ -191,23 +176,12 @@ def parse_cymru_answer(strings: list[str]) -> tuple[int, str]:
     return int(first_asn), fields[1]
 
 
-def asn_lookup(
-    ip: str,
-    *,
-    resolve_fn=resolve_once,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-) -> int:
+def asn_lookup(ip: str, *, ask=ask) -> int:
     """Map an IP address to its origin ASN via Team Cymru's DNS interface,
     asked through the known-good resolver."""
-    question = DnsQuestion(
-        qname=cymru_query_name(ip),
-        qtype=RecordType.TXT,
-        resolver_address=KNOWN_GOOD_RESOLVER,
-        timeout_ms=timeout_ms,
-    )
     try:
-        reply = resolve_fn(question)
-    except (ResolveError, MalformedMessageError) as exc:
+        reply = ask(cymru_query_name(ip), RecordType.TXT, KNOWN_GOOD_RESOLVER)
+    except QUERY_FAILURES as exc:
         raise NoAnswerError(f"Cymru lookup for {ip} failed: {exc}") from exc
     if reply.rcode == 3:  # NXDOMAIN
         raise NoMappingError(f"no origin mapping for {ip}")
@@ -218,13 +192,7 @@ def asn_lookup(
     return asn
 
 
-def discover_vantage_address(
-    family: IpVersion,
-    *,
-    resolve_fn=resolve_once,
-    override: str | None = None,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-) -> str:
+def discover_vantage_address(family: IpVersion, *, ask=ask, override: str | None = None) -> str:
     """The host's public address for a family: operator override, else the
     egress the known-good public resolver reports via whoami.
 
@@ -233,16 +201,10 @@ def discover_vantage_address(
     """
     if override is not None:
         return override
-    return whoami_egress(KNOWN_GOOD_RESOLVER, family, resolve_fn=resolve_fn, timeout_ms=timeout_ms)
+    return whoami_egress(KNOWN_GOOD_RESOLVER, family, ask=ask)
 
 
-def classify_resolver(
-    resolver: LocalResolver,
-    vantage_ip: str,
-    *,
-    resolve_fn=resolve_once,
-    timeout_ms: float = DEFAULT_TIMEOUT_MS,
-) -> ResolverClassification:
+def classify_resolver(resolver: LocalResolver, vantage_ip: str, *, ask=ask) -> ResolverClassification:
     """Classify one resolver against the vantage host's AS.
 
     Public resolver address: compare the resolver's ASN to the vantage
@@ -250,42 +212,16 @@ def classify_resolver(
     lookup failure folds into Indeterminate rather than raising.
     """
     result = ResolverClassification(resolver=resolver, verdict=Classification.INDETERMINATE)
-
-    def lookup(ip):
-        return asn_lookup(ip, resolve_fn=resolve_fn, timeout_ms=timeout_ms)
-
     try:
-        result.vantage_asn = lookup(vantage_ip)
+        result.vantage_asn = asn_lookup(vantage_ip, ask=ask)
+        if resolver.is_private:
+            result.egress_address = whoami_egress(resolver.address, resolver.family, ask=ask)
+            result.egress_asn = asn = asn_lookup(result.egress_address, ask=ask)
+        else:
+            result.resolver_asn = asn = asn_lookup(resolver.address, ask=ask)
     except (NoAnswerError, NoMappingError, ParseFailureError, ValueError):
         return result
-
-    if not resolver.is_private:
-        try:
-            result.resolver_asn = lookup(resolver.address)
-        except (NoAnswerError, NoMappingError, ParseFailureError, ValueError):
-            return result
-        result.verdict = (
-            Classification.ISP_PROVIDED
-            if result.resolver_asn == result.vantage_asn
-            else Classification.EXTERNAL
-        )
-        return result
-
-    try:
-        result.egress_address = whoami_egress(
-            resolver.address,
-            resolver.family,
-            resolve_fn=resolve_fn,
-            timeout_ms=timeout_ms,
-        )
-        result.egress_asn = lookup(result.egress_address)
-    except (NoAnswerError, NoMappingError, ParseFailureError, ValueError):
-        return result
-    result.verdict = (
-        Classification.ISP_PROVIDED
-        if result.egress_asn == result.vantage_asn
-        else Classification.EXTERNAL
-    )
+    result.verdict = Classification.ISP_PROVIDED if asn == result.vantage_asn else Classification.EXTERNAL
     return result
 
 

@@ -40,8 +40,10 @@ EDNS_UDP_PAYLOAD = 1232
 
 MAX_TTL = 2**31 - 1
 
-# Per-query timeout wherever no configuration supplies one.
+# Per-query timeout wherever no configuration supplies one.  Any timeout
+# must lie strictly between 0 and _INFINITY, which NaN does not.
 DEFAULT_TIMEOUT_MS = 5000.0
+_INFINITY = float("inf")
 
 # The public recursive resolver asked for the tool's own lookups (whoami,
 # Team Cymru, NS walks) when no configured resolver is given.
@@ -202,8 +204,8 @@ class DnsQuestion:
                 f"resolver {self.resolver_address} is {family.value} but "
                 f"transport is {self.transport_version.value}"
             )
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        if not 0 < self.timeout_ms < _INFINITY:
+            raise ValueError(f"timeout_ms must be a finite number above 0, not {self.timeout_ms!r}")
 
 
 @dataclass(slots=True)

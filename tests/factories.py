@@ -27,6 +27,16 @@ def make_question(
     )
 
 
+def asking(resolve_fn):
+    """An `ask` (as resolve.ask) that hands the question it builds to
+    resolve_fn, a stand-in for resolve_once."""
+
+    def ask(qname, qtype, resolver_address, *, timeout_ms=5000.0, port=53):
+        return resolve_fn(make_question(qname, qtype, resolver_address, timeout_ms, port))
+
+    return ask
+
+
 def make_response(
     latency_ms,
     sent_at,

@@ -341,8 +341,19 @@ def test_mock_network_end_to_end(monkeypatch):
 
         points = build_latency_points(sets)
         assert len(points) == 8  # 2 cdns x 2 families x 2 metrics
+        # Each point against the same ladder taken over the measured holds:
+        # per set the median hold (of the latest three queries, or of the
+        # successful handshakes), then the median over the CDN's websites.
+        held = {}
+        for mset in sets:
+            dns = statistics.median(mocknet.served_for(served, r).hold_ms for r in latest_three(mset))
+            handshake = statistics.median(
+                timed[id(s)][1].hold_ms for s in mset.handshake_results if s.success
+            )
+            for metric, hold in ((Metric.DNS, dns), (Metric.MAPPING, handshake)):
+                held.setdefault((metric, mset.cdn, mset.ip_version), []).append(hold)
         for point in points:
-            target = 30.0 if point.metric is Metric.DNS else 25.0
+            target = statistics.median(held[point.metric, point.cdn, point.ip_version])
             assert abs(point.value - target) <= 5.0
 
         rows = hit_rate_table(sets, load_ttl_table())

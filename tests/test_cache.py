@@ -1,12 +1,12 @@
 """Cache verdict classification and TTL discovery."""
 
-import dataclasses
+import functools
 import random
 
 import pytest
 
 import mocknet
-from factories import make_response
+from factories import asking, make_response
 from dnscdn.cache import (
     AuthoritativeTtl,
     Convention,
@@ -19,7 +19,7 @@ from dnscdn.cache import (
     load_ttl_table,
     parse_ttl_table,
 )
-from dnscdn.resolve import QueryTimeoutError, resolve_once
+from dnscdn.resolve import QueryTimeoutError, ask
 from dnscdn.wire import RecordType, ResourceRecord
 
 
@@ -108,18 +108,18 @@ def _failing_resolver(question):
 
 class TestDiscoverAuthoritativeTtl:
     def test_static_fallback_akamai(self):
-        result = discover_authoritative_ttl("x.edgekey.net", "akamai", resolve_fn=_failing_resolver)
+        result = discover_authoritative_ttl("x.edgekey.net", "akamai", ask=asking(_failing_resolver))
         assert result.ttl == 20
         assert result.source is TtlSource.STATIC_DEFAULT
 
     def test_static_fallback_edgecast(self):
-        result = discover_authoritative_ttl("x.systemcdn.net", "edgecast", resolve_fn=_failing_resolver)
+        result = discover_authoritative_ttl("x.systemcdn.net", "edgecast", ask=asking(_failing_resolver))
         assert result.ttl == 3600
         assert result.source is TtlSource.STATIC_DEFAULT
 
     def test_no_default_no_authority(self):
         with pytest.raises(NoAuthorityError):
-            discover_authoritative_ttl("x.example.net", "nobody-cdn", resolve_fn=_failing_resolver)
+            discover_authoritative_ttl("x.example.net", "nobody-cdn", ask=asking(_failing_resolver))
 
     def test_direct_query_against_mock_server(self):
         domain = "site.cdn.example"
@@ -134,12 +134,8 @@ class TestDiscoverAuthoritativeTtl:
             return mocknet.MockReply(rcode=3)
 
         with mocknet.MockDnsServer(script) as server:
-            def resolve_fn(question):
-                return resolve_once(dataclasses.replace(question, resolver_port=server.port))
-
-            result = discover_authoritative_ttl(
-                domain, "cdn", recursive_resolver="127.0.0.1", resolve_fn=resolve_fn
-            )
+            to_server = functools.partial(ask, port=server.port)
+            result = discover_authoritative_ttl(domain, "cdn", recursive_resolver="127.0.0.1", ask=to_server)
         assert result.ttl == 300
         assert result.source is TtlSource.DIRECT_QUERY
 
@@ -166,7 +162,7 @@ class TestDiscoverAuthoritativeTtl:
                 answers=[ResourceRecord(question.qname, 1, 77, "198.51.100.1")],
             )
 
-        result = discover_authoritative_ttl(domain, "cdn", resolve_fn=fake_resolve)
+        result = discover_authoritative_ttl(domain, "cdn", ask=asking(fake_resolve))
         assert result.ttl == 77
         assert result.source is TtlSource.DIRECT_QUERY
         assert ("deep.a.cdn.example", RecordType.NS) in calls

@@ -3,7 +3,6 @@
 import base64
 import contextlib
 import csv
-import functools
 import gc
 import io
 import json
@@ -12,7 +11,7 @@ import socket
 import pytest
 
 import mocknet
-from factories import make_response, make_set
+from factories import asking, make_response, make_set
 from dnscdn import cli, resolver_id
 from dnscdn.campaign import is_usable
 from dnscdn.resolver_id import Classification, ResolverClassification
@@ -89,7 +88,7 @@ class TestUsageErrors:
         def no_network(*args, **kwargs):
             raise AssertionError("no query may be sent")
 
-        for name in ("resolve_once", "run_campaign"):
+        for name in ("ask", "run_campaign"):
             monkeypatch.setattr(cli, name, no_network)
         argv = ["schedule", "--config", write_config(tmp_path), "--count", "1", "--interval-s", "-1"]
         assert cli.main(argv) == 2
@@ -140,6 +139,30 @@ class TestMeasure:
         err = capsys.readouterr().err
         assert "resolver local" in err
         assert "no reachable resolvers" in err
+        assert "127.0.0.1 failed with MalformedMessageError" in err
+
+    def test_unscoped_link_local_resolver_dropped_in_preflight(self, tmp_path, capsys):
+        # fe80::1 without a scope fails with EINVAL, an OSError that is
+        # neither a timeout nor unreachable.
+        with mock_network() as (dns_port, tcp_port):
+            config = write_config(
+                tmp_path,
+                dns_port,
+                tcp_port,
+                resolvers=[
+                    {"label": "local", "v4_address": "127.0.0.1", "v6_address": "::1"},
+                    {"label": "linklocal", "v4_address": "127.0.0.1", "v6_address": "fe80::1"},
+                ],
+            )
+            output = str(tmp_path / "camp.jsonl")
+            assert cli.main(["measure", "--config", config, "--output", output]) == 1
+        notices = [line for line in capsys.readouterr().err.splitlines() if line.startswith("notice:")]
+        assert len(notices) == 1
+        assert "resolver linklocal" in notices[0]
+        assert "fe80::1 failed with OSError" in notices[0]
+        records = read_records(output)
+        assert {r.mset.resolver_label for r in records} == {"local"}
+        assert len(records) == 2 and all(is_usable(r.mset) for r in records)
 
     def test_skip_preflight_records_the_failures(self, tmp_path):
         with mock_network() as (dns_port, tcp_port):
@@ -762,7 +785,7 @@ class TestUnusableInputPath:
         def no_network(*args, **kwargs):
             raise AssertionError("no query may be sent")
 
-        for name in ("resolve_once", "run_campaign", "scan_domain_list"):
+        for name in ("ask", "run_campaign", "scan_domain_list"):
             monkeypatch.setattr(cli, name, no_network)
         path = tmp_path / "input"
         if isinstance(content, bytes):
@@ -984,13 +1007,7 @@ class TestDetectIsp:
             record = ResourceRecord(name=question.qname, rtype=int(RecordType.TXT), ttl=60, rdata=strings)
             return make_response(1.0, 1.0, qname=question.qname, answers=[record])
 
-        monkeypatch.setattr(
-            cli, "discover_vantage_address",
-            functools.partial(resolver_id.discover_vantage_address, resolve_fn=fake),
-        )
-        monkeypatch.setattr(
-            cli, "classify_resolver", functools.partial(resolver_id.classify_resolver, resolve_fn=fake)
-        )
+        monkeypatch.setattr(cli, "ask", asking(fake))
         conf = tmp_path / "resolv.conf"
         conf.write_text("nameserver 192.168.1.1\nnameserver 9.9.9.9\n")  # private and public paths
         argv = ["detect-isp", "--resolv-conf", str(conf), "--config", write_config(tmp_path)]

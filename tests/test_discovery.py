@@ -1,11 +1,13 @@
 """CDN site discovery: catalogs, CNAME chains, page scraping, list scans."""
 
+import errno
+import functools
 import logging
 
 import pytest
 
 import mocknet
-from factories import make_response
+from factories import asking, make_response
 from dnscdn.campaign import ResolverEntry
 from dnscdn.discovery import (
     DEFAULT_CHAIN_CAP,
@@ -18,7 +20,7 @@ from dnscdn.discovery import (
     scan_domain_list,
     _has_address,
 )
-from dnscdn.resolve import QueryTimeoutError, resolve_once
+from dnscdn.resolve import ask
 from dnscdn.wire import MalformedMessageError, RecordType, ResourceRecord
 
 
@@ -44,14 +46,14 @@ class TestFollowCnameChain:
                 ),
             )
 
-        chain = follow_cname_chain("x.example", "192.0.2.53", resolve_fn=fake)
+        chain = follow_cname_chain("x.example", "192.0.2.53", ask=asking(fake))
         assert chain == ["x.example", "y.example", "z.cdn.example"]
 
     def test_direct_a_record_single_element(self):
         def fake(question):
             return make_response(1.0, 1.0, qname=question.qname)
 
-        assert follow_cname_chain("plain.example", "192.0.2.53", resolve_fn=fake) == ["plain.example"]
+        assert follow_cname_chain("plain.example", "192.0.2.53", ask=asking(fake)) == ["plain.example"]
 
     def test_cycle_raises_chain_loop(self):
         def fake(question):
@@ -64,7 +66,7 @@ class TestFollowCnameChain:
             )
 
         with pytest.raises(ChainLoopError):
-            follow_cname_chain("x.example", "192.0.2.53", resolve_fn=fake)
+            follow_cname_chain("x.example", "192.0.2.53", ask=asking(fake))
 
     def test_length_cap_raises_chain_loop(self):
         def fake_with(count):
@@ -78,10 +80,10 @@ class TestFollowCnameChain:
             return fake
 
         # DEFAULT_CHAIN_CAP names is the longest chain that terminates.
-        chain = follow_cname_chain("n0.example", "192.0.2.53", resolve_fn=fake_with(DEFAULT_CHAIN_CAP - 1))
+        chain = follow_cname_chain("n0.example", "192.0.2.53", ask=asking(fake_with(DEFAULT_CHAIN_CAP - 1)))
         assert len(chain) == DEFAULT_CHAIN_CAP
         with pytest.raises(ChainLoopError):
-            follow_cname_chain("n0.example", "192.0.2.53", resolve_fn=fake_with(DEFAULT_CHAIN_CAP))
+            follow_cname_chain("n0.example", "192.0.2.53", ask=asking(fake_with(DEFAULT_CHAIN_CAP)))
 
     def test_against_live_mock_server(self):
         def script(qname, qtype, count):
@@ -94,12 +96,8 @@ class TestFollowCnameChain:
             )
 
         with mocknet.MockDnsServer(script) as server:
-            import dataclasses
-
-            def resolve_fn(question):
-                return resolve_once(dataclasses.replace(question, resolver_port=server.port))
-
-            chain = follow_cname_chain("www.shop.example", server.host, resolve_fn=resolve_fn)
+            to_server = functools.partial(ask, port=server.port)
+            chain = follow_cname_chain("www.shop.example", server.host, ask=to_server)
         assert chain == ["www.shop.example", "shop.edgekey.net", "e1234.a.akamaiedge.net"]
 
 
@@ -179,25 +177,23 @@ RESOLVERS = [
 
 
 def make_scan_fixture(chains, dual_stack_failures=()):
-    """chains: domain -> terminal name.  dual_stack_failures: set of
-    (domain, resolver_address, rtype) that must return no answer."""
-
-    def chain_fn(name, resolver_address):
-        if name not in chains:
-            raise QueryTimeoutError(f"no chain for {name}")
-        return [name, chains[name]] if chains[name] != name else [name]
+    """A fake resolve_once.  chains: domain -> terminal name; a question
+    about a domain is answered with the CNAME to its terminal name, if
+    that differs, and an address record of the asked type, unless
+    (domain, resolver_address, rtype) is in dual_stack_failures."""
 
     def resolve_fn(question):
         rtype = int(question.qtype)
-        if (question.qname, question.resolver_address, rtype) in dual_stack_failures:
-            return make_response(1.0, 1.0, qname=question.qname, answers=[])
-        address = "192.0.2.1" if rtype == 1 else "2001:db8::1"
-        return make_response(
-            1.0, 1.0, qname=question.qname,
-            answers=[ResourceRecord(question.qname, rtype, 60, address)],
-        )
+        terminal = chains.get(question.qname, question.qname)
+        answers = []
+        if terminal != question.qname:
+            answers.append(ResourceRecord(question.qname, int(RecordType.CNAME), 300, terminal))
+        if (question.qname, question.resolver_address, rtype) not in dual_stack_failures:
+            address = "192.0.2.1" if rtype == 1 else "2001:db8::1"
+            answers.append(ResourceRecord(terminal, rtype, 60, address))
+        return make_response(1.0, 1.0, qname=question.qname, answers=answers)
 
-    return chain_fn, resolve_fn
+    return resolve_fn
 
 
 class TestScanDomainList:
@@ -206,11 +202,11 @@ class TestScanDomainList:
         chains = {d: d for d in domains}
         chains["d3.example"] = "d3.edgekey.net"
         chains["d7.example"] = "d7.edgekey.net"
-        chain_fn, resolve_fn = make_scan_fixture(chains)
+        resolve_fn = make_scan_fixture(chains)
         catalog = CdnCatalog.parse("akamai edgekey.net\n")
         result = scan_domain_list(
             domains, catalog, {"akamai": 2}, RESOLVERS,
-            chain_fn=chain_fn, resolve_fn=resolve_fn, scan_embedded=False,
+            ask=asking(resolve_fn), scan_embedded=False,
         )
         sites = result["akamai"]
         assert [(s.rank, s.site_domain) for s in sites] == [(3, "d3.example"), (7, "d7.example")]
@@ -220,11 +216,11 @@ class TestScanDomainList:
     def test_zero_quota_cdn_absent(self):
         domains = ["d1.example"]
         chains = {"d1.example": "d1.edgekey.net"}
-        chain_fn, resolve_fn = make_scan_fixture(chains)
+        resolve_fn = make_scan_fixture(chains)
         catalog = CdnCatalog.parse("akamai edgekey.net\nfastly fastly.net\n")
         result = scan_domain_list(
             domains, catalog, {"akamai": 1, "fastly": 0}, RESOLVERS,
-            chain_fn=chain_fn, resolve_fn=resolve_fn, scan_embedded=False,
+            ask=asking(resolve_fn), scan_embedded=False,
         )
         assert "fastly" not in result
 
@@ -232,23 +228,23 @@ class TestScanDomainList:
         domains = ["d1.example", "d2.example"]
         chains = {"d1.example": "d1.edgekey.net", "d2.example": "d2.edgekey.net"}
         failures = {("d1.example", "2620:fe::fe", int(RecordType.AAAA))}
-        chain_fn, resolve_fn = make_scan_fixture(chains, failures)
+        resolve_fn = make_scan_fixture(chains, failures)
         catalog = CdnCatalog.parse("akamai edgekey.net\n")
         result = scan_domain_list(
             domains, catalog, {"akamai": 1}, RESOLVERS,
-            chain_fn=chain_fn, resolve_fn=resolve_fn, scan_embedded=False,
+            ask=asking(resolve_fn), scan_embedded=False,
         )
         assert [s.site_domain for s in result["akamai"]] == ["d2.example"]
 
     def test_quota_unmet_warns_and_returns_partial(self, caplog):
         domains = ["d1.example", "d2.example"]
         chains = {"d1.example": "d1.edgekey.net", "d2.example": "d2.example"}
-        chain_fn, resolve_fn = make_scan_fixture(chains)
+        resolve_fn = make_scan_fixture(chains)
         catalog = CdnCatalog.parse("akamai edgekey.net\n")
         with caplog.at_level(logging.WARNING, logger="dnscdn.discovery"):
             result = scan_domain_list(
                 domains, catalog, {"akamai": 5}, RESOLVERS,
-                chain_fn=chain_fn, resolve_fn=resolve_fn, scan_embedded=False,
+                ask=asking(resolve_fn), scan_embedded=False,
             )
         assert len(result["akamai"]) == 1
         assert any("quotas unmet" in r.message for r in caplog.records)
@@ -256,7 +252,7 @@ class TestScanDomainList:
     def test_embedded_domain_chain_counts(self):
         domains = ["shop.example"]
         chains = {"shop.example": "shop.example", "img.shop.example": "img.fastly.net"}
-        chain_fn, resolve_fn = make_scan_fixture(chains)
+        resolve_fn = make_scan_fixture(chains)
         catalog = CdnCatalog.parse("fastly fastly.net\n")
 
         def page_fn(domain):
@@ -264,7 +260,7 @@ class TestScanDomainList:
 
         result = scan_domain_list(
             domains, catalog, {"fastly": 1}, RESOLVERS,
-            chain_fn=chain_fn, resolve_fn=resolve_fn, page_fn=page_fn,
+            ask=asking(resolve_fn), page_fn=page_fn,
         )
         (site,) = result["fastly"]
         assert site.site_domain == "shop.example"
@@ -274,12 +270,12 @@ class TestScanDomainList:
         domains = [f"d{i}.example" for i in range(1, 30)]
         chains = {d: (d.replace(".example", ".edgekey.net") if i % 3 == 0 else d)
                   for i, d in enumerate(domains, start=1)}
-        chain_fn, resolve_fn = make_scan_fixture(chains)
+        resolve_fn = make_scan_fixture(chains)
         catalog = CdnCatalog.parse("akamai edgekey.net\n")
         runs = [
             scan_domain_list(
                 domains, catalog, {"akamai": 4}, RESOLVERS,
-                chain_fn=chain_fn, resolve_fn=resolve_fn, scan_embedded=False, fanout=4,
+                ask=asking(resolve_fn), scan_embedded=False, fanout=4,
             )
             for _ in range(2)
         ]
@@ -291,8 +287,8 @@ class TestScanDomainList:
 
 
 def malformed_for(bad_name):
-    """resolve_fn that fails to decode every reply about bad_name."""
-    _, resolve_fn = make_scan_fixture({})
+    """A fake resolve_once that fails to decode every reply about bad_name."""
+    resolve_fn = make_scan_fixture({})
 
     def fake(question):
         if question.qname == bad_name:
@@ -304,14 +300,71 @@ def malformed_for(bad_name):
 
 def test_malformed_reply_means_no_address():
     fake = malformed_for("d1.example")
-    assert not _has_address("d1.example", "8.8.8.8", RecordType.A, fake, 100.0)
-    assert _has_address("d2.example", "8.8.8.8", RecordType.A, fake, 100.0)
+    assert not _has_address("d1.example", "8.8.8.8", RecordType.A, asking(fake))
+    assert _has_address("d2.example", "8.8.8.8", RecordType.A, asking(fake))
 
 
 def test_malformed_chain_reply_skips_the_domain():
     catalog = CdnCatalog.parse("akamai example\n")
     result = scan_domain_list(
         ["d1.example", "d2.example"], catalog, {"akamai": 2}, RESOLVERS,
-        resolve_fn=malformed_for("d1.example"), scan_embedded=False,
+        ask=asking(malformed_for("d1.example")), scan_embedded=False,
     )
     assert [s.site_domain for s in result["akamai"]] == ["d2.example"]
+
+
+def failing_with_os_error_for(bad_name):
+    """A fake resolve_once whose every query about bad_name fails as an
+    unscoped link-local address does (EINVAL)."""
+    resolve_fn = make_scan_fixture({})
+
+    def fake(question):
+        if question.qname == bad_name:
+            raise OSError(errno.EINVAL, "Invalid argument")
+        return resolve_fn(question)
+
+    return fake
+
+
+def test_os_error_means_no_address():
+    fake = failing_with_os_error_for("d1.example")
+    assert not _has_address("d1.example", "fe80::1", RecordType.AAAA, asking(fake))
+    assert _has_address("d2.example", "fe80::1", RecordType.AAAA, asking(fake))
+
+
+def test_os_error_on_a_chain_skips_the_domain():
+    catalog = CdnCatalog.parse("akamai example\n")
+    result = scan_domain_list(
+        ["d1.example", "d2.example"], catalog, {"akamai": 2}, RESOLVERS,
+        ask=asking(failing_with_os_error_for("d1.example")), scan_embedded=False,
+    )
+    assert [s.site_domain for s in result["akamai"]] == ["d2.example"]
+
+
+NOT_DNS_NAMES = ["a..example", "x" * 64 + ".example"]
+
+
+def test_embedded_hostname_that_is_not_a_dns_name_is_skipped():
+    resolve_fn = make_scan_fixture({"img.shop.example": "img.fastly.net"})
+    links = "".join(f'<img src="https://{host}/a.png">' for host in [*NOT_DNS_NAMES, "img.shop.example"])
+    result = scan_domain_list(
+        ["shop.example"], CdnCatalog.parse("fastly fastly.net\n"), {"fastly": 1}, RESOLVERS,
+        ask=asking(resolve_fn), page_fn=lambda domain: links,
+    )
+    assert [(s.site_domain, s.terminal_cname) for s in result["fastly"]] == [("shop.example", "img.fastly.net")]
+
+
+def test_listed_domain_that_is_not_a_dns_name_is_skipped():
+    fetched = []
+
+    def page_fn(domain):
+        fetched.append(domain)
+        return '<img src="https://img.shop.example/a.png">'
+
+    resolve_fn = make_scan_fixture({"img.shop.example": "img.fastly.net"})
+    result = scan_domain_list(
+        [*NOT_DNS_NAMES, "shop.example"], CdnCatalog.parse("fastly fastly.net\n"), {"fastly": 1},
+        RESOLVERS, ask=asking(resolve_fn), page_fn=page_fn,
+    )
+    assert [(s.rank, s.site_domain) for s in result["fastly"]] == [(3, "shop.example")]
+    assert fetched == ["shop.example"]

@@ -1,12 +1,12 @@
 """ISP-resolver detection: whoami egress, Cymru ASN lookups, classification."""
 
-import dataclasses
+import functools
 
 import pytest
 
 import mocknet
-from factories import make_response
-from dnscdn.resolve import QueryTimeoutError, resolve_once
+from factories import asking, make_response
+from dnscdn.resolve import QueryTimeoutError, ask
 from dnscdn.resolver_id import (
     Classification,
     LocalResolver,
@@ -76,28 +76,28 @@ class TestWhoamiEgress:
             assert question.qname == "whoami.ipv4.akahelp.net"
             return txt_response(question.qname, ["ns", "198.51.100.7"])
 
-        assert whoami_egress("192.168.1.1", IpVersion.V4, resolve_fn=fake) == "198.51.100.7"
+        assert whoami_egress("192.168.1.1", IpVersion.V4, ask=asking(fake)) == "198.51.100.7"
 
     def test_v6_service_name(self):
         def fake(question):
             assert question.qname == "whoami.ipv6.akahelp.net"
             return txt_response(question.qname, ["ns", "2001:db8::55"])
 
-        assert whoami_egress("192.168.1.1", IpVersion.V6, resolve_fn=fake) == "2001:db8::55"
+        assert whoami_egress("192.168.1.1", IpVersion.V6, ask=asking(fake)) == "2001:db8::55"
 
     def test_missing_ns_key_is_parse_failure(self):
         def fake(question):
             return txt_response(question.qname, ["ecs", "192.0.2.0/24"])
 
         with pytest.raises(ParseFailureError):
-            whoami_egress("192.168.1.1", IpVersion.V4, resolve_fn=fake)
+            whoami_egress("192.168.1.1", IpVersion.V4, ask=asking(fake))
 
     def test_timeout_is_no_answer(self):
         def fake(question):
             raise QueryTimeoutError("scripted")
 
         with pytest.raises(NoAnswerError):
-            whoami_egress("192.168.1.1", IpVersion.V4, resolve_fn=fake)
+            whoami_egress("192.168.1.1", IpVersion.V4, ask=asking(fake))
 
     @pytest.mark.parametrize(
         "strings, error", [([], NoAnswerError), (["ns", "not-an-address"], ParseFailureError)]
@@ -107,17 +107,15 @@ class TestWhoamiEgress:
             return txt_response(question.qname, strings)
 
         with pytest.raises(error):
-            whoami_egress("192.168.1.1", IpVersion.V4, resolve_fn=fake)
+            whoami_egress("192.168.1.1", IpVersion.V4, ask=asking(fake))
 
     def test_against_live_mock(self):
         def script(qname, qtype, count):
             return mocknet.MockReply(answers=[(qname, mocknet.TXT, 60, ["ns", "198.51.100.7"])])
 
         with mocknet.MockDnsServer(script) as server:
-            def resolve_fn(question):
-                return resolve_once(dataclasses.replace(question, resolver_port=server.port))
-
-            assert whoami_egress(server.host, IpVersion.V4, resolve_fn=resolve_fn) == "198.51.100.7"
+            to_server = functools.partial(ask, port=server.port)
+            assert whoami_egress(server.host, IpVersion.V4, ask=to_server) == "198.51.100.7"
 
 
 class TestCymru:
@@ -151,7 +149,7 @@ class TestCymru:
             assert question.qname == "222.222.67.208.origin.asn.cymru.com"
             return txt_response(question.qname, ["36692 | 208.67.222.0/24 | US | arin | 2008-04-01"])
 
-        assert asn_lookup("208.67.222.222", resolve_fn=fake) == 36692
+        assert asn_lookup("208.67.222.222", ask=asking(fake)) == 36692
 
     def test_nxdomain_is_no_mapping(self):
         def fake(question):
@@ -160,14 +158,14 @@ class TestCymru:
             return response
 
         with pytest.raises(NoMappingError):
-            asn_lookup("203.0.113.77", resolve_fn=fake)
+            asn_lookup("203.0.113.77", ask=asking(fake))
 
 
 VANTAGE_IP = "203.0.113.50"
 
 
 def routing_fake(vantage_asn=64500, resolver_asns=None, egress=None, egress_asn=None):
-    """A resolve_fn that answers Cymru and whoami queries from a routing table."""
+    """A fake resolve_once that answers Cymru and whoami queries from a routing table."""
     resolver_asns = resolver_asns or {}
     table = {cymru_query_name(VANTAGE_IP): vantage_asn}
     for ip, asn in resolver_asns.items():
@@ -193,18 +191,18 @@ class TestClassifyResolver:
         # 9.9.9.9 stands in for any globally routable resolver address; the
         # documentation ranges won't do because ipaddress calls them private.
         fake = routing_fake(resolver_asns={"9.9.9.9": 64500})
-        decision = classify_resolver(LocalResolver("9.9.9.9"), VANTAGE_IP, resolve_fn=fake)
+        decision = classify_resolver(LocalResolver("9.9.9.9"), VANTAGE_IP, ask=asking(fake))
         assert decision.verdict is Classification.ISP_PROVIDED
         assert decision.resolver_asn == decision.vantage_asn == 64500
 
     def test_public_different_asn_is_external(self):
         fake = routing_fake(resolver_asns={"8.8.8.8": 15169})
-        decision = classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, resolve_fn=fake)
+        decision = classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, ask=asking(fake))
         assert decision.verdict is Classification.EXTERNAL
 
     def test_private_with_matching_egress_is_isp(self):
         fake = routing_fake(egress="203.0.113.66", egress_asn=64500)
-        decision = classify_resolver(LocalResolver("192.168.1.1"), VANTAGE_IP, resolve_fn=fake)
+        decision = classify_resolver(LocalResolver("192.168.1.1"), VANTAGE_IP, ask=asking(fake))
         assert decision.verdict is Classification.ISP_PROVIDED
         assert decision.egress_address == "203.0.113.66"
         assert decision.resolver_asn is None  # private path never consults it
@@ -213,13 +211,13 @@ class TestClassifyResolver:
         # deliberate conservatism: a forwarding box egressing via a
         # public service counts as external
         fake = routing_fake(egress="8.8.4.4", egress_asn=15169)
-        decision = classify_resolver(LocalResolver("192.168.1.1"), VANTAGE_IP, resolve_fn=fake)
+        decision = classify_resolver(LocalResolver("192.168.1.1"), VANTAGE_IP, ask=asking(fake))
         assert decision.verdict is Classification.EXTERNAL
 
     def test_lookup_failure_is_indeterminate(self):
         fake = routing_fake()  # no resolver ASN scripted, no whoami
-        public = classify_resolver(LocalResolver("4.2.2.1"), VANTAGE_IP, resolve_fn=fake)
-        private = classify_resolver(LocalResolver("10.0.0.1"), VANTAGE_IP, resolve_fn=fake)
+        public = classify_resolver(LocalResolver("4.2.2.1"), VANTAGE_IP, ask=asking(fake))
+        private = classify_resolver(LocalResolver("10.0.0.1"), VANTAGE_IP, ask=asking(fake))
         assert public.verdict is Classification.INDETERMINATE
         assert private.verdict is Classification.INDETERMINATE
 
@@ -227,15 +225,15 @@ class TestClassifyResolver:
         def fake(question):
             raise QueryTimeoutError("all dark")
 
-        decision = classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, resolve_fn=fake)
+        decision = classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, ask=asking(fake))
         assert decision.verdict is Classification.INDETERMINATE
 
     def test_malformed_reply_is_indeterminate(self):
         def fake(question):
             raise MalformedMessageError("message of 3 bytes (header needs 12)")
 
-        public = classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, resolve_fn=fake)
-        private = classify_resolver(LocalResolver("192.168.1.1"), VANTAGE_IP, resolve_fn=fake)
+        public = classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, ask=asking(fake))
+        private = classify_resolver(LocalResolver("192.168.1.1"), VANTAGE_IP, ask=asking(fake))
         assert public.verdict is Classification.INDETERMINATE
         assert private.verdict is Classification.INDETERMINATE
 
@@ -244,17 +242,32 @@ class TestClassifyResolver:
             raise MalformedMessageError("name runs past end of message")
 
         with pytest.raises(NoAnswerError):
-            whoami_egress("192.168.1.1", IpVersion.V4, resolve_fn=fake)
+            whoami_egress("192.168.1.1", IpVersion.V4, ask=asking(fake))
         with pytest.raises(NoAnswerError):
-            asn_lookup("203.0.113.1", resolve_fn=fake)
+            asn_lookup("203.0.113.1", ask=asking(fake))
+
+    def test_unscoped_link_local_resolver_is_indeterminate(self):
+        # The whoami question is sent for real: fe80::1 without a scope
+        # fails with EINVAL before a datagram leaves the host.
+        cymru = asking(routing_fake())
+
+        def whoami_for_real(qname, qtype, resolver_address, **kwargs):
+            via = ask if qname.startswith("whoami.") else cymru
+            return via(qname, qtype, resolver_address, **kwargs)
+
+        decision = classify_resolver(LocalResolver("fe80::1"), VANTAGE_IP, ask=whoami_for_real)
+        assert decision.verdict is Classification.INDETERMINATE
+        assert decision.vantage_asn == 64500
+        with pytest.raises(NoAnswerError):
+            whoami_egress("fe80::1", IpVersion.V6, ask=ask)
 
     def test_unrelated_resolvers_do_not_interact(self):
         fake = routing_fake(resolver_asns={"9.9.9.9": 64500, "8.8.8.8": 15169})
-        alone = classify_resolver(LocalResolver("9.9.9.9"), VANTAGE_IP, resolve_fn=fake)
+        alone = classify_resolver(LocalResolver("9.9.9.9"), VANTAGE_IP, ask=asking(fake))
         together_first = classify_resolver(
-            LocalResolver("9.9.9.9"), VANTAGE_IP, resolve_fn=fake
+            LocalResolver("9.9.9.9"), VANTAGE_IP, ask=asking(fake)
         )
-        classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, resolve_fn=fake)
+        classify_resolver(LocalResolver("8.8.8.8"), VANTAGE_IP, ask=asking(fake))
         assert alone.verdict == together_first.verdict
 
 
@@ -281,11 +294,11 @@ def test_discover_vantage_address_override_wins():
     def fake(question):
         raise AssertionError("must not touch the network with an override")
 
-    assert discover_vantage_address(IpVersion.V4, resolve_fn=fake, override="198.51.100.3") == "198.51.100.3"
+    assert discover_vantage_address(IpVersion.V4, ask=asking(fake), override="198.51.100.3") == "198.51.100.3"
 
 
 def test_discover_vantage_address_uses_whoami():
     def fake(question):
         return txt_response(question.qname, ["ns", "198.51.100.4"])
 
-    assert discover_vantage_address(IpVersion.V4, resolve_fn=fake) == "198.51.100.4"
+    assert discover_vantage_address(IpVersion.V4, ask=asking(fake)) == "198.51.100.4"

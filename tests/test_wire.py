@@ -283,6 +283,17 @@ class TestDnsQuestionFamily:
             DnsQuestion("x.example", RecordType.A, "192.0.2.53", transport_version=IpVersion.V6)
 
 
+class TestDnsQuestionTimeout:
+    @pytest.mark.parametrize("timeout_ms", [0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_not_a_finite_number_above_zero_raises(self, timeout_ms):
+        with pytest.raises(ValueError, match="finite number above 0"):
+            DnsQuestion("x.example", RecordType.A, "192.0.2.53", timeout_ms=timeout_ms)
+
+    @pytest.mark.parametrize("timeout_ms", [0.001, 1, 5000.0])
+    def test_finite_number_above_zero_is_kept(self, timeout_ms):
+        assert DnsQuestion("x.example", RecordType.A, "192.0.2.53", timeout_ms=timeout_ms).timeout_ms == timeout_ms
+
+
 class TestRepeatedValues:
     """Names and addresses are validated once each; every object still checks them."""
 
