@@ -286,57 +286,39 @@ class TestScanDomainList:
         assert len(first) == 4
 
 
-def malformed_for(bad_name):
-    """A fake resolve_once that fails to decode every reply about bad_name."""
+# A reply that cannot be decoded, and the OSError an unscoped link-local
+# address such as fe80::1 gets (EINVAL).
+QUERY_ERRORS = {
+    "malformed": MalformedMessageError("message of 6 bytes (header needs 12)"),
+    "os-error": OSError(errno.EINVAL, "Invalid argument"),
+}
+
+
+def failing_for(bad_name, error):
+    """A fake resolve_once whose every query about bad_name raises error."""
     resolve_fn = make_scan_fixture({})
 
     def fake(question):
         if question.qname == bad_name:
-            raise MalformedMessageError("message of 6 bytes (header needs 12)")
+            raise error
         return resolve_fn(question)
 
     return fake
 
 
-def test_malformed_reply_means_no_address():
-    fake = malformed_for("d1.example")
+@pytest.mark.parametrize("error", QUERY_ERRORS.values(), ids=QUERY_ERRORS)
+def test_failed_query_means_no_address(error):
+    fake = failing_for("d1.example", error)
     assert not _has_address("d1.example", "8.8.8.8", RecordType.A, asking(fake))
     assert _has_address("d2.example", "8.8.8.8", RecordType.A, asking(fake))
 
 
-def test_malformed_chain_reply_skips_the_domain():
+@pytest.mark.parametrize("error", QUERY_ERRORS.values(), ids=QUERY_ERRORS)
+def test_failed_chain_query_skips_the_domain(error):
     catalog = CdnCatalog.parse("akamai example\n")
     result = scan_domain_list(
         ["d1.example", "d2.example"], catalog, {"akamai": 2}, RESOLVERS,
-        ask=asking(malformed_for("d1.example")), scan_embedded=False,
-    )
-    assert [s.site_domain for s in result["akamai"]] == ["d2.example"]
-
-
-def failing_with_os_error_for(bad_name):
-    """A fake resolve_once whose every query about bad_name fails as an
-    unscoped link-local address does (EINVAL)."""
-    resolve_fn = make_scan_fixture({})
-
-    def fake(question):
-        if question.qname == bad_name:
-            raise OSError(errno.EINVAL, "Invalid argument")
-        return resolve_fn(question)
-
-    return fake
-
-
-def test_os_error_means_no_address():
-    fake = failing_with_os_error_for("d1.example")
-    assert not _has_address("d1.example", "fe80::1", RecordType.AAAA, asking(fake))
-    assert _has_address("d2.example", "fe80::1", RecordType.AAAA, asking(fake))
-
-
-def test_os_error_on_a_chain_skips_the_domain():
-    catalog = CdnCatalog.parse("akamai example\n")
-    result = scan_domain_list(
-        ["d1.example", "d2.example"], catalog, {"akamai": 2}, RESOLVERS,
-        ask=asking(failing_with_os_error_for("d1.example")), scan_embedded=False,
+        ask=asking(failing_for("d1.example", error)), scan_embedded=False,
     )
     assert [s.site_domain for s in result["akamai"]] == ["d2.example"]
 
