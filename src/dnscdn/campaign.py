@@ -246,6 +246,7 @@ _MAX_RESTARTS = 5
 # lag in waking for the gap's end and handing the lane over.
 _GAP_SLACK_S = 0.005
 
+
 def _set_steps(spec, website, resolver, ip_version, vantage_id):
     """One measurement set as a generator of steps.
 
