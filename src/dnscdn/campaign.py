@@ -14,12 +14,17 @@ timeouts:
 - Each resolver address is a lane with at most one DNS query in flight.
   A set holds its lane for its prewarm, and again for its dns_repeats
   queries, which go back to back.
-- Pacing: when a set's prewarm ends, the set books its lane from the end
-  of its gap for dns_repeats + 1 times as long as the prewarm held the
-  lane: its own queries, and one other set's prewarm.  The lane starts
-  the next set's prewarm only once that set's gap cannot end before the
-  booking does, so when a gap ends the lane is usually free, or busy
-  with one other set's prewarm.
+- Pacing: a lane idles only when the gap bound below leaves it no set
+  to start.  When a set's prewarm ends, the set books a window on its
+  lane: from the end of its gap, or from the end of the windows booked
+  before it if that is later, for dns_repeats times as long as the
+  prewarm held the lane.  While the sets not started yet will still be
+  sending prewarms when the window comes, it holds one prewarm more.  A
+  free lane starts the next set's prewarm once that set's gap, answered
+  as fast as any query so far, would end at most half the slowest answer
+  from the address before the booked windows do.  So when a gap ends the
+  lane is usually about to be free, and when it frees, the next set's
+  gap has usually ended.
 - The gap bound: a set sends its first query only if that is no later
   after its gap's end than the slowest answer its address has given so
   far, plus 5 ms for the loop's own lag.  Otherwise (a lost query held
@@ -455,14 +460,14 @@ class _Job:
 
 class _Lane:
     """One resolver address: at most one query in flight, and sets started
-    no faster than it can serve their queries when their gaps end."""
+    as fast as it can serve their queries when their gaps end."""
 
     def __init__(self, spec: MeasurementSpec):
         self.waiting: deque[_Job] = deque()  # not started yet, in job order
         self.due: deque[_Job] = deque()  # gap over, waiting for the lane
         self.owner: _Job | None = None  # whose query, or run of queries, holds the lane
         self._gap = spec.prewarm_gap_s
-        self._queries_per_set = spec.dns_repeats + 1
+        self._repeats = spec.dns_repeats
         self._last_held = 0.0  # how long the latest query held the lane
         self._fastest = math.inf  # the shortest any query held it
         self._slowest = 0.0  # the longest any answered query held it
@@ -480,14 +485,25 @@ class _Lane:
         return time.perf_counter() - gap_end > self._slowest + _GAP_SLACK_S
 
     def gap_started(self, gap_end: float) -> None:
-        """Book the lane for a set whose prewarm (the latest query) just ended."""
-        self._booked_until = max(self._booked_until, gap_end + self._queries_per_set * self._last_held)
+        """Book the lane for a set whose prewarm (the latest query) just
+        ended.  Its window starts at its gap's end, or where the windows
+        booked before it end if that is later, and holds its queries at
+        the prewarm's hold each.  It holds one prewarm more while the sets
+        not started yet, each paced at dns_repeats + 1 such holds, would
+        still be sending prewarms when the window comes."""
+        held = self._last_held
+        queries = self._repeats
+        if (len(self.waiting) + 1) * (self._repeats + 1) * held >= self._gap:
+            queries += 1  # room for a later set's prewarm
+        self._booked_until = max(self._booked_until, gap_end) + queries * held
 
     def start_at(self) -> float:
-        """When the next set may send its prewarm: even if it is answered
-        as fast as any query here so far, its gap must not end before the
-        booking does."""
-        return self._booked_until - self._gap - self._fastest
+        """When the next set may send its prewarm: if it is answered as
+        fast as any query here so far, its gap ends half a slowest answer
+        before the booked windows do.  Its first query then waits at most
+        that long for them, and the gap bound keeps the other half, with
+        _GAP_SLACK_S, for windows that run longer than booked."""
+        return self._booked_until - self._gap - self._fastest - self._slowest / 2
 
 
 class _CampaignLoop:
@@ -501,6 +517,8 @@ class _CampaignLoop:
         self._seq = itertools.count()
         self._results: list[MeasurementSet | None] = []
         self._left = 0
+        self.restarts = 0  # times a set started over because its gap overran
+        self.gave_up = 0  # sets that overran past _MAX_RESTARTS and gave up
 
     def run(self, jobs) -> list[MeasurementSet]:
         """Run (website, resolver, family, vantage_id) jobs; sets come back
@@ -532,6 +550,8 @@ class _CampaignLoop:
             for key in list(self._selector.get_map().values()):
                 key.data.io.close()
             self._selector.close()
+        if self.restarts or self.gave_up:
+            log.warning("gaps overran: %d restarts, %d sets gave up", self.restarts, self.gave_up)
         return self._results
 
     def _dispatch(self, lanes) -> float:
@@ -544,6 +564,10 @@ class _CampaignLoop:
                     job = lane.due.popleft()
                     if lane.overran(job.gap_end):
                         self._advance(job, _LATE)
+                        if self._results[job.index] is None:
+                            self.restarts += 1
+                        else:
+                            self.gave_up += 1
                     else:
                         lane.owner = job
                         self._query(job)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -183,6 +182,8 @@ def extract_embedded_domains(page_body: str) -> list[str]:
 
 def fetch_page(domain: str) -> str | None:
     """Fetch the site root document once, truncated to PAGE_BYTE_CAP."""
+    import urllib.request  # only `discover` fetches pages; the other commands skip its import
+
     for scheme in ("https", "http"):
         try:
             with urllib.request.urlopen(f"{scheme}://{domain}/", timeout=PAGE_TIMEOUT_S) as resp:

@@ -2,8 +2,10 @@
 
 import contextlib
 import functools
+import logging
 import random
 import socket
+import statistics
 import time
 
 import pytest
@@ -553,9 +555,10 @@ class TestRunCampaign:
             assert len(mset.dns_results) == 4
             assert gap <= gap_s(mset) <= gap + slowest_s + JITTER_MS / 1000.0
 
-    def test_a_dropped_query_does_not_stretch_other_gaps(self):
+    def test_a_dropped_query_does_not_stretch_other_gaps(self, caplog):
         # One lost query holds its address until its timeout; the sets whose
-        # gaps end meanwhile must start over rather than run late.
+        # gaps end meanwhile must start over rather than run late, and the
+        # run says how many did.
         gap = 0.1
         dropped = []
         answer = dual_family_script()
@@ -572,8 +575,12 @@ class TestRunCampaign:
                 dns_port, tcp_port, websites=websites, resolvers=[RESOLVER],
                 prewarm_gap_s=gap, per_query_timeout_ms=300.0,
             )
-            sets = run_campaign(spec, rng=random.Random(10))
+            with caplog.at_level(logging.WARNING, logger="dnscdn.campaign"):
+                sets = run_campaign(spec, rng=random.Random(10))
         assert len(dropped) == 1
+        [warning] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        restarts, gave_up = warning.args
+        assert 1 <= restarts < len(websites) and gave_up == 0
         slowest_s = max(r.latency_ms for s in sets for r in s.dns_results) / 1000.0
         for mset in sets:
             assert is_usable(mset)
@@ -586,6 +593,27 @@ class TestRunCampaign:
             spans.sort()
             for (_, end), (start, _) in zip(spans, spans[1:]):
                 assert start >= end - 1e-9
+
+    def test_the_lane_packs_the_sets_after_its_last_prewarm(self):
+        # Every prewarm fits into the gap, so after the last one the address
+        # serves only the sets' queries: each set's first query should follow
+        # the previous set's last answer at once, not after room booked for
+        # a prewarm that never comes.
+        websites = [("akamai", f"w{i}.example") for i in range(8)]
+        jobs = [(w, RESOLVER, IpVersion.V4, "local") for w in websites]
+        with mocknet.MockDnsServer(dual_family_script(), delay_ms=10.0) as dns, mocknet.MockTcpListener() as edge:
+            spec = self._spec(dns.port, edge.port, websites=websites, resolvers=[RESOLVER], prewarm_gap_s=0.4)
+            sets = campaign._CampaignLoop(spec, socket.socket).run(jobs)
+        assert all(len(s.dns_results) == 4 and is_usable(s) for s in sets)
+        readings = sorted(
+            (r.sent_at_monotonic, r.sent_at_monotonic + r.latency_ms / 1000.0, r.is_prewarm, s.website)
+            for s in sets for r in s.dns_results
+        )
+        last_prewarm = max(i for i, r in enumerate(readings) if r[2])
+        tail = readings[last_prewarm + 1:]
+        holes = [b[0] - a[1] for a, b in zip(tail, tail[1:]) if a[3] != b[3]]
+        assert len(tail) == 3 * len(websites) and len(holes) == len(websites) - 1
+        assert statistics.median(holes) < 0.003
 
     def test_truncated_site_retries_over_tcp(self):
         tc_site = self.WEBSITES[2][1]

@@ -3,11 +3,15 @@
 import errno
 import functools
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import mocknet
 from factories import asking, make_response
+from dnscdn import discovery
 from dnscdn.campaign import ResolverEntry
 from dnscdn.discovery import (
     DEFAULT_CHAIN_CAP,
@@ -350,3 +354,15 @@ def test_listed_domain_that_is_not_a_dns_name_is_skipped():
     )
     assert [(s.rank, s.site_domain) for s in result["fastly"]] == [(3, "shop.example")]
     assert fetched == ["shop.example"]
+
+
+def test_importing_the_cli_leaves_urllib_request_unimported():
+    # Only `discover` fetches pages, so the other commands should not pay
+    # for urllib.request (and http.client) at start-up.
+    src = str(Path(discovery.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import dnscdn.cli; print(sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert "'dnscdn.discovery'" in result.stdout
+    assert "'urllib.request'" not in result.stdout
