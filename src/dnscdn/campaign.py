@@ -14,17 +14,18 @@ timeouts:
 - Each resolver address is a lane with at most one DNS query in flight.
   A set holds its lane for its prewarm, and again for its dns_repeats
   queries, which go back to back.
-- Pacing: a lane idles only when the gap bound below leaves it no set
-  to start.  When a set's prewarm ends, the set books a window on its
-  lane: from the end of its gap, or from the end of the windows booked
-  before it if that is later, for dns_repeats times as long as the
-  prewarm held the lane.  While the sets not started yet will still be
-  sending prewarms when the window comes, it holds one prewarm more.  A
-  free lane starts the next set's prewarm once that set's gap, answered
-  as fast as any query so far, would end at most half the slowest answer
-  from the address before the booked windows do.  So when a gap ends the
-  lane is usually about to be free, and when it frees, the next set's
-  gap has usually ended.
+- Pacing: a lane starts sets as fast as it can serve their queries
+  when their gaps end.  When a set's prewarm ends, the set books a
+  window on its lane: from the end of its gap, or from the end of the
+  windows booked before it if that is later, for dns_repeats times as
+  long as the prewarm held the lane.  While the sets not started yet
+  will still be sending prewarms when the window comes, the window also
+  holds room for one of them, as long as the slowest answer from the
+  address so far.  A free lane starts the next set's prewarm once that
+  set's gap, answered as fast as any query so far, would end at most
+  half the slowest answer before the booked windows do.  So when a gap
+  ends the lane is usually about to be free, and when it frees, the
+  next set's gap has usually ended.
 - The gap bound: a set sends its first query only if that is no later
   after its gap's end than the slowest answer its address has given so
   far, plus 5 ms for the loop's own lag.  Otherwise (a lost query held
@@ -488,14 +489,16 @@ class _Lane:
         """Book the lane for a set whose prewarm (the latest query) just
         ended.  Its window starts at its gap's end, or where the windows
         booked before it end if that is later, and holds its queries at
-        the prewarm's hold each.  It holds one prewarm more while the sets
-        not started yet, each paced at dns_repeats + 1 such holds, would
-        still be sending prewarms when the window comes."""
+        the prewarm's hold each.  While the sets not started yet, each
+        paced at dns_repeats + 1 such holds, would still be sending
+        prewarms when the window comes, it also holds room for one of
+        them: as long as the slowest answer so far, since that prewarm is
+        for another website."""
         held = self._last_held
-        queries = self._repeats
+        window = self._repeats * held
         if (len(self.waiting) + 1) * (self._repeats + 1) * held >= self._gap:
-            queries += 1  # room for a later set's prewarm
-        self._booked_until = max(self._booked_until, gap_end) + queries * held
+            window += self._slowest
+        self._booked_until = max(self._booked_until, gap_end) + window
 
     def start_at(self) -> float:
         """When the next set may send its prewarm: if it is answered as
