@@ -594,7 +594,7 @@ class TestRunCampaign:
             for (_, end), (start, _) in zip(spans, spans[1:]):
                 assert start >= end - 1e-9
 
-    def test_the_lane_packs_the_sets_after_its_last_prewarm(self):
+    def test_the_lane_packs_windows_once_its_prewarms_are_out(self):
         # Every prewarm fits into the gap, so once they are out the address
         # serves only the sets' queries: each set's first query should follow
         # the previous set's last answer at once, not after room booked for
