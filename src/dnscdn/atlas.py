@@ -75,14 +75,6 @@ def _number(value) -> float:
     return number
 
 
-def _reading(value) -> float:
-    """A latency in ms: a finite number >= 0, or ValueError/TypeError."""
-    number = _number(value)
-    if number < 0:
-        raise ValueError(f"negative reading {value!r}")
-    return number
-
-
 def _parse_dns_entry(entry: dict, payload: dict, questions: dict) -> tuple[str, TimedDnsResponse]:
     """(website, response) for one DNS payload.
 
@@ -113,7 +105,7 @@ def _parse_dns_entry(entry: dict, payload: dict, questions: dict) -> tuple[str, 
         question=question,
         rcode=message.rcode,
         answers=message.answers,
-        latency_ms=_reading(result["rt"]),
+        latency_ms=_number(result["rt"]),
         sent_at_monotonic=timestamp,
         sent_at_wall=timestamp,
     )
@@ -143,7 +135,7 @@ def _parse_tls_entry(entry) -> tuple[tuple[str, str], float, HandshakeSample]:
     handshake = HandshakeSample(
         address=entry["dst_addr"],
         port=int(entry.get("dst_port", 443)),
-        rtt_ms=_reading(rt),
+        rtt_ms=_number(rt),
         success=True,
     )
     return (str(prb), target), _number(entry["timestamp"]), handshake

@@ -359,11 +359,10 @@ def _run_one_campaign(config: ToolConfig, spec: MeasurementSpec, output_path, *,
         os.makedirs(config.output_dir, exist_ok=True)
         output_path = os.path.join(config.output_dir, f"campaign-{campaign_id}.jsonl")
     snapshot = spec.snapshot()
-    records = [
-        storage.CampaignRecord(campaign_id=campaign_id, mset=s, spec_snapshot=snapshot)
-        for s in sets
-    ]
-    storage.write_records(records, output_path)
+    storage.write_records(
+        (storage.CampaignRecord(campaign_id=campaign_id, mset=s, spec_snapshot=snapshot) for s in sets),
+        output_path,
+    )
     usable = sum(1 for s in sets if is_usable(s))
     print(f"wrote {len(sets)} sets ({usable} usable) to {output_path}")
     return 1 if dropped else 0
@@ -637,16 +636,18 @@ def _cmd_import_atlas(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     snapshot = {}
-    records = [
-        storage.CampaignRecord(
-            campaign_id=args.campaign_id,
-            mset=mset,
-            spec_snapshot=snapshot,
-            provenance=storage.Provenance.ATLAS_IMPORT,
-        )
-        for mset in result.sets
-    ]
-    storage.write_records(records, args.output)
+    storage.write_records(
+        (
+            storage.CampaignRecord(
+                campaign_id=args.campaign_id,
+                mset=mset,
+                spec_snapshot=snapshot,
+                provenance=storage.Provenance.ATLAS_IMPORT,
+            )
+            for mset in result.sets
+        ),
+        args.output,
+    )
     print(
         f"imported {len(result.sets)} sets to {args.output} "
         f"(skipped {result.skipped}, orphans {result.orphans})"

@@ -14,6 +14,7 @@ campaign loop runs many attempts at once; measure_handshake drives one.
 from __future__ import annotations
 
 import errno
+import math
 import selectors
 import socket
 import statistics
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, wait_ready
+from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, check_reading, wait_ready
 from .wire import DEFAULT_TIMEOUT_MS, IpVersion
 
 
@@ -48,6 +49,9 @@ class HandshakeSample:
     def __post_init__(self):
         if self.success != (self.rtt_ms is not None):
             raise ValueError("rtt_ms must be present exactly when success is set")
+        rtt = self.rtt_ms
+        if rtt is not None and (type(rtt) is not float or not 0.0 <= rtt < math.inf):
+            check_reading("rtt_ms", rtt)  # the full rule, for what the fast test leaves
 
 
 def select_edge(dns_results: list[TimedDnsResponse], ip_version: IpVersion) -> str | None:

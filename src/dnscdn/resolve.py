@@ -24,6 +24,7 @@ concern so that each latency reading keeps clean semantics.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import random
 import selectors
@@ -88,6 +89,16 @@ IN_PROGRESS_ERRNOS = {0, errno.EINPROGRESS, errno.EWOULDBLOCK, errno.EALREADY}
 QUERY_FAILURES = (ResolveError, MalformedMessageError, OSError)
 
 
+def check_reading(name: str, value) -> None:
+    """TypeError unless value is an int or a float (a bool is not a
+    number), ValueError unless it is finite and at least 0: the rule for
+    every latency reading a record holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
+
+
 @dataclass(slots=True)
 class TimedDnsResponse:
     """One decoded DNS answer with its latency reading.
@@ -105,6 +116,10 @@ class TimedDnsResponse:
     sent_at_wall: float
     truncated_retried: bool = False
     is_prewarm: bool = False
+
+    def __post_init__(self):
+        if type(self.latency_ms) is not float or not 0.0 <= self.latency_ms < math.inf:
+            check_reading("latency_ms", self.latency_ms)  # the full rule, for what the fast test leaves
 
     def first_address(self, version: IpVersion) -> str | None:
         want = RecordType.A if version is IpVersion.V4 else RecordType.AAAA

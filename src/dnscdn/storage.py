@@ -7,9 +7,17 @@ one rule, applied to the type annotations of the dataclass fields: a
 dataclass becomes an object with its fields in declaration order, a list
 an array, an Enum its value, and bytes {"hex": "<hex digits>"}; anything
 else is stored as it is.  The reader reverses the same rule.  Each
-dataclass gets one encode and one decode function, generated once from
-its fields: a dict display of the fields, and a call of the type with
-each stored field in order, so every __post_init__ check still runs.
+dataclass gets one text writer and one decode function, generated once
+from its fields.  The writer builds the line's JSON text directly, with
+no dict in between: each field's value is tested against its annotation
+and written as json.JSONEncoder writes that type (keys escaped once, when
+the writer is generated), and a value whose runtime type the annotation
+does not admit (an int in a float field, a bool in an int field, NaN)
+goes to the JSON encoder alone, so the bytes never depend on which path
+wrote them.  The decoder is a call of the type with each stored field in
+order, so every __post_init__ check still runs: a stored reading
+(latency_ms, or a present rtt_ms) that is not a finite int or float >= 0
+is damage like any other refused value.
 write_records replaces a file only once the whole new content is
 written.
 
@@ -30,9 +38,10 @@ previous record's spec_snapshot dict, so a campaign costs one spec parse
 and one copy, not one per record.  A line written any other way reads as
 the same record, with the same errors, through the full parse of the
 line, and shares nothing.  write_records encodes a spec once for each run
-of records holding the same dict.  Callers must not mutate a
-spec_snapshot they read; the change would show in every record sharing
-it.
+of records holding the same dict, and the head (schema version, campaign
+id, provenance) once for each run of records whose heads are equal in
+type and value.  Callers must not mutate a spec_snapshot they read; the
+change would show in every record sharing it.
 
 The record types (MeasurementSet and the wire, resolve and mapping types
 it holds) are slotted dataclasses: a record carries its fields and
@@ -45,12 +54,13 @@ import contextlib
 import dataclasses
 import functools
 import json
-import operator
 import os
+import types
 import typing
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 from .campaign import MeasurementSet
 from .wire import WireError
@@ -99,62 +109,105 @@ class CampaignRecord:
     schema_version: int = SCHEMA_VERSION
 
 
-def _to_hex(value):
-    return {"hex": value.hex()} if isinstance(value, bytes) else value
-
-
 def _from_hex(value):
     return bytes.fromhex(value["hex"]) if isinstance(value, dict) else value
 
 
-def _mapped(convert):
-    return None if convert is None else lambda items: [convert(item) for item in items]
+def _cases(tp, v: str, namespace: dict) -> list[tuple[str, str]]:
+    """(test, text) expression pairs for the JSON text of the local v when
+    its runtime type is one tp admits; helpers they name go into
+    namespace.  Each text is what _ENCODER writes for such a value."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return [case for arg in typing.get_args(tp) for case in _cases(arg, v, namespace)]
+    if tp is type(None):
+        return [(f"{v} is None", '"null"')]
+    if tp is bool:
+        return [(f"{v} is True", '"true"'), (f"{v} is False", '"false"')]
+    if tp is str:
+        return [(f"type({v}) is str", f"text_of_str({v})")]
+    if tp is int:  # any int but a bool, IntEnum members included
+        return [(f"isinstance({v}, int) and type({v}) is not bool", f"int.__repr__({v})")]
+    if tp is float:  # finite: nan - nan and inf - inf are nan
+        return [(f"type({v}) is float and {v} - {v} == 0.0", f"repr({v})")]
+    if tp is bytes:
+        return [(f"type({v}) is bytes", f"'{{\"hex\":\"' + {v}.hex() + '\"}}'")]
+    n = len(namespace)
+    if typing.get_origin(tp) is list:
+        namespace[f"text{n}"] = _encoder(typing.get_args(tp)[0])
+        return [(f"type({v}) is list", f"'[' + ','.join(map(text{n}, {v})) + ']'")]
+    namespace[f"tp{n}"] = tp
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        namespace[f"text{n}"] = {m: _ENCODER.encode(m.value) for m in tp}
+        return [(f"type({v}) is tp{n}", f"text{n}[{v}]")]
+    namespace[f"text{n}"] = _encoder(tp)  # a dataclass
+    return [(f"type({v}) is tp{n}", f"text{n}({v})")]
 
 
-def _or_none(convert):
-    return None if convert is None else lambda value: None if value is None else convert(value)
-
-
-def _field_codecs(tp):
-    """(encode, decode) for dataclass tp, each one straight-line function
-    generated from its fields, the way dataclasses builds __init__."""
-    hints = typing.get_type_hints(tp)
-    namespace = {"tp": tp}
-    encoded, decoded = [], []
-    for f in dataclasses.fields(tp):
-        enc, dec = _codec(hints[f.name])
-        value, stored = f"obj.{f.name}", f"d[{f.name!r}]"
-        if enc is not None:
-            namespace[f"enc_{f.name}"] = enc
-            value = f"enc_{f.name}({value})"
-        if dec is not None:
-            namespace[f"dec_{f.name}"] = dec
-            stored = f"dec_{f.name}({stored})"
-        encoded.append(f"{f.name!r}: {value}")
-        decoded.append(stored)
-    source = (
-        f"def encode(obj):\n    return {{{', '.join(encoded)}}}\n"
-        f"def decode(d):\n    return tp({', '.join(decoded)})\n"
-    )
-    exec(source, namespace)
-    return namespace["encode"], namespace["decode"]
+def _text(tp, v: str, namespace: dict) -> str:
+    """An expression for the JSON text of the local v, declared tp: the
+    first case its runtime type meets, else _ENCODER's text for it."""
+    return " else ".join([f"{text} if {test}" for test, text in _cases(tp, v, namespace)] + [f"encode({v})"])
 
 
 @functools.cache
-def _codec(tp):
-    """(encode, decode) for values of type tp: functions to and from the
-    stored form, each None where the stored form is the value itself.
+def _encoder(tp):
+    """A function from a value declared tp to its JSON text, byte for byte
+    what _ENCODER writes for it, generated once.  For a dataclass it writes
+    an object with the fields in declaration order, each with its own case
+    inline; a field whose runtime type its annotation does not admit, and
+    a value that is not tp at all, go to _ENCODER alone."""
+    namespace = {"encode": _ENCODER.encode, "text_of_str": encode_basestring_ascii, "tp": tp}
+    if not dataclasses.is_dataclass(tp):
+        exec(f"def text(v):\n    return {_text(tp, 'v', namespace)}\n", namespace)
+        return namespace["text"]
+    hints = typing.get_type_hints(tp)
+    lines, template = [], []
+    for i, f in enumerate(dataclasses.fields(tp)):
+        lines.append(f"    v = obj.{f.name}\n    f{i} = {_text(hints[f.name], 'v', namespace)}\n")
+        template.append(f"{encode_basestring_ascii(f.name)}:{{f{i}}}")
+    body = "{{" + ",".join(template) + "}}"
+    source = (
+        "def text(obj):\n    if type(obj) is not tp:\n        return encode(obj)\n"
+        + "".join(lines)
+        + f"    return f{body!r}\n"
+    )
+    exec(source, namespace)
+    return namespace["text"]
+
+
+def _field_decoder(tp):
+    """The decode function for dataclass tp: one call of the type with each
+    stored field in order, generated from its fields the way dataclasses
+    builds __init__, so every __post_init__ check still runs."""
+    hints = typing.get_type_hints(tp)
+    namespace = {"tp": tp}
+    decoded = []
+    for f in dataclasses.fields(tp):
+        dec = _decoder(hints[f.name])
+        stored = f"d[{f.name!r}]"
+        if dec is not None:
+            namespace[f"dec_{f.name}"] = dec
+            stored = f"dec_{f.name}({stored})"
+        decoded.append(stored)
+    exec(f"def decode(d):\n    return tp({', '.join(decoded)})\n", namespace)
+    return namespace["decode"]
+
+
+@functools.cache
+def _decoder(tp):
+    """The function from the stored form of a tp value to the value, or
+    None where the stored form is the value itself.
 
     A stored value of the wrong shape makes decoding raise KeyError,
     ValueError or TypeError (WireError for an invalid name), which
     iter_records reports as damage.
     """
     if dataclasses.is_dataclass(tp):
-        return _field_codecs(tp)
+        return _field_decoder(tp)
     args = typing.get_args(tp)
     if typing.get_origin(tp) is list:
-        enc, dec = _codec(args[0])
-        return _mapped(enc), _mapped(dec)
+        dec = _decoder(args[0])
+        return None if dec is None else lambda items: [dec(item) for item in items]
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
 
@@ -164,54 +217,55 @@ def _codec(tp):
             except KeyError:
                 raise ValueError(f"{value!r} is not a valid {tp.__name__}") from None
 
-        return operator.attrgetter("value"), decode
+        return decode
     if bytes in args:  # ResourceRecord.rdata: str | list[str] | bytes
-        return _to_hex, _from_hex
+        return _from_hex
     if type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        enc, dec = _codec(inner)
-        return _or_none(enc), _or_none(dec)
-    return None, None
-
-
-def record_to_dict(record: CampaignRecord) -> dict:
-    return {
-        "schema_version": record.schema_version,
-        "campaign_id": record.campaign_id,
-        "provenance": record.provenance.value,
-        "spec": record.spec_snapshot,
-        "set": _codec(MeasurementSet)[0](record.mset),
-    }
+        dec = _decoder(inner)
+        return None if dec is None else lambda value: None if value is None else dec(value)
+    return None
 
 
 def record_from_dict(d: dict) -> CampaignRecord:
     return CampaignRecord(
         campaign_id=d["campaign_id"],
-        mset=_codec(MeasurementSet)[1](d["set"]),
+        mset=_decoder(MeasurementSet)(d["set"]),
         spec_snapshot=d["spec"],
         provenance=Provenance(d["provenance"]),
         schema_version=d["schema_version"],
     )
 
 
-def _record_lines(records) -> Iterator[str]:
-    """The stored lines of records, each what encoding record_to_dict
-    writes; a run of records sharing one spec dict encodes it once."""
-    spec, spec_text = None, "null"  # None as it is written
+def _record_lines(records: Iterable[CampaignRecord]) -> Iterator[str]:
+    """The stored lines of records.  A run of records with the same head
+    (schema version, campaign id and provenance, compared by type and
+    value) encodes it once, and a run sharing one spec dict encodes the
+    spec once."""
+    text_of_set = _encoder(MeasurementSet)
+    head_key = head = spec = None
+    spec_text = "null"  # None as it is written
     for record in records:
-        d = record_to_dict(record)
-        stored_spec, stored_set = d.pop("spec"), d.pop("set")
-        if stored_spec is not spec:
-            spec, spec_text = stored_spec, _ENCODER.encode(stored_spec)
-        yield f'{_ENCODER.encode(d)[:-1]},"spec":{spec_text},"set":{_ENCODER.encode(stored_set)}}}\n'
+        version, campaign_id = record.schema_version, record.campaign_id
+        key = (type(version), version, type(campaign_id), campaign_id, record.provenance)
+        if key != head_key:
+            head_key = key
+            head = (
+                f'{{"schema_version":{_ENCODER.encode(version)},"campaign_id":{_ENCODER.encode(campaign_id)},'
+                f'"provenance":{_ENCODER.encode(record.provenance.value)},"spec":'
+            )
+        if record.spec_snapshot is not spec:
+            spec, spec_text = record.spec_snapshot, _ENCODER.encode(record.spec_snapshot)
+        yield f'{head}{spec_text},"set":{text_of_set(record.mset)}}}\n'
 
 
-def write_records(records: list[CampaignRecord], path: str):
-    """Write records to path, all or nothing.
+def write_records(records: Iterable[CampaignRecord], path: str):
+    """Write records, any iterable of them, to path, all or nothing.
 
     The lines go to a temporary file in the same directory, which is
     flushed to disk and then replaces path; a write that fails part way,
-    or a crash, leaves whatever was at path untouched.
+    an iterable that raises, or a crash, leaves whatever was at path
+    untouched.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -229,7 +283,7 @@ def write_records(records: list[CampaignRecord], path: str):
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
 
-def append_records(records: list[CampaignRecord], path: str):
+def append_records(records: Iterable[CampaignRecord], path: str):
     try:
         with open(path, "a", encoding="utf-8") as fh:
             fh.writelines(_record_lines(records))

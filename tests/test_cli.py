@@ -483,6 +483,22 @@ class TestDamagedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 1: malformed record" in err
 
+    @pytest.mark.parametrize("reading", ["5", None, -5, float("nan"), True], ids=repr)
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["report", "--kind", "cdf"], ["report", "--kind", "hit-rate"]], ids=" ".join
+    )
+    def test_a_stored_reading_that_is_not_a_number_at_least_0_is_damage(self, tmp_path, capsys, command, reading):
+        path = tmp_path / "one.jsonl"
+        write_records([CampaignRecord(campaign_id="c1", mset=make_set())], str(path))
+        stored = json.loads(path.read_text())
+        for result in stored["set"]["dns_results"]:
+            result["latency_ms"] = reading
+        path.write_text(json.dumps(stored) + "\n")
+        assert cli.main([*command, "--input", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"damaged input: {path}: truncated at line 1; salvaged 0 record(s)"
+        ]
+
     def test_missing_file_is_an_error_line(self, tmp_path, capsys):
         missing = str(tmp_path / "nowhere.jsonl")
         assert cli.main(["analyze", "--input", missing]) == 2

@@ -3,10 +3,13 @@
 import base64
 import contextlib
 import copy
+import dataclasses
 import gc
 import json
 import random
+import typing
 import unittest.mock
+from enum import Enum
 
 import pytest
 
@@ -33,10 +36,44 @@ from dnscdn.storage import (
     iter_records,
     read_records,
     record_from_dict,
-    record_to_dict,
     write_records,
 )
-from dnscdn.wire import IpVersion, RecordType, ResourceRecord
+from dnscdn.wire import MAX_TTL, DnsQuestion, IpVersion, RecordType, ResourceRecord
+
+
+# The writer's oracle: a record's stored form as a dict, built by the rule
+# the storage module states, and the text json.JSONEncoder writes for it.
+ORACLE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def stored_form(value, tp):
+    """value, declared tp, as stored: a dataclass as a dict of its fields in
+    order, a list as a list, an Enum as its value, bytes as {"hex": ...},
+    anything else as it is."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return {f.name: stored_form(getattr(value, f.name), hints[f.name]) for f in dataclasses.fields(tp)}
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        return [stored_form(item, args[0]) for item in value]
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return value.value
+    if bytes in args:
+        return {"hex": value.hex()} if isinstance(value, bytes) else value
+    if type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else stored_form(value, inner)
+    return value
+
+
+def oracle_dict(record: CampaignRecord) -> dict:
+    return {
+        "schema_version": record.schema_version,
+        "campaign_id": record.campaign_id,
+        "provenance": record.provenance.value,
+        "spec": record.spec_snapshot,
+        "set": stored_form(record.mset, MeasurementSet),
+    }
 
 
 def random_record(rng: random.Random, index: int) -> CampaignRecord:
@@ -199,6 +236,16 @@ NESTED_DAMAGE = [
         lambda s: s["dns_results"][1]["answers"][1].update(rtype=1, rdata="10.0.0.256"),
         id="a-rdata-octet-out-of-range",
     ),
+    pytest.param(lambda s: s["dns_results"][1].update(latency_ms="5"), id="latency-a-string"),
+    pytest.param(lambda s: s["dns_results"][1].update(latency_ms=None), id="latency-null"),
+    pytest.param(lambda s: s["dns_results"][1].update(latency_ms=-5), id="latency-negative"),
+    pytest.param(lambda s: s["dns_results"][1].update(latency_ms=float("nan")), id="latency-nan"),
+    pytest.param(lambda s: s["dns_results"][1].update(latency_ms=float("inf")), id="latency-inf"),
+    pytest.param(lambda s: s["dns_results"][1].update(latency_ms=True), id="latency-a-bool"),
+    pytest.param(lambda s: s["handshake_results"][0].update(rtt_ms="5"), id="rtt-a-string"),
+    pytest.param(lambda s: s["handshake_results"][0].update(rtt_ms=-5), id="rtt-negative"),
+    pytest.param(lambda s: s["handshake_results"][0].update(rtt_ms=float("nan")), id="rtt-nan"),
+    pytest.param(lambda s: s["handshake_results"][0].update(rtt_ms=True), id="rtt-a-bool"),
 ]
 
 
@@ -311,6 +358,22 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["campaign.jsonl"]
 
+    def test_an_iterable_that_raises_part_way_leaves_the_old_file_untouched(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        rng = random.Random(3)
+        write_records((random_record(rng, i) for i in range(3)), str(path))
+        before = path.read_bytes()
+
+        def records():
+            yield random_record(rng, 3)
+            yield random_record(rng, 4)
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_records(records(), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["campaign.jsonl"]
+
     def test_unwritable_directory_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailureError):
             write_records([], str(tmp_path / "no-such-dir" / "out.jsonl"))
@@ -327,7 +390,7 @@ class TestRoundTrip:
 
 class TestSchemaHandling:
     def _valid_line(self):
-        return json.dumps(record_to_dict(CampaignRecord(campaign_id="c", mset=make_set())))
+        return json.dumps(oracle_dict(CampaignRecord(campaign_id="c", mset=make_set())))
 
     def test_unknown_version_rejected_with_line_number(self, tmp_path):
         obj = json.loads(self._valid_line())
@@ -429,7 +492,7 @@ class TestSchemaHandling:
     def test_utf8_text_beyond_ascii_reads_back(self, tmp_path):
         record = CampaignRecord(campaign_id="c", mset=make_set(), spec_snapshot={"note": "é"})
         path = tmp_path / "accented.jsonl"
-        path.write_text(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(oracle_dict(record), ensure_ascii=False) + "\n", encoding="utf-8")
         assert read_records(str(path)) == [record]
 
     def test_iter_records_yields_each_record_before_reading_on(self, tmp_path):
@@ -582,7 +645,7 @@ class TestSpecReuseEquivalence:
             want, want_error = _outcome(path)  # every line through the full parse
         assert got == want
         assert got_error == want_error
-        assert [json.dumps(record_to_dict(r)) for r in got] == [json.dumps(record_to_dict(r)) for r in want]
+        assert [json.dumps(oracle_dict(r)) for r in got] == [json.dumps(oracle_dict(r)) for r in want]
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             stored = [line.rstrip("\n") for line in fh]
         for record, line in zip(got, [line for line in stored if line]):
@@ -614,6 +677,105 @@ class TestSpecReuseEquivalence:
             with open(path, "wb") as fh:
                 fh.write(b"".join(line + b"\n" for line in lines))
             self._assert_reads_as_the_full_parse(path)
+
+
+def _draw_number(draw, *, low=None):
+    """An int or a float, large and small ones too; with low, a finite one
+    no lower, else possibly a bool, NaN or an infinity."""
+    if low is not None:
+        finite = st.floats(low, allow_infinity=False)
+        return draw(st.one_of(st.integers(low, 2**70), finite, st.sampled_from([5e-324, 1e300])))
+    edges = st.sampled_from([-0.0, 1e16, 5e-324, 1e-7])
+    return draw(st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.booleans(), edges))
+
+
+def _draw_int(draw, low=0, high=2**16):
+    """An int in [low, high], or a bool, which every int field accepts."""
+    return draw(st.one_of(st.integers(low, high), st.booleans()))
+
+
+def _draw_answer(draw) -> ResourceRecord:
+    kind = draw(st.sampled_from(["A", "AAAA", "CNAME", "TXT", "opaque"]))
+    name = draw(st.text(max_size=6))
+    ttl = _draw_int(draw, 0, MAX_TTL)
+    if kind == "A":  # the IntEnum member, a plain int or True, which equals 1
+        rtype = draw(st.sampled_from([RecordType.A, 1, True]))
+        return ResourceRecord(name, rtype, ttl, f"192.0.2.{draw(st.integers(0, 255))}")
+    if kind == "AAAA":
+        return ResourceRecord(name, draw(st.sampled_from([RecordType.AAAA, 28])), ttl, "2001:db8::1")
+    if kind == "CNAME":
+        return ResourceRecord(name, RecordType.CNAME, ttl, draw(st.text(max_size=6)))
+    if kind == "TXT":
+        return ResourceRecord(name, int(RecordType.TXT), ttl, draw(st.lists(st.text(max_size=4), max_size=3)))
+    rtype = draw(st.integers(0, 0xFFFF).filter(lambda t: t not in (1, 2, 5, 16, 28)))
+    return ResourceRecord(name, rtype, ttl, draw(st.binary(max_size=6)))
+
+
+def _draw_set(draw) -> MeasurementSet:
+    version = draw(st.sampled_from(list(IpVersion)))
+    question = DnsQuestion(
+        qname="www.example.com",
+        qtype=draw(st.sampled_from(list(RecordType))),
+        resolver_address="192.0.2.53" if version is IpVersion.V4 else "2001:db8::53",
+        timeout_ms=draw(st.one_of(st.floats(1e-3, 1e6), st.integers(1, 10**6), st.just(True))),
+        resolver_port=_draw_int(draw),
+    )
+    if draw(st.booleans()):
+        question.transport_version = None  # the constructor fills it in; a record may still hold None
+    stamps = []
+    for stamp in draw(st.lists(st.one_of(st.floats(-1e9, 1e9), st.integers(-(10**9), 10**9)), max_size=3)):
+        if not stamps or stamp > stamps[-1]:
+            stamps.append(stamp)
+    dns = [
+        TimedDnsResponse(
+            question=question,
+            rcode=_draw_int(draw, 0, 15),
+            answers=[_draw_answer(draw) for _ in range(draw(st.integers(0, 3)))],
+            latency_ms=_draw_number(draw, low=0),
+            sent_at_monotonic=stamp,
+            sent_at_wall=_draw_number(draw),
+            truncated_retried=draw(st.booleans()),
+            is_prewarm=i == 0 and draw(st.booleans()),
+        )
+        for i, stamp in enumerate(stamps)
+    ]
+    handshakes = []
+    for _ in range(draw(st.integers(0, 2))):
+        ok = draw(st.booleans())
+        handshakes.append(
+            HandshakeSample(
+                address=draw(st.text(max_size=6)),
+                port=_draw_int(draw),
+                rtt_ms=_draw_number(draw, low=0) if ok else None,
+                success=ok,
+                error_kind=None if ok else draw(st.sampled_from([None, *HandshakeFailure])),
+            )
+        )
+    texts = [draw(st.text(max_size=8)) for _ in range(4)]  # control characters and non-ASCII among them
+    return MeasurementSet(*texts, version, dns, handshakes, _draw_number(draw), draw(st.booleans()))
+
+
+class TestWriterOracle:
+    @_property
+    def test_every_line_is_the_oracles_bytes(self, tmp_path_factory, data):
+        heads = [(1, "c1"), (1, 1), (1, True), (1, "1"), (True, "c1"), (1, "caf\u00e9\x07")]
+        records = []
+        for _ in range(data.draw(st.integers(1, 5))):  # runs of equal heads and specs, and changes
+            version, campaign_id = data.draw(st.sampled_from(heads))
+            records.append(
+                CampaignRecord(
+                    campaign_id=campaign_id,
+                    mset=_draw_set(data.draw),
+                    spec_snapshot=data.draw(st.sampled_from(EQUIVALENCE_SPECS)),
+                    provenance=data.draw(st.sampled_from(list(Provenance))),
+                    schema_version=version,
+                )
+            )
+        path = tmp_path_factory.mktemp("oracle") / "campaign.jsonl"
+        write_records(records, str(path))
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert lines == [ORACLE_ENCODER.encode(oracle_dict(r)).encode("ascii") for r in records]
 
 
 def dns_abuf(qname: str, address: str = "192.0.2.7", qtype: int = mocknet.A) -> str:
