@@ -10,6 +10,8 @@ import pytest
 
 import mocknet
 from factories import make_response
+from dnscdn import campaign
+from dnscdn.campaign import MeasurementSpec, ResolverEntry, is_usable, run_campaign
 from dnscdn.mapping import (
     HandshakeFailure,
     HandshakeSample,
@@ -21,6 +23,73 @@ from dnscdn.mapping import (
 from dnscdn.wire import IpVersion, RecordType, ResourceRecord
 
 JITTER_MS = 5.0
+
+
+class _BlackholeSocket:
+    """A true blackhole (SYNs vanishing) cannot be arranged hermetically,
+    so a socket whose connect never completes stands in for one: its
+    descriptor is a pipe's read end, which never turns writable."""
+
+    def __init__(self, *args):
+        self._read_fd, self._write_fd = os.pipe()
+
+    def setblocking(self, flag):
+        pass
+
+    def connect_ex(self, address):
+        return errno.EINPROGRESS
+
+    def fileno(self):
+        return self._read_fd
+
+    def close(self):
+        os.close(self._read_fd)
+        os.close(self._write_fd)
+
+
+class _SettledSocket:
+    """A socket whose connect settles at once with err; SO_ERROR reads 0."""
+
+    def __init__(self, err):
+        self._err = err
+
+    def setblocking(self, flag):
+        pass
+
+    def connect_ex(self, address):
+        return self._err
+
+    def getsockopt(self, level, option):
+        return 0
+
+    def close(self):
+        pass
+
+
+class _ClockedSocket:
+    """Wraps a socket and notes when its connect began and when it was
+    closed, on the perf_counter clock."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.connect_at = self.closed_at = None
+
+    def connect_ex(self, address):
+        self.connect_at = time.perf_counter()
+        return self._sock.connect_ex(address)
+
+    def close(self):
+        self.closed_at = time.perf_counter()
+        self._sock.close()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def closed_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def cname_only(sent_at, qname="www.example.com"):
@@ -103,40 +172,14 @@ class TestMeasureHandshake:
         assert sample.rtt_ms < JITTER_MS
 
     def test_closed_port_refused(self):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        sample = measure_handshake("127.0.0.1", port, timeout_ms=1000.0)
+        sample = measure_handshake("127.0.0.1", closed_port(), timeout_ms=1000.0)
         assert not sample.success
         assert sample.rtt_ms is None
         assert sample.error_kind is HandshakeFailure.REFUSED
 
     def test_blackholed_address_times_out(self):
-        # A true blackhole (SYNs vanishing) cannot be arranged hermetically,
-        # so a socket whose connect never completes stands in for one: its
-        # descriptor is a pipe's read end, which never turns writable.
-        class _BlackholeSocket:
-            def __init__(self):
-                self._read_fd, self._write_fd = os.pipe()
-
-            def setblocking(self, flag):
-                pass
-
-            def connect_ex(self, address):
-                return errno.EINPROGRESS
-
-            def fileno(self):
-                return self._read_fd
-
-            def close(self):
-                os.close(self._read_fd)
-                os.close(self._write_fd)
-
         start = time.perf_counter()
-        sample = measure_handshake(
-            "192.0.2.1", 443, timeout_ms=1000.0, socket_factory=lambda *a: _BlackholeSocket()
-        )
+        sample = measure_handshake("192.0.2.1", 443, timeout_ms=1000.0, socket_factory=_BlackholeSocket)
         elapsed = time.perf_counter() - start
         assert not sample.success
         assert sample.rtt_ms is None
@@ -147,6 +190,84 @@ class TestMeasureHandshake:
         with mocknet.MockTcpListener(host="::1") as listener:
             sample = measure_handshake(listener.host, listener.port)
         assert sample.success
+
+
+def record_connects(monkeypatch) -> list:
+    """Wrap campaign._set_steps, through monkeypatch, so that the list
+    returned collects every connect outcome the campaign loop sends a set,
+    failed samples included (the set itself keeps only successes)."""
+    samples = []
+    set_steps = campaign._set_steps
+
+    def recording(*args):
+        steps, outcome = set_steps(*args), None
+        while True:
+            try:
+                kind, arg = steps.send(outcome)
+            except StopIteration as done:
+                return done.value
+            outcome = yield kind, arg
+            if kind == campaign._CONNECT:
+                samples.append(outcome)
+
+    monkeypatch.setattr(campaign, "_set_steps", recording)
+    return samples
+
+
+# Each case: the socket the factory makes (given family and type), whether
+# the handshake port is a closed one, the failure expected (None for
+# success), and the bounds in seconds from connect_ex() to close().
+HANDSHAKE_CASES = {
+    "settles-at-once": (lambda *a: _SettledSocket(0), False, None, (0.0, 0.5)),
+    "fails-at-once": (
+        lambda *a: _SettledSocket(errno.ENETUNREACH), False, HandshakeFailure.UNREACHABLE, (0.0, 0.5)
+    ),
+    "refused": (socket.socket, True, HandshakeFailure.REFUSED, (0.0, 0.5)),
+    "times-out": (_BlackholeSocket, False, HandshakeFailure.TIMEOUT, (0.99, 1.5)),
+}
+
+
+@pytest.mark.parametrize("driver", ["measure_handshake", "campaign-loop"])
+@pytest.mark.parametrize("case", list(HANDSHAKE_CASES))
+def test_every_handshake_outcome_through_both_drivers(case, driver, monkeypatch):
+    make, refused, failure, (least_s, most_s) = HANDSHAKE_CASES[case]
+    port = closed_port() if refused else 443
+    clocked = []
+
+    def factory(*args):
+        clocked.append(_ClockedSocket(make(*args)))
+        return clocked[-1]
+
+    if driver == "measure_handshake":
+        samples = [measure_handshake("127.0.0.1", port, timeout_ms=1000.0, socket_factory=factory)]
+    else:
+        # The v6 address is unscoped link-local, so every query to it fails
+        # at its start (EINVAL) and its set has nothing to connect to.
+        samples = record_connects(monkeypatch)
+        script = mocknet.constant_script([("www.example.com", mocknet.A, 20, "127.0.0.1")])
+        with mocknet.MockDnsServer(script) as dns:
+            spec = MeasurementSpec(
+                websites=[("akamai", "www.example.com")],
+                resolvers=[ResolverEntry("local", "127.0.0.1", "fe80::1")],
+                prewarm_gap_s=0.0,
+                per_query_timeout_ms=1000.0,
+                resolver_port=dns.port,
+                handshake_port=port,
+            )
+            sets = run_campaign(spec, socket_factory=factory)
+        v4, v6 = sorted(sets, key=lambda s: s.ip_version is IpVersion.V6)
+        assert v6.ip_version is IpVersion.V6
+        assert v6.dns_results == [] and v6.handshake_results == []
+        assert len(v4.dns_results) == 4
+        assert is_usable(v4) == (failure is None)
+        assert len(samples) == spec.handshake_repeats
+    assert len(clocked) == len(samples)
+    for sample, sock in zip(samples, clocked):
+        assert (sample.address, sample.port) == ("127.0.0.1", port)
+        assert sample.success == (failure is None)
+        assert sample.error_kind is failure
+        assert (sample.rtt_ms is not None) == sample.success
+        assert least_s <= sock.closed_at - sock.connect_at <= most_s
 
 
 class TestMappingLatency:
