@@ -36,15 +36,14 @@ timeouts:
   Every set that reaches its queries therefore waited at least
   prewarm_gap_s after its prewarm's answer, and at most that plus the
   slowest answer from its address plus 5 ms.
-- A DNS reading's clock starts right before its send.  Over UDP it
-  stops at the kernel's receive stamp of the reply (Linux), so a late
-  wake-up of the loop stays out of the reading; without a usable stamp,
-  and for the TCP retry, it stops at the select() return that reported
-  the socket readable, before the reply is read or decoded.  A lane is
-  freed, and its slowest answer measured, on that select() return, since
-  the loop learns of the answer only then.  A handshake is a
-  non-blocking connect on the same loop, timed to the return that
-  reported it writable; handshakes do not hold a lane.
+- Queries and handshakes are steps of the protocol in the resolve
+  module's docstring, driven on the loop as resolve.drive drives one,
+  so their readings stop where the blocking callers' do: a DNS reading
+  at the kernel's receive stamp of the reply (Linux) or else the
+  select() return, a handshake at the select() return that reported it
+  writable.  A query holds its set's lane; a lane is freed, and its
+  slowest answer measured, on that select() return, since the loop
+  learns of the answer only then.  Handshakes do not hold a lane.
 
 A campaign therefore takes about one gap plus the busiest lane's query
 time, not sets x gap.  fill_in runs its retries on the same loop, so
@@ -70,7 +69,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .cache import TtlQuirk
 from .mapping import HandshakeAttempt, HandshakeSample, measure_handshake, select_edge
-from .resolve import QUERY_FAILURES, DnsExchange, QueryTimeoutError, TimedDnsResponse, resolve_once
+from .resolve import QUERY_FAILURES, DnsExchange, TimedDnsResponse, resolve_once
 from .wire import (
     DEFAULT_TIMEOUT_MS,
     DnsQuestion,
@@ -330,6 +329,15 @@ def _set_steps(spec, website, resolver, ip_version, vantage_id):
     )
 
 
+def _outcome_of(call, *args):
+    """What a step's call gives: its result, or the failure in
+    QUERY_FAILURES that it raised (a handshake raises none)."""
+    try:
+        return call(*args)
+    except QUERY_FAILURES as exc:
+        return exc
+
+
 def run_measurement_set(
     spec: MeasurementSpec,
     website: tuple[str, str],
@@ -354,10 +362,7 @@ def run_measurement_set(
         except StopIteration as done:
             return done.value
         if kind in (_PREWARM, _QUERY):
-            try:
-                outcome = resolve_fn(arg)
-            except QUERY_FAILURES as exc:
-                outcome = exc
+            outcome = _outcome_of(resolve_fn, arg)
         elif kind == _GAP:
             time.sleep(arg)
             outcome = None
@@ -446,7 +451,7 @@ def fill_in(sets: list[MeasurementSet], spec: MeasurementSpec) -> list[Measureme
 class _Job:
     """One set on the loop: its steps, its lane and what it waits on."""
 
-    __slots__ = ("index", "steps", "lane", "question", "gap_end", "io", "watched", "timer")
+    __slots__ = ("index", "steps", "lane", "question", "gap_end", "io", "timer")
 
     def __init__(self, index: int, steps, lane: _Lane):
         self.index = index
@@ -454,8 +459,7 @@ class _Job:
         self.lane = lane
         self.question: DnsQuestion | None = None  # the query waiting for the lane
         self.gap_end = 0.0
-        self.io: DnsExchange | HandshakeAttempt | None = None  # in flight
-        self.watched = None  # the socket registered with the selector
+        self.io: DnsExchange | HandshakeAttempt | None = None  # in flight, its socket watched
         self.timer: int | None = None  # sequence number of the timer that applies
 
 
@@ -608,50 +612,39 @@ class _CampaignLoop:
             job.lane.gap_started(job.gap_end)
             self._set_timer(job, job.gap_end)
         else:
-            self._connect(job, arg)
+            spec = self._spec
+            attempt = HandshakeAttempt(arg, spec.handshake_port, spec.per_query_timeout_ms, self._socket_factory)
+            self._start(job, attempt)
 
     def _query(self, job: _Job) -> None:
-        exchange = DnsExchange(job.question)
-        job.question = None
-        try:
-            exchange.start()
-        except QUERY_FAILURES as exc:
-            exchange.close()
-            job.lane.record(0.0, answered=False)
-            self._advance(job, exc)
-            return
-        self._begin(job, exchange, exchange.events, exchange.deadline)
+        question, job.question = job.question, None
+        self._start(job, DnsExchange(question))
 
-    def _connect(self, job: _Job, address: str) -> None:
-        attempt = HandshakeAttempt(
-            address,
-            self._spec.handshake_port,
-            self._spec.per_query_timeout_ms,
-            socket_factory=self._socket_factory,
-        )
-        attempt.start()
-        if attempt.sample is None:
-            self._begin(job, attempt, selectors.EVENT_WRITE, attempt.deadline)
-        else:
-            attempt.close()
-            self._advance(job, attempt.sample)
+    def _start(self, job: _Job, io) -> None:
+        """Start a step: on to its outcome if it settles at once, else watch
+        its socket until its deadline.  A query holds the job's lane, so a
+        query that fails here holds it for no time, unanswered."""
+        outcome = _outcome_of(io.start)
+        if outcome is None:
+            job.io = io
+            self._selector.register(io.sock, io.events, job)
+            self._set_timer(job, io.deadline)
+            return
+        io.close()
+        if job.lane.owner is job:
+            job.lane.record(0.0, answered=False)
+        self._advance(job, outcome)
 
     def _on_ready(self, job: _Job, stamp: float) -> None:
         io = job.io
-        self._unwatch(job)
-        if isinstance(io, HandshakeAttempt):
-            outcome = io.finish(stamp)
-        else:
-            try:
-                outcome = io.on_ready(stamp)
-            except QUERY_FAILURES as exc:
-                outcome = exc
-            if outcome is None:  # not yet: a stray reply, or on to TCP
-                self._watch(job, io.sock, io.events)
-                return
+        self._selector.unregister(io.sock)
+        outcome = _outcome_of(io.on_ready, stamp)
+        if outcome is None:  # not yet: a stray reply, or on to TCP
+            self._selector.register(io.sock, io.events, job)
+            return
+        if job.lane.owner is job:
             job.lane.record(stamp - io.sent_at)
-        self._end(job)
-        self._advance(job, outcome)
+        self._end(job, outcome)
 
     def _expire(self, now: float) -> None:
         while self._timers and self._timers[0][0] <= now:
@@ -663,32 +656,16 @@ class _CampaignLoop:
                 job.timer = None
                 self._advance(job, None)  # the gap is over
                 continue
-            if isinstance(io, HandshakeAttempt):
-                outcome = io.finish(None)
-            else:
+            self._selector.unregister(io.sock)
+            outcome = _outcome_of(io.on_timeout)
+            if job.lane.owner is job:
                 job.lane.record(now - io.sent_at, answered=False)
-                outcome = QueryTimeoutError("query timed out")
-            self._end(job)
-            self._advance(job, outcome)
+            self._end(job, outcome)
 
-    def _begin(self, job: _Job, io, events: int, deadline: float) -> None:
-        job.io = io
-        self._watch(job, io.sock, events)
-        self._set_timer(job, deadline)
-
-    def _end(self, job: _Job) -> None:
-        self._unwatch(job)
+    def _end(self, job: _Job, outcome) -> None:
         job.io.close()
         job.io = job.timer = None
-
-    def _watch(self, job: _Job, sock, events: int) -> None:
-        self._selector.register(sock, events, job)
-        job.watched = sock
-
-    def _unwatch(self, job: _Job) -> None:
-        if job.watched is not None:
-            self._selector.unregister(job.watched)
-            job.watched = None
+        self._advance(job, outcome)
 
     def _set_timer(self, job: _Job, when: float) -> None:
         job.timer = next(self._seq)

@@ -255,7 +255,7 @@ def scan_domain_list(
             return None  # not a DNS name: it has no address to check
         # Probe the domain itself first, then anything its page references.
         names = [domain]
-        if scan_embedded and page_fn is not None:
+        if scan_embedded:
             body = page_fn(domain)
             if body:
                 names.extend(h for h in extract_embedded_domains(body) if h != domain)

@@ -7,8 +7,10 @@ website, resolver and family.  Mapping latency is the median of timed
 TCP handshakes to it.  Kernel connect() completion is the portable
 stand-in for the SYN to SYN/ACK round trip: a HandshakeAttempt starts a
 non-blocking connect and stops its clock at the select() return that
-reports the socket writable, reading the outcome from SO_ERROR.  The
-campaign loop runs many attempts at once; measure_handshake drives one.
+reports the socket writable, reading the outcome from SO_ERROR.  It is a
+step of the protocol in the resolve module's docstring, so the campaign
+loop runs many attempts at once and measure_handshake drives one, both
+the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, check_reading, wait_ready
+from .resolve import IN_PROGRESS_ERRNOS, TimedDnsResponse, check_reading, drive
 from .wire import DEFAULT_TIMEOUT_MS, IpVersion
 
 
@@ -73,29 +75,28 @@ def select_edge(dns_results: list[TimedDnsResponse], ip_version: IpVersion) -> s
 
 
 class HandshakeAttempt:
-    """One timed TCP connect, as a start step and an on-writable step.
+    """One timed TCP connect, as a step (see the resolve module docstring).
 
     start() opens the socket through socket_factory, starts the clock and
-    initiates a non-blocking connect.  If the connect settles at once,
-    `sample` is set there; otherwise the driver watches `sock` for
-    writability until `deadline` (a perf_counter reading) and calls
-    finish(stamp) with the select() return time, or finish(None) when the
-    deadline passed.  Failures are folded into success=False with an
-    error kind, never raised.  close() releases the socket.
+    initiates a non-blocking connect; it returns the sample if the connect
+    settles at once.  Otherwise the driver watches `sock` for writability
+    until `deadline`: on_ready(stamp) reads the outcome from SO_ERROR and
+    stops the clock at stamp, and on_timeout() gives the timeout sample.
+    Failures are folded into success=False with an error kind, never
+    raised.
     """
 
-    def __init__(
-        self, address: str, port: int = 443, timeout_ms: float = DEFAULT_TIMEOUT_MS, *, socket_factory=socket.socket
-    ):
+    events = selectors.EVENT_WRITE
+
+    def __init__(self, address: str, port: int, timeout_ms: float, socket_factory):
         self.address = address
         self.port = port
         self._timeout_s = timeout_ms / 1000.0
         self._socket_factory = socket_factory
         self.sock = None
-        self.sample: HandshakeSample | None = None
         self.started_at = self.deadline = 0.0
 
-    def start(self) -> None:
+    def start(self) -> HandshakeSample | None:
         v4 = IpVersion.of_address(self.address) is IpVersion.V4
         try:
             self.sock = self._socket_factory(socket.AF_INET if v4 else socket.AF_INET6, socket.SOCK_STREAM)
@@ -106,21 +107,17 @@ class HandshakeAttempt:
         except OSError as exc:
             err = exc.errno
         if err == 0:
-            self.finish(time.perf_counter())
-        elif err not in IN_PROGRESS_ERRNOS:
-            self.sample = self._failed(err)
+            return self.on_ready(time.perf_counter())
+        return None if err in IN_PROGRESS_ERRNOS else self._failed(err)
 
-    def finish(self, stamp: float | None) -> HandshakeSample:
-        if stamp is None:
-            self.sample = self._failed(errno.ETIMEDOUT)
-        else:
-            err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            self.sample = (
-                self._failed(err)
-                if err
-                else HandshakeSample(self.address, self.port, (stamp - self.started_at) * 1000.0, True)
-            )
-        return self.sample
+    def on_ready(self, stamp: float) -> HandshakeSample:
+        err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            return self._failed(err)
+        return HandshakeSample(self.address, self.port, (stamp - self.started_at) * 1000.0, True)
+
+    def on_timeout(self) -> HandshakeSample:
+        return self._failed(errno.ETIMEDOUT)
 
     def _failed(self, err: int | None) -> HandshakeSample:
         kind = {
@@ -151,14 +148,7 @@ def measure_handshake(
     production callers leave it alone.  What it returns must offer
     setblocking, connect_ex, fileno, getsockopt(SO_ERROR) and close.
     """
-    attempt = HandshakeAttempt(address, port, timeout_ms, socket_factory=socket_factory)
-    try:
-        attempt.start()
-        if attempt.sample is None:
-            attempt.finish(wait_ready(attempt.sock, selectors.EVENT_WRITE, attempt.deadline))
-        return attempt.sample
-    finally:
-        attempt.close()
+    return drive(HandshakeAttempt(address, port, timeout_ms, socket_factory))
 
 
 def mapping_latency(samples: list[HandshakeSample]) -> float:

@@ -1,16 +1,32 @@
-"""Timed DNS queries over UDP with TCP fallback on truncation.
+"""Timed DNS queries over UDP with TCP fallback on truncation, and the
+step protocol that every timed socket in the tool follows.
 
-A DnsExchange is one query as two non-blocking steps: start() sends it,
-and on_ready(stamp) consumes what its socket holds once a selector has
-reported it ready.  The reading's clock starts right before the send,
-after the socket is opened and connected.  On Linux a UDP reading stops
-at the kernel's receive stamp of the reply (SO_TIMESTAMPNS), so neither
-the tool's decoding nor a late wake-up of its loop shows up in a
-latency.  Where there is no such stamp (another system, the option
-refused, no ancillary data) or it falls outside (send, stamp], and for
-the TCP retry, the clock stops at `stamp`, the moment select() returned,
-before the reply is read or decoded.  The campaign loop runs many
-exchanges at once; resolve_once drives a single one to completion.
+The step protocol.  A timed step (a DnsExchange here, a
+mapping.HandshakeAttempt there) is driven in four calls:
+
+- start() opens its socket, starts its clock and sends or connects.  It
+  returns the step's outcome if that settles at once, else None.
+- The driver then watches `sock` for `events` until `deadline`, a
+  perf_counter reading, and calls on_ready(stamp) with the perf_counter
+  reading taken as select() returned.  on_ready returns the outcome, or
+  None while the step waits on; `sock` and `events` may have changed.
+- When the deadline passes first, on_timeout() gives the outcome.
+- close() releases the socket, whatever happened.
+
+A query raises its failures (QUERY_FAILURES; on_timeout raises
+QueryTimeoutError), and a handshake folds them into its sample.  drive()
+runs one step to its outcome, blocking, as resolve_once and
+mapping.measure_handshake; the campaign loop runs many steps at once on
+one selector.  Either way a reading stops where its step says.
+
+A DnsExchange's clock starts right before the send, after the socket is
+opened and connected.  On Linux a UDP reading stops at the kernel's
+receive stamp of the reply (SO_TIMESTAMPNS), so neither the tool's
+decoding nor a late wake-up of its driver shows up in a latency.  Where
+there is no such stamp (another system, the option refused, no ancillary
+data) or it falls outside (send, stamp], and for the TCP retry, the
+clock stops at `stamp`, the moment select() returned, before the reply
+is read or decoded.
 
 The tool's own lookups (preflight, discovery, resolver identification,
 authoritative TTLs) go through ask, which builds the question from its
@@ -141,6 +157,20 @@ def _resolve_error(exc: OSError) -> OSError | ResolveError:
     return exc
 
 
+def drive(step):
+    """Run one timed step to its outcome, blocking, and close it: start,
+    then on_ready or on_timeout as wait_ready reports, until an outcome.
+    A step's failure is raised as the step raises it."""
+    try:
+        outcome = step.start()
+        while outcome is None:
+            stamp = wait_ready(step.sock, step.events, step.deadline)
+            outcome = step.on_timeout() if stamp is None else step.on_ready(stamp)
+        return outcome
+    finally:
+        step.close()
+
+
 def wait_ready(fileobj, events: int, deadline: float) -> float | None:
     """Block until fileobj is ready for events or the perf_counter deadline
     passes.  Returns the perf_counter reading taken as select() returned,
@@ -156,17 +186,15 @@ def wait_ready(fileobj, events: int, deadline: float) -> float | None:
 
 
 class DnsExchange:
-    """One query in flight, as a send step and an on-ready step.
+    """One query in flight, as a step (see the module docstring).
 
-    After start(), the driver watches `sock` for `events` until `deadline`
-    (a perf_counter reading) and calls on_ready(stamp) each time select()
-    reports it ready.  on_ready returns the TimedDnsResponse once the
+    start() sends the query over UDP and returns None: a query never
+    settles at once.  on_ready returns the TimedDnsResponse once the
     answer is complete and None while the exchange waits on: a reply with
     a mismatched transaction id is dropped, and a truncated (TC=1) reply
-    moves the exchange to TCP, which replaces `sock` and `events`.  Failures
-    raise NetworkUnreachableError, MalformedMessageError or OSError; the
-    driver raises QueryTimeoutError itself when the deadline passes.
-    close() releases the socket.
+    moves the exchange to TCP, which replaces `sock` and `events`.
+    Failures raise NetworkUnreachableError, MalformedMessageError or
+    OSError, and on_timeout raises QueryTimeoutError.
     """
 
     def __init__(self, question: DnsQuestion):
@@ -210,6 +238,9 @@ class DnsExchange:
 
     def on_ready(self, stamp: float) -> TimedDnsResponse | None:
         return self._step(stamp)
+
+    def on_timeout(self):
+        raise QueryTimeoutError("query timed out")
 
     def close(self) -> None:
         if self.sock is not None:
@@ -327,18 +358,7 @@ def resolve_once(question: DnsQuestion) -> TimedDnsResponse:
     Raises QueryTimeoutError, NetworkUnreachableError,
     MalformedMessageError, or another OSError (QUERY_FAILURES).
     """
-    exchange = DnsExchange(question)
-    try:
-        exchange.start()
-        while True:
-            stamp = wait_ready(exchange.sock, exchange.events, exchange.deadline)
-            if stamp is None:
-                raise QueryTimeoutError("query timed out")
-            response = exchange.on_ready(stamp)
-            if response is not None:
-                return response
-    finally:
-        exchange.close()
+    return drive(DnsExchange(question))
 
 
 def ask(

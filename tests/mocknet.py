@@ -484,18 +484,18 @@ def delayed_socket_factory(delay_ms: float):
 
 
 def record_timed_sockets(monkeypatch) -> dict:
-    """Wrap HandshakeAttempt.finish, through monkeypatch, so that the dict
+    """Wrap HandshakeAttempt.on_ready, through monkeypatch, so that the dict
     returned maps id(sample) of each sample it makes to the sample and the
     socket that sample timed.  The samples are kept, so no id is reused."""
-    finish = HandshakeAttempt.finish
+    on_ready = HandshakeAttempt.on_ready
     timed = {}
 
-    def recording_finish(self, stamp):
-        sample = finish(self, stamp)
+    def recording_on_ready(self, stamp):
+        sample = on_ready(self, stamp)
         timed[id(sample)] = (sample, self.sock)
         return sample
 
-    monkeypatch.setattr(HandshakeAttempt, "finish", recording_finish)
+    monkeypatch.setattr(HandshakeAttempt, "on_ready", recording_on_ready)
     return timed
 
 
