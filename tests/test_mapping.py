@@ -171,21 +171,6 @@ class TestMeasureHandshake:
         assert sample.success
         assert sample.rtt_ms < JITTER_MS
 
-    def test_closed_port_refused(self):
-        sample = measure_handshake("127.0.0.1", closed_port(), timeout_ms=1000.0)
-        assert not sample.success
-        assert sample.rtt_ms is None
-        assert sample.error_kind is HandshakeFailure.REFUSED
-
-    def test_blackholed_address_times_out(self):
-        start = time.perf_counter()
-        sample = measure_handshake("192.0.2.1", 443, timeout_ms=1000.0, socket_factory=_BlackholeSocket)
-        elapsed = time.perf_counter() - start
-        assert not sample.success
-        assert sample.rtt_ms is None
-        assert sample.error_kind is HandshakeFailure.TIMEOUT
-        assert 0.99 <= elapsed <= 1.5
-
     def test_ipv6_connect(self):
         with mocknet.MockTcpListener(host="::1") as listener:
             sample = measure_handshake(listener.host, listener.port)
