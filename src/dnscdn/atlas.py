@@ -254,14 +254,22 @@ def import_atlas(
                 )
             )
 
+    stranded_pairs = 0
     for (prb, target), entries in tls_by_target.items():
         stranded = [h for _, h in entries if id(h) not in claimed]
         if stranded:
-            log.warning(
+            log.debug(
                 "%d TLS results for probe %s target %s have no matching DNS set",
                 len(stranded),
                 prb,
                 target,
             )
             out.orphans += len(stranded)
+            stranded_pairs += 1
+    if out.orphans:
+        log.warning(
+            "%d TLS results for %d (probe, target) pairs have no matching DNS set",
+            out.orphans,
+            stranded_pairs,
+        )
     return out

@@ -10,13 +10,21 @@ socket.inet_ntop, into the text ipaddress gives for them.  An AAAA
 address whose first 10 octets are zero (the ::ffff:a.b.c.d and ::a.b.c.d
 forms) goes through ipaddress itself, since inet_ntop prints those with
 an IPv4 part and ipaddress prints them differently between Python
-versions.  ResourceRecord still checks every address it is given.
+versions.
 
-decode_response keeps a table of the names it has decoded in one
-message, by start offset, with the pointer hops each took.  A name that
-is a bare compression pointer to one of them is read from the table when
-one more hop stays within the limit; every other name is walked label by
-label, so results and errors are those of the walk.
+A ResourceRecord built by calling the class is checked: its ttl range,
+and its rdata's type and address family.  The records read back from
+storage, and those built by callers and tests, are built that way.
+decode_response alone builds its records without the checks, in one
+pass over the message, since the values it takes from the octets pass
+them by construction; the test suite holds it to a reference decoder
+that builds through the checking constructor.
+
+decode_response keeps a table of the names it has walked in one
+message, by start offset, with the pointer hops each took.  A record
+owner that is a bare compression pointer to one of them is read from
+the table when one more hop stays within the limit; every other name is
+walked label by label, so results and errors are those of the walk.
 
 Address text that is not remembered is classified by exact patterns
 first: ipaddress's dotted quads, and IPv6 text of plain hextets (eight,
@@ -74,6 +82,8 @@ _RECORD_TYPES = {member.value: member for member in RecordType}
 _A, _AAAA, _TXT, _OPT = RecordType.A, RecordType.AAAA, RecordType.TXT, RecordType.OPT
 _ADDRESS_TYPES = (_A, _AAAA)
 _NAME_TYPES = (RecordType.NS, RecordType.CNAME)
+# txid, flags, qdcount, ancount, nscount, arcount
+_HEADER = struct.Struct("!HHHHHH")
 # type, class, ttl, rdlength
 _RR_HEADER = struct.Struct("!HHIH")
 _TEN_ZERO_OCTETS = bytes(10)
@@ -290,19 +300,13 @@ def encode_query(question: DnsQuestion, txid: int, edns: bool = True) -> bytes:
 
 
 def _decode_name(data: bytes, offset: int, names: dict) -> tuple[str, int]:
-    """Decode a possibly-compressed name starting at offset.
+    """Walk a possibly-compressed name starting at offset, label by label.
 
     Returns (name, offset just past the name in the original stream).
     names maps the start of each name already walked in this message to
     (name, pointer hops the walk took); this name is added to it.
     """
     size = len(data)
-    if offset + 1 < size and data[offset] >= 0xC0:
-        # A bare pointer to a walked name: walking it would take the same
-        # path plus this one hop.
-        known = names.get(((data[offset] & 0x3F) << 8) | data[offset + 1])
-        if known is not None and known[1] < _MAX_POINTER_HOPS:
-            return known[0], offset + 2
     labels: list[bytes] = []
     pos = offset
     end = -1  # position after the name in the uncompressed stream
@@ -311,31 +315,31 @@ def _decode_name(data: bytes, offset: int, names: dict) -> tuple[str, int]:
         if pos >= size:
             raise MalformedMessageError("name runs past end of message")
         length = data[pos]
-        if length & 0xC0 == 0xC0:
-            if pos + 1 >= size:
-                raise MalformedMessageError("truncated compression pointer")
-            target = ((length & 0x3F) << 8) | data[pos + 1]
-            if target >= size:
-                raise MalformedMessageError("compression pointer beyond message")
-            if end < 0:
-                end = pos + 2
-            hops += 1
-            if hops > _MAX_POINTER_HOPS:
-                raise MalformedMessageError("compression pointer loop")
-            pos = target
-            continue
-        if length & 0xC0:
-            raise MalformedMessageError(f"reserved label type 0x{length:02x}")
         if length == 0:
             if end < 0:
                 end = pos + 1
             break
-        if pos + 1 + length > size:
-            raise MalformedMessageError("label runs past end of message")
-        labels.append(data[pos + 1 : pos + 1 + length])
-        if len(labels) > _MAX_LABELS:
-            raise MalformedMessageError("too many labels")
-        pos += 1 + length
+        if length < 0x40:
+            if pos + 1 + length > size:
+                raise MalformedMessageError("label runs past end of message")
+            labels.append(data[pos + 1 : pos + 1 + length])
+            if len(labels) > _MAX_LABELS:
+                raise MalformedMessageError("too many labels")
+            pos += 1 + length
+            continue
+        if length < 0xC0:
+            raise MalformedMessageError(f"reserved label type 0x{length:02x}")
+        if pos + 1 >= size:
+            raise MalformedMessageError("truncated compression pointer")
+        target = ((length & 0x3F) << 8) | data[pos + 1]
+        if target >= size:
+            raise MalformedMessageError("compression pointer beyond message")
+        if end < 0:
+            end = pos + 2
+        hops += 1
+        if hops > _MAX_POINTER_HOPS:
+            raise MalformedMessageError("compression pointer loop")
+        pos = target
     # The ASCII codec maps byte by byte, so one decode of the joined name
     # equals decoding each label alone.
     name = b".".join(labels).decode("ascii", errors="replace")
@@ -352,44 +356,21 @@ def _format_ipv6(raw: bytes) -> str:
     return socket.inet_ntop(socket.AF_INET6, raw)
 
 
-def _decode_rdata(data: bytes, offset: int, rdlength: int, rtype: int, names: dict):
-    rdata_bytes = data[offset : offset + rdlength]
-    if rtype == _A:
-        if rdlength != 4:
-            raise MalformedMessageError("A rdata must be 4 octets")
-        return "%d.%d.%d.%d" % tuple(rdata_bytes)
-    if rtype == _AAAA:
-        if rdlength != 16:
-            raise MalformedMessageError("AAAA rdata must be 16 octets")
-        return _format_ipv6(rdata_bytes)
-    if rtype in _NAME_TYPES:
-        name, _ = _decode_name(data, offset, names)
-        return name
-    if rtype == _TXT:
-        strings = []
-        pos = offset
-        while pos < offset + rdlength:
-            n = data[pos]
-            if pos + 1 + n > offset + rdlength:
-                raise MalformedMessageError("TXT character-string overruns rdata")
-            strings.append(data[pos + 1 : pos + 1 + n].decode("ascii", errors="replace"))
-            pos += 1 + n
-        return strings
-    return rdata_bytes
-
-
 def decode_response(data: bytes) -> DnsMessage:
     """Parse a DNS message, resolving compression pointers.
 
-    Raises MalformedMessageError on any truncation, overrun, or pointer
-    loop; never hangs (pointer follows are bounded).
+    One pass over the octets builds every record of the three sections
+    without ResourceRecord's checks, which the values it takes from the
+    octets pass by construction.  Raises MalformedMessageError on any
+    truncation, overrun, or pointer loop; never hangs (pointer follows
+    are bounded).
     """
-    if len(data) < 12:
-        raise MalformedMessageError(f"message of {len(data)} bytes (header needs 12)")
-    txid, flags, qdcount, ancount, nscount, arcount = struct.unpack_from("!HHHHHH", data, 0)
-    msg = DnsMessage(txid=txid, flags=flags)
-    names: dict[int, tuple[str, int]] = {}
     size = len(data)
+    if size < 12:
+        raise MalformedMessageError(f"message of {size} bytes (header needs 12)")
+    txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data, 0)
+    msg = DnsMessage(txid, flags)
+    names: dict[int, tuple[str, int]] = {}
     pos = 12
     for _ in range(qdcount):
         name, pos = _decode_name(data, pos, names)
@@ -397,23 +378,67 @@ def decode_response(data: bytes) -> DnsMessage:
             raise MalformedMessageError("truncated question")
         qtype, qclass = struct.unpack_from("!HH", data, pos)
         pos += 4
-        msg.questions.append(QuestionEcho(name=name, qtype=qtype, qclass=qclass))
+        msg.questions.append(QuestionEcho(name, qtype, qclass))
+    unpack_header = _RR_HEADER.unpack_from
+    new = object.__new__
     for count, section in ((ancount, msg.answers), (nscount, msg.authority), (arcount, msg.additional)):
+        append = section.append
         for _ in range(count):
-            name, pos = _decode_name(data, pos, names)
+            # An owner that is a bare pointer to a walked name: walking it
+            # would take the same path plus this one hop.
+            known = None
+            if pos + 1 < size and data[pos] >= 0xC0:
+                known = names.get(((data[pos] & 0x3F) << 8) | data[pos + 1])
+            if known is not None and known[1] < _MAX_POINTER_HOPS:
+                name = known[0]
+                pos += 2
+            else:
+                name, pos = _decode_name(data, pos, names)
             if pos + 10 > size:
                 raise MalformedMessageError("truncated record header")
-            rtype, rclass, ttl, rdlength = _RR_HEADER.unpack_from(data, pos)
+            rtype, _, ttl, rdlength = unpack_header(data, pos)
             pos += 10
-            if pos + rdlength > size:
+            end = pos + rdlength
+            if end > size:
                 raise MalformedMessageError("rdata runs past end of message")
             rtype = _RECORD_TYPES.get(rtype, rtype)
-            rdata = _decode_rdata(data, pos, rdlength, rtype, names)
+            if rtype is _A:
+                if rdlength != 4:
+                    raise MalformedMessageError("A rdata must be 4 octets")
+                rdata = "%d.%d.%d.%d" % (data[pos], data[pos + 1], data[pos + 2], data[pos + 3])
+            elif rtype is _AAAA:
+                if rdlength != 16:
+                    raise MalformedMessageError("AAAA rdata must be 16 octets")
+                rdata = _format_ipv6(data[pos:end])
+            elif rtype in _NAME_TYPES:
+                rdata = _decode_name(data, pos, names)[0]
+            elif rtype is _TXT:
+                rdata = []
+                at = pos
+                while at < end:
+                    n = data[at]
+                    if at + 1 + n > end:
+                        raise MalformedMessageError("TXT character-string overruns rdata")
+                    rdata.append(data[at + 1 : at + 1 + n].decode("ascii", errors="replace"))
+                    at += 1 + n
+            else:
+                rdata = data[pos:end]
             # RFC 2181 section 8: treat high-bit TTLs as zero.  OPT smuggles
             # flags into class/ttl; keep it opaque rather than lying about a
             # ttl that is not a ttl.
             if ttl > MAX_TTL or rtype is _OPT:
                 ttl = 0
-            section.append(ResourceRecord(name, rtype, ttl, rdata))
-            pos += rdlength
+            # Built without __post_init__, whose checks these values pass:
+            # the ttl is an unsigned 32-bit field clamped to [0, MAX_TTL];
+            # A text is four octets as "%d.%d.%d.%d", AAAA text is what
+            # inet_ntop or ipaddress prints for 16 octets, an NS/CNAME name
+            # is a str and TXT strings a list.  ResourceRecord defines no
+            # __new__ and keeps no state beyond its four slots.
+            record = new(ResourceRecord)
+            record.name = name
+            record.rtype = rtype
+            record.ttl = ttl
+            record.rdata = rdata
+            append(record)
+            pos = end
     return msg

@@ -983,13 +983,26 @@ class TestAtlasImport:
         assert len(result.sets) == 1
         assert [r.latency_ms for r in result.sets[0].dns_results] == [10.0, 12.0]
 
-    def test_orphan_tls_results_are_counted(self, tmp_path, caplog):
-        tls = [tls_entry(9, "lonely.example", self.BASE, rt=30.0)]
-        with caplog.at_level("WARNING", logger="dnscdn.atlas"):
+    # (probe, target) pairs, one orphan for the first and two for each other.
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_orphan_tls_results_are_counted(self, tmp_path, caplog, pairs):
+        tls = [
+            tls_entry(9 + pair, f"lonely{pair}.example", self.BASE + i, rt=30.0)
+            for pair in range(pairs)
+            for i in range(1 if pair == 0 else 2)
+        ]
+        with caplog.at_level("DEBUG", logger="dnscdn.atlas"):
             result = import_atlas(*write_atlas(tmp_path, [], tls))
-        assert result.orphans == 1
+        assert result.orphans == len(tls)
         assert result.sets == []
-        assert any("no matching DNS set" in rec.getMessage() for rec in caplog.records)
+        stranded = {
+            level: [rec.getMessage() for rec in caplog.records if rec.levelname == level]
+            for level in ("DEBUG", "WARNING")
+        }
+        assert stranded["WARNING"] == [
+            f"{len(tls)} TLS results for {pairs} (probe, target) pairs have no matching DNS set"
+        ]
+        assert sum("no matching DNS set" in message for message in stranded["DEBUG"]) == pairs
 
     def test_tls_ttc_fallback_and_rt_priority(self, tmp_path):
         dns = [dns_entry(1, self.QNAME, self.BASE, 10.0)]

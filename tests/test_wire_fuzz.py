@@ -1,7 +1,8 @@
-"""decode_response on arbitrary and damaged input: it raises only
-MalformedMessageError, and it never hangs.  Address rdata reads as
-ipaddress writes it, and address text is classified as ipaddress
-classifies it."""
+"""decode_response on arbitrary and damaged input: it decodes as the
+reference decoder does (an equal message, or MalformedMessageError with
+the same text), every record it builds passes ResourceRecord's checks,
+and it never hangs.  Address rdata reads as ipaddress writes it, and
+address text is classified as ipaddress classifies it."""
 
 import ipaddress
 import struct
@@ -13,18 +14,35 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import mocknet  # noqa: E402
+import reference_decoder  # noqa: E402
 from dnscdn import wire  # noqa: E402
-from dnscdn.wire import MalformedMessageError, decode_response  # noqa: E402
+from dnscdn.wire import MalformedMessageError, ResourceRecord, decode_response  # noqa: E402
+from test_wire import pointer_chain  # noqa: E402
 
 # A decode slower than this counts as a hang; real messages take well
 # under a millisecond.
 HANG_S = 1.0
 
-VALID = [
-    mocknet.build_response(
+OPT = 41
+
+
+def sectioned(answers, authority, additional) -> bytes:
+    """A reply to www.example.com A with records, (name, rtype, class,
+    ttl, rdata), in all three sections; names are written uncompressed."""
+    sections = (answers, authority, additional)
+    out = struct.pack("!HHHHHH", 0x5EC7, 0x8180, 1, *map(len, sections))
+    out += mocknet.name_bytes("www.example.com") + struct.pack("!HH", mocknet.A, 1)
+    for name, rtype, rclass, ttl, rdata in (record for section in sections for record in section):
+        payload = mocknet.rdata_bytes(rtype, rdata)
+        out += mocknet.name_bytes(name) + struct.pack("!HHIH", rtype, rclass, ttl, len(payload)) + payload
+    return out
+
+
+SEEDS = {
+    "a": mocknet.build_response(
         0x1234, "www.example.com", mocknet.A, [("www.example.com", mocknet.A, 20, "192.0.2.7")]
     ),
-    mocknet.build_response(
+    "cname-aaaa": mocknet.build_response(
         0x0001,
         "www.example.com",
         mocknet.AAAA,
@@ -34,20 +52,46 @@ VALID = [
         ],
         compress_answer_names=True,
     ),
-    mocknet.build_response(
+    "txt": mocknet.build_response(
         0xBEEF, "whoami.example", mocknet.TXT, [("whoami.example", mocknet.TXT, 60, ["ns", "198.51.100.7"])]
     ),
-    mocknet.build_response(0x0BAD, "nx.example", mocknet.NS, [("nx.example", mocknet.NS, 5, "ns1.example")], rcode=3),
-]
+    "ns-nxdomain": mocknet.build_response(
+        0x0BAD, "nx.example", mocknet.NS, [("nx.example", mocknet.NS, 5, "ns1.example")], rcode=3
+    ),
+    # An OPT record's class is the payload size and its ttl carries flags.
+    "sections-opt-high-bit-ttl": sectioned(
+        [("www.example.com", mocknet.A, 1, 60, "192.0.2.8")],
+        [("example.com", mocknet.NS, 1, 0x80000000, "ns1.example.com")],
+        [("ns1.example.com", mocknet.A, 1, 3600, "192.0.2.53"), ("", OPT, 1232, 0x00008000, b"")],
+    ),
+    "unknown-rtype": mocknet.build_response(0x0099, "x.example", 99, [("x.example", 99, 60, b"\x00opaque\xff")]),
+    "mapped-aaaa": mocknet.build_response(
+        0x6666, "mapped.example", mocknet.AAAA, [("mapped.example", mocknet.AAAA, 60, "::ffff:192.0.2.7")]
+    ),
+    # The second answer's owner reaches the question in exactly the hop limit.
+    "pointer-chain-at-limit": pointer_chain(wire._MAX_POINTER_HOPS),
+}
+VALID = list(SEEDS.values())
 
 
-def decodes_or_is_malformed(data: bytes) -> None:
+def decodes_as_the_reference(data: bytes) -> None:
+    """Each record decode_response builds equals the one ResourceRecord's
+    checking constructor builds from its fields, and it gives the
+    reference decoder's message, or its MalformedMessageError text."""
     start = time.perf_counter()
     try:
-        decode_response(data)
-    except MalformedMessageError:
-        pass
+        message = decode_response(data)
+    except MalformedMessageError as exc:
+        assert time.perf_counter() - start < HANG_S
+        with pytest.raises(MalformedMessageError) as expected:
+            reference_decoder.decode_response(data)
+        assert str(exc) == str(expected.value)
+        return
     assert time.perf_counter() - start < HANG_S
+    for record in message.answers + message.authority + message.additional:
+        assert ResourceRecord(record.name, record.rtype, record.ttl, record.rdata) == record
+    expected = reference_decoder.decode_response(data)
+    assert message == expected and repr(message) == repr(expected)
 
 
 @st.composite
@@ -64,14 +108,19 @@ def test_the_seeds_are_valid():
     assert all(decode_response(message).txid for message in VALID)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_seeds_decode_as_the_reference(seed):
+    decodes_as_the_reference(SEEDS[seed])
+
+
 @given(st.binary(max_size=600))
 def test_arbitrary_bytes(data):
-    decodes_or_is_malformed(data)
+    decodes_as_the_reference(data)
 
 
 @given(damaged())
 def test_damaged_valid_messages(data):
-    decodes_or_is_malformed(data)
+    decodes_as_the_reference(data)
 
 
 # Zero hextets are drawn often, so runs to compress (and the ::a.b.c.d
