@@ -6,13 +6,19 @@ medians collapse a vantage's websites to one latency point, and all
 tables, distributions, and tests operate on those points.  Everything
 here is pure; identical inputs give identical outputs.
 
-The three folds over sets, build_latency_points, hit_rate_table and
-address_diversity, each skip a set that is not usable (is_usable) as it
-comes, so every output counts usable sets only.
+The three folds over sets, LatencyFold, HitRateFold and DiversityFold,
+each skip a set that is not usable (is_usable) as it comes, so every
+output counts usable sets only.  A fold is add(mset) for each set in
+input order, merge(later) to append a fold over the sets that come after
+its own, and result() for the output.  Folding contiguous runs of the
+input apart and merging them in input order gives the result, dict order
+included, that one fold over the whole input gives, so the sets can be
+folded on as many CPUs as there are runs.  The public functions
+build_latency_points, hit_rate_table and address_diversity are these
+folds run over one iterable of sets.
 
-A vantage's region is decided once, by region_of, when
-build_latency_points makes its points; every table after that reads the
-point's region.
+A vantage's region is decided once, by region_of, when LatencyFold
+makes its points; every table after that reads the point's region.
 """
 
 from __future__ import annotations
@@ -312,6 +318,69 @@ class DiversityReport:
     anycast_like: bool
 
 
+def _fold_over(fold, sets: Iterable[MeasurementSet]):
+    """fold.result() once every set of sets is added to fold, in order."""
+    for mset in sets:
+        fold.add(mset)
+    return fold.result()
+
+
+def _add_counts(counts: dict[str, int], more: dict[str, int]) -> None:
+    for address, n in more.items():
+        counts[address] = counts.get(address, 0) + n
+
+
+class DiversityFold:
+    """address_diversity as a fold: per (website, resolver, family), how
+    many usable sets carried each edge address, overall and per region."""
+
+    def __init__(self, *, geo: dict[str, str] | None = None):
+        self.geo = geo or {}
+        self.freq: dict[tuple, dict[str, int]] = {}
+        self.by_region: dict[tuple, dict[str, dict[str, int]]] = {}
+
+    def add(self, mset: MeasurementSet) -> None:
+        if not is_usable(mset):
+            return
+        address = select_edge(mset.dns_results, mset.ip_version)
+        if address is None:
+            return
+        key = (mset.website, mset.resolver_label, mset.ip_version)
+        counts = self.freq.setdefault(key, {})
+        counts[address] = counts.get(address, 0) + 1
+        counts = self.by_region.setdefault(key, {}).setdefault(region_of(self.geo, mset.vantage_id), {})
+        counts[address] = counts.get(address, 0) + 1
+
+    def merge(self, later: DiversityFold) -> None:
+        for key, counts in later.freq.items():
+            _add_counts(self.freq.setdefault(key, {}), counts)
+        for key, regions in later.by_region.items():
+            mine = self.by_region.setdefault(key, {})
+            for region, counts in regions.items():
+                _add_counts(mine.setdefault(region, {}), counts)
+
+    def result(self) -> list[DiversityReport]:
+        reports = []
+        for key in sorted(self.freq, key=lambda k: (k[0], k[1], k[2].value)):
+            website, resolver_label, ip_version = key
+            purity = {
+                region: max(counts.values()) / sum(counts.values())
+                for region, counts in self.by_region[key].items()
+            }
+            reports.append(
+                DiversityReport(
+                    website=website,
+                    resolver_label=resolver_label,
+                    ip_version=ip_version,
+                    unique_addresses=len(self.freq[key]),
+                    address_frequency=self.freq[key],
+                    regional_purity=purity,
+                    anycast_like=len(self.freq[key]) <= ANYCAST_MAX_UNIQUE,
+                )
+            )
+        return reports
+
+
 def address_diversity(
     sets: Iterable[MeasurementSet],
     *,
@@ -331,40 +400,47 @@ def address_diversity(
     Each set's edge is folded into its group's address counts and
     per-region address counts, and the set is dropped.
     """
-    geo = geo or {}
-    # per (website, resolver, family)
-    freq: dict[tuple, dict[str, int]] = {}
-    by_region: dict[tuple, dict[str, dict[str, int]]] = {}
-    for mset in sets:
+    return _fold_over(DiversityFold(geo=geo), sets)
+
+
+class LatencyFold:
+    """build_latency_points as a fold: per (vantage, cdn, resolver,
+    family), each website's (DNS, mapping) medians from its latest usable
+    set."""
+
+    def __init__(self, *, geo: dict[str, str] | None = None):
+        self.geo = geo or {}
+        self.ladder: dict[tuple, dict[str, tuple[float, float]]] = {}
+
+    def add(self, mset: MeasurementSet) -> None:
         if not is_usable(mset):
-            continue
-        address = select_edge(mset.dns_results, mset.ip_version)
-        if address is None:
-            continue
-        key = (mset.website, mset.resolver_label, mset.ip_version)
-        counts = freq.setdefault(key, {})
-        counts[address] = counts.get(address, 0) + 1
-        counts = by_region.setdefault(key, {}).setdefault(region_of(geo, mset.vantage_id), {})
-        counts[address] = counts.get(address, 0) + 1
-    reports = []
-    for key in sorted(freq, key=lambda k: (k[0], k[1], k[2].value)):
-        website, resolver_label, ip_version = key
-        purity = {
-            region: max(counts.values()) / sum(counts.values())
-            for region, counts in by_region[key].items()
-        }
-        reports.append(
-            DiversityReport(
-                website=website,
-                resolver_label=resolver_label,
-                ip_version=ip_version,
-                unique_addresses=len(freq[key]),
-                address_frequency=freq[key],
-                regional_purity=purity,
-                anycast_like=len(freq[key]) <= ANYCAST_MAX_UNIQUE,
-            )
+            return
+        key = (mset.vantage_id, mset.cdn, mset.resolver_label, mset.ip_version)
+        self.ladder.setdefault(key, {})[mset.website] = (
+            per_website_median(mset),
+            mapping_latency(mset.handshake_results),
         )
-    return reports
+
+    def merge(self, later: LatencyFold) -> None:
+        for key, sites in later.ladder.items():
+            self.ladder.setdefault(key, {}).update(sites)
+
+    def result(self) -> list[LatencyPoint]:
+        points = []
+        for (vantage_id, cdn, resolver_label, ip_version), sites in self.ladder.items():
+            for index, metric in enumerate((Metric.DNS, Metric.MAPPING)):
+                points.append(
+                    LatencyPoint(
+                        vantage_id=vantage_id,
+                        cdn=cdn,
+                        resolver_label=resolver_label,
+                        ip_version=ip_version,
+                        metric=metric,
+                        value=per_cdn_median([medians[index] for medians in sites.values()]),
+                        region=region_of(self.geo, vantage_id),
+                    )
+                )
+        return points
 
 
 def build_latency_points(
@@ -382,33 +458,7 @@ def build_latency_points(
     medians as it comes, and a later set for the same website replaces an
     earlier one.
     """
-    geo = geo or {}
-    ladder: dict[tuple, dict[str, dict[Metric, float]]] = {}
-    for mset in sets:
-        if not is_usable(mset):
-            continue
-        key = (mset.vantage_id, mset.cdn, mset.resolver_label, mset.ip_version)
-        per_site = ladder.setdefault(key, {}).setdefault(mset.website, {})
-        per_site[Metric.DNS] = per_website_median(mset)
-        per_site[Metric.MAPPING] = mapping_latency(mset.handshake_results)
-    points = []
-    for (vantage_id, cdn, resolver_label, ip_version), sites in ladder.items():
-        for metric in (Metric.DNS, Metric.MAPPING):
-            values = [m[metric] for m in sites.values() if metric in m]
-            if not values:
-                continue
-            points.append(
-                LatencyPoint(
-                    vantage_id=vantage_id,
-                    cdn=cdn,
-                    resolver_label=resolver_label,
-                    ip_version=ip_version,
-                    metric=metric,
-                    value=per_cdn_median(values),
-                    region=region_of(geo, vantage_id),
-                )
-            )
-    return points
+    return _fold_over(LatencyFold(geo=geo), sets)
 
 
 @dataclass
@@ -425,6 +475,85 @@ class HitRateRow:
     median_unknown_ms: float | None
 
 
+class HitRateFold:
+    """hit_rate_table as a fold: per (cdn, resolver, family), the latency
+    of each classified set under its verdict, and the (website, cdn) of
+    each usable set that has no authoritative TTL, in input order."""
+
+    def __init__(
+        self,
+        auth_ttls: dict[str, int],
+        *,
+        quirks: dict[str, TtlQuirk] | None = None,
+        convention: Convention = Convention.EQUAL_IS_HIT,
+    ):
+        self.auth_ttls = auth_ttls
+        self.quirks = quirks or {}
+        self.convention = convention
+        self.groups: dict[tuple, dict[Verdict, list[float]]] = {}
+        self.skipped: list[tuple[str, str]] = []
+
+    def add(self, mset: MeasurementSet) -> None:
+        if not is_usable(mset):
+            return
+        auth = self.auth_ttls.get(mset.website, self.auth_ttls.get(mset.cdn))
+        if auth is None:
+            self.skipped.append((mset.website, mset.cdn))
+            return
+        candidates = sorted(latest_three(mset), key=lambda r: r.latency_ms)
+        median_response = candidates[len(candidates) // 2]
+        answers = median_response.answers
+        record = next((rec for rec in answers if rec.is_address), answers[0] if answers else None)
+        if record is None:
+            return
+        verdict = classify(
+            record.ttl,
+            auth,
+            quirk=self.quirks.get(mset.resolver_label, TtlQuirk.NONE),
+            convention=self.convention,
+        )
+        key = (mset.cdn, mset.resolver_label, mset.ip_version)
+        by_verdict = self.groups.get(key)
+        if by_verdict is None:
+            by_verdict = self.groups[key] = {v: [] for v in Verdict}
+        by_verdict[verdict].append(median_response.latency_ms)
+
+    def merge(self, later: HitRateFold) -> None:
+        self.skipped += later.skipped
+        for key, by_verdict in later.groups.items():
+            mine = self.groups.setdefault(key, by_verdict)
+            if mine is not by_verdict:
+                for verdict, latencies in by_verdict.items():
+                    mine[verdict] += latencies
+
+    def result(self) -> list[HitRateRow]:
+        """The rows; first, one warning for each skipped set, in input order."""
+        for website, cdn in self.skipped:
+            log.warning("no authoritative TTL for %s (%s), skipped", website, cdn)
+        if not self.groups:
+            raise EmptyInputError("no classified sets")
+        rows = []
+        for (cdn, resolver_label, ip_version), by_verdict in sorted(
+            self.groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
+        ):
+            total = sum(map(len, by_verdict.values()))
+            rows.append(
+                HitRateRow(
+                    cdn=cdn,
+                    resolver_label=resolver_label,
+                    ip_version=ip_version,
+                    count=total,
+                    hit_rate=100.0 * len(by_verdict[Verdict.HIT]) / total,
+                    miss_rate=100.0 * len(by_verdict[Verdict.MISS]) / total,
+                    unknown_rate=100.0 * len(by_verdict[Verdict.UNKNOWN]) / total,
+                    median_hit_ms=_maybe_median(by_verdict[Verdict.HIT]),
+                    median_miss_ms=_maybe_median(by_verdict[Verdict.MISS]),
+                    median_unknown_ms=_maybe_median(by_verdict[Verdict.UNKNOWN]),
+                )
+            )
+        return rows
+
+
 def hit_rate_table(
     sets: Iterable[MeasurementSet],
     auth_ttls: dict[str, int],
@@ -439,61 +568,16 @@ def hit_rate_table(
     first address record, or else its first answer), so verdict and
     latency always come from the same response; a set whose response has
     no answer is skipped.  auth_ttls is keyed by website, falling back to
-    the set's CDN name; quirks maps resolver labels to their TTL quirk.
+    the set's CDN name; quirks maps resolver labels to their TTL quirk.  A
+    usable set with no entry in auth_ttls is skipped, and logged as one
+    warning when the table is made.
 
     Each set's latency is folded into its row's latencies per verdict, and
     the set is dropped.  Rates are percentages summing to 100 per row; a
     verdict with no sets reports rate 0 and a missing median (rendered
     "N/A" downstream).  Raises EmptyInputError when no set was classified.
     """
-    quirks = quirks or {}
-    groups: dict[tuple, dict[Verdict, list[float]]] = {}
-    for mset in sets:
-        if not is_usable(mset):
-            continue
-        auth = auth_ttls.get(mset.website, auth_ttls.get(mset.cdn))
-        if auth is None:
-            log.warning("no authoritative TTL for %s (%s), skipped", mset.website, mset.cdn)
-            continue
-        candidates = sorted(latest_three(mset), key=lambda r: r.latency_ms)
-        median_response = candidates[len(candidates) // 2]
-        answers = median_response.answers
-        record = next((rec for rec in answers if rec.is_address), answers[0] if answers else None)
-        if record is None:
-            continue
-        verdict = classify(
-            record.ttl,
-            auth,
-            quirk=quirks.get(mset.resolver_label, TtlQuirk.NONE),
-            convention=convention,
-        )
-        key = (mset.cdn, mset.resolver_label, mset.ip_version)
-        by_verdict = groups.get(key)
-        if by_verdict is None:
-            by_verdict = groups[key] = {v: [] for v in Verdict}
-        by_verdict[verdict].append(median_response.latency_ms)
-    if not groups:
-        raise EmptyInputError("no classified sets")
-    rows = []
-    for (cdn, resolver_label, ip_version), by_verdict in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-    ):
-        total = sum(map(len, by_verdict.values()))
-        rows.append(
-            HitRateRow(
-                cdn=cdn,
-                resolver_label=resolver_label,
-                ip_version=ip_version,
-                count=total,
-                hit_rate=100.0 * len(by_verdict[Verdict.HIT]) / total,
-                miss_rate=100.0 * len(by_verdict[Verdict.MISS]) / total,
-                unknown_rate=100.0 * len(by_verdict[Verdict.UNKNOWN]) / total,
-                median_hit_ms=_maybe_median(by_verdict[Verdict.HIT]),
-                median_miss_ms=_maybe_median(by_verdict[Verdict.MISS]),
-                median_unknown_ms=_maybe_median(by_verdict[Verdict.UNKNOWN]),
-            )
-        )
-    return rows
+    return _fold_over(HitRateFold(auth_ttls, quirks=quirks, convention=convention), sets)
 
 
 def _maybe_median(values: list[float]) -> float | None:

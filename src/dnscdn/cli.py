@@ -7,12 +7,16 @@ is 0 on success, 1 on partial failure, 2 on usage errors.
 
 analyze and report stream their inputs: each stored set is decoded, folded
 into the per-key summaries of the table or report, and dropped, so memory
-follows the number of keys, not of records.  --geo and --config are checked
-before the first set is read, and nothing is printed until the last one is
-folded in.  An input that cannot be used (a missing --geo or --config file,
-a damaged line before the end of a record file) is one error line on
-stderr, exit status 2 and no output; an --output file is then neither
-created nor truncated.  A record file cut short in its final line gives up
+follows the number of keys, not of records.  The input files are cut into
+contiguous runs of about equal bytes, one per CPU the process may use; the
+first run is folded in this process and each other one in a forked child,
+and the runs are merged in input order, so the output is the same, byte
+for byte, as on one CPU.  --geo and --config are checked before the first
+set is read, and nothing is printed until the last one is folded in.  An
+input that cannot be used (a missing --geo or --config file, a damaged
+line before the end of a record file) is one error line on stderr, exit
+status 2 and no output; an --output file is then neither created nor
+truncated.  A record file cut short in its final line gives up
 the records before that line, one damage line on stderr and exit status 1.
 Every command checks its other input paths (--config, --data-dir,
 --sites, --domains, --catalog) the same way: one that is missing or
@@ -40,13 +44,13 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
-from collections.abc import Iterator
 from dataclasses import replace
 
 from . import analytics, atlas, storage
 from .cache import load_ttl_table
-from .campaign import MeasurementSet, MeasurementSpec, fill_in, is_usable, run_campaign
+from .campaign import MeasurementSpec, fill_in, is_usable, run_campaign
 from .config import ToolConfig, load_config
 from .discovery import CatalogError, CdnCatalog, load_domain_list, scan_domain_list
 from .resolve import QUERY_FAILURES, ask
@@ -435,41 +439,167 @@ def _read_inputs(paths) -> list[storage.CampaignRecord]:
     return records
 
 
-class _SetStream:
-    """The sets of every input file, in order, read one record at a time.
-
-    A truncated file gives up the sets before its damaged line, one damage
-    line on stderr, and sets .damaged.  Any other file the reader cannot use
-    ends the stream with UnusableInputError.  Iterate it once.
-    """
-
-    def __init__(self, paths: list[str]):
-        self.paths = paths
-        self.damaged = False
-
-    def __iter__(self) -> Iterator[MeasurementSet]:
-        for path in self.paths:
-            salvaged = 0
-            try:
-                for record in storage.iter_records(path):
-                    salvaged += 1
-                    yield record.mset
-            except storage.TruncatedFileError as exc:
-                print(
-                    f"damaged input: {path}: truncated at line {exc.line_number}; "
-                    f"salvaged {salvaged} record(s)",
-                    file=sys.stderr,
-                )
-                self.damaged = True
-            except (storage.SchemaMismatchError, storage.IoFailureError) as exc:
-                raise UnusableInputError(f"{path}: {exc}") from exc
-
-
-def _input_sets(args) -> _SetStream:
+def _input_paths(args) -> list[str]:
     paths = list(args.input)
     if getattr(args, "data_dir", None):
         paths.extend(_campaign_files(args.data_dir, getattr(args, "month", None)))
-    return _SetStream(paths)
+    return paths
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _runs(paths: list[str], count: int) -> list[list[str]]:
+    """paths cut into at most count contiguous runs of about equal bytes;
+    always at least one run."""
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(os.path.getsize(path))
+        except OSError:  # the fold reports it when it reaches the file
+            sizes.append(0)
+    total = sum(sizes) or 1
+    runs: list[list[str]] = [[] for _ in range(count)]
+    before = 0
+    for path, size in zip(paths, sizes):
+        runs[min(count - 1, int((before + size / 2) * count / total))].append(path)
+        before += size
+    return [run for run in runs if run] or [[]]
+
+
+def _fold_run(paths: list[str], fold):
+    """Add the sets of paths to fold, in order.
+
+    Returns (fold, damage lines, None), or (fold, damage lines, error)
+    at the first file the reader cannot use; the files after it are not
+    read.  A truncated file gives up the sets before its damaged line and
+    one damage line.
+    """
+    damage = []
+    for path in paths:
+        salvaged = 0
+        try:
+            for record in storage.iter_records(path):
+                salvaged += 1
+                fold.add(record.mset)
+        except storage.TruncatedFileError as exc:
+            damage.append(
+                f"damaged input: {path}: truncated at line {exc.line_number}; salvaged {salvaged} record(s)"
+            )
+        except (storage.SchemaMismatchError, storage.IoFailureError) as exc:
+            return fold, damage, f"{path}: {exc}"
+    return fold, damage, None
+
+
+class _Child:
+    """One run folded in a forked child, which pickles _fold_run's result
+    back through a pipe.
+
+    The child leaves through os._exit on every path, so it never flushes
+    the stdio buffers it copied and runs no exit handler.  The parent
+    reads the pipe to EOF before it reaps the child (result or close).
+    When the pipe or the fork cannot be made, there is no child.
+    """
+
+    def __init__(self, paths: list[str], new_fold):
+        import pickle
+
+        self.paths = paths
+        self.pipe = None
+        fds = ()
+        try:
+            fds = os.pipe()
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            log.warning("cannot fork to fold %s (%s); folding it here", paths[0], exc)
+            return
+        read_fd, write_fd = fds
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(_fold_run(paths, new_fold()), pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def result(self):
+        """What the child sent, or None if there is no child or it ended
+        without sending all of it (with a warning)."""
+        import pickle
+
+        if self.pipe is None:
+            return None
+        data = self.pipe.read()
+        status = self.close()
+        if status == 0:
+            return pickle.loads(data)
+        log.warning(
+            "the child folding %s (%d file(s)) ended with status %d before sending its fold; folding it here",
+            self.paths[0], len(self.paths), os.waitstatus_to_exitcode(status),
+        )
+        return None
+
+    def close(self) -> int | None:
+        """Read the pipe to EOF and reap the child, once: its wait status."""
+        if self.pipe is None:
+            return None
+        pipe, self.pipe = self.pipe, None
+        try:
+            pipe.read()
+        finally:
+            pipe.close()
+            _, status = os.waitpid(self.pid, 0)
+        return status
+
+
+def _fold_inputs(paths: list[str], new_fold):
+    """The sets of every input file folded into one new_fold(), and
+    whether a file was damaged.
+
+    The files are cut into contiguous runs of about equal bytes, one per
+    CPU the process may use.  Each run after the first is folded in a
+    forked child while this process folds the first; the runs are merged
+    in input order, so a later set still replaces an earlier one and the
+    result is the one a single fold over every file gives.  With one
+    file, one CPU, no os.fork or other threads running, every file is
+    folded here.  The damage lines of every run are printed in input
+    order; the first file the reader cannot use is an UnusableInputError,
+    after the damage lines of the files before it.
+    """
+    count = _cpu_count() if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    runs = _runs(paths, count)
+    children: list[_Child] = []
+    try:
+        for run in runs[1:]:
+            children.append(_Child(run, new_fold))
+        merged, damaged = None, False
+        for index, run in enumerate(runs):
+            part = children[index - 1].result() if index else None
+            fold, damage, unusable = part or _fold_run(run, new_fold())
+            for line in damage:
+                print(line, file=sys.stderr)
+            damaged = damaged or bool(damage)
+            if unusable:
+                raise UnusableInputError(unusable)
+            if merged is None:
+                merged = fold
+            else:
+                merged.merge(fold)
+        return merged, damaged
+    finally:
+        for child in children:
+            child.close()
 
 
 def _load_geo(path) -> dict[str, str | None]:
@@ -485,8 +615,7 @@ def _load_geo(path) -> dict[str, str | None]:
     return geo
 
 
-def _filtered_points(sets, args, geo):
-    points = analytics.build_latency_points(sets, geo=geo)
+def _filtered_points(points, args):
     if args.cdn:
         points = [p for p in points if p.cdn == args.cdn]
     if args.resolver:
@@ -524,24 +653,24 @@ def _cmd_analyze(args) -> int:
         print("error: provide --input or --data-dir", file=sys.stderr)
         return 2
     geo = _load_geo(args.geo)
-    sets = _input_sets(args)
-    rows = _table_rows(_filtered_points(sets, args, geo))
+    fold, damaged = _fold_inputs(_input_paths(args), functools.partial(analytics.LatencyFold, geo=geo))
+    rows = _table_rows(_filtered_points(fold.result(), args))
     if args.json:
         print(json.dumps([dict(zip(TABLE_COLUMNS, row)) for row in rows], indent=2))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(TABLE_COLUMNS)
         writer.writerows(rows)
-    return 1 if sets.damaged else 0
+    return 1 if damaged else 0
 
 
 def _cmd_report(args) -> int:
     config = _load_tool_config(args.config)
     geo = _load_geo(args.geo)
-    sets = _input_sets(args)
+    fold, damaged = _fold_inputs(_input_paths(args), _report_fold(args.kind, config, geo))
     report = io.StringIO()
     try:
-        _write_report(report, args.kind, sets, config, geo)
+        _write_report(report, args.kind, fold, config)
     except analytics.EmptyInputError:
         pass  # no usable set: the kind's header alone
     if args.output:
@@ -549,32 +678,42 @@ def _cmd_report(args) -> int:
             out.write(report.getvalue())
     else:
         sys.stdout.write(report.getvalue())
-    return 1 if sets.damaged else 0
+    return 1 if damaged else 0
 
 
-def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
-    """Fold sets into the report of this kind and write it to out.
+def _report_fold(kind: str, config: ToolConfig, geo):
+    """A maker of the empty fold that the report of this kind reads."""
+    if kind == "diversity":
+        return functools.partial(analytics.DiversityFold, geo=geo)
+    if kind == "hit-rate":
+        quirks = {r.label: r.ttl_quirk for r in config.spec.resolvers}
+        return functools.partial(analytics.HitRateFold, load_ttl_table(), quirks=quirks)
+    return functools.partial(analytics.LatencyFold, geo=geo)
 
-    Every CSV kind writes its header before it folds, so a kind that raises
-    EmptyInputError over no usable set has written its header alone.
+
+def _write_report(out, kind: str, fold, config: ToolConfig) -> None:
+    """Write the report of this kind, from the fold _report_fold made, to out.
+
+    Every CSV kind writes its header before it takes the fold's result, so
+    a kind that raises EmptyInputError over no usable set has written its
+    header alone.
     """
     writer = csv.writer(out)
     if kind == "cdf":
         writer.writerow(["metric", "cdn", "resolver", "ip_version", "value_ms", "fraction"])
-        series = analytics.distribution(analytics.build_latency_points(sets, geo=geo))
+        series = analytics.distribution(fold.result())
         for key in sorted(series):
             for value, fraction in series[key]:
                 writer.writerow([*key, round(value, 3), round(fraction, 6)])
     elif kind == "table":
         writer.writerow(TABLE_COLUMNS[:6])  # through median_ms
-        rows = _table_rows(analytics.build_latency_points(sets, geo=geo))
+        rows = _table_rows(fold.result())
         writer.writerows(row[:6] for row in rows)
     elif kind == "penalty":
         writer.writerow(
             ["metric", "region", "cdn", "resolver", "v4_median", "v6_median", "delta", "flagged"]
         )
-        points = analytics.build_latency_points(sets, geo=geo)
-        for row in analytics.ipv6_penalty(points, config.happy_eyeballs_threshold_ms):
+        for row in analytics.ipv6_penalty(fold.result(), config.happy_eyeballs_threshold_ms):
             writer.writerow(
                 [
                     row.metric.value,
@@ -588,7 +727,7 @@ def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
                 ]
             )
     elif kind == "diversity":
-        reports = analytics.address_diversity(sets, geo=geo)
+        reports = fold.result()
         doc = [
             {
                 "website": r.website,
@@ -611,8 +750,7 @@ def _write_report(out, kind: str, sets, config: ToolConfig, geo) -> None:
                 "median_hit_ms", "median_miss_ms", "median_unknown_ms",
             ]
         )
-        quirks = {r.label: r.ttl_quirk for r in config.spec.resolvers}
-        for row in analytics.hit_rate_table(sets, load_ttl_table(), quirks=quirks):
+        for row in fold.result():
             writer.writerow(
                 [
                     row.cdn,

@@ -370,24 +370,32 @@ class MockTcpListener:
 
 
 class _Timers:
-    """One daemon thread that runs callbacks at perf_counter deadlines."""
+    """A daemon thread that runs callbacks at perf_counter deadlines.  It
+    ends once no callback is due, so a test leaves no thread behind, and
+    call_at starts another when needed."""
 
     def __init__(self):
         self._cond = threading.Condition()
         self._due = []  # heap of (when, seq, fn)
         self._seq = itertools.count()
-        threading.Thread(target=self._run, daemon=True).start()
+        self._running = False
 
     def call_at(self, when, fn):
         with self._cond:
             heapq.heappush(self._due, (when, next(self._seq), fn))
             self._cond.notify()
+            if not self._running:
+                self._running = True
+                threading.Thread(target=self._run, daemon=True).start()
 
     def _run(self):
         while True:
             with self._cond:
-                while not self._due or self._due[0][0] > time.perf_counter():
-                    self._cond.wait(self._due[0][0] - time.perf_counter() if self._due else None)
+                while self._due and self._due[0][0] > time.perf_counter():
+                    self._cond.wait(self._due[0][0] - time.perf_counter())
+                if not self._due:
+                    self._running = False
+                    return
                 _, _, fn = heapq.heappop(self._due)
             fn()
 

@@ -12,6 +12,11 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dnscdn"
 AWAITING_A_CALLER = {
     "completeness_filter": "direction 1, the one analysis fold",
+    # Each of these three is its fold run over one iterable of sets; cli
+    # folds runs of files with the fold classes and merges them instead.
+    "build_latency_points": "direction 1, the one analysis fold",
+    "hit_rate_table": "direction 1, the one analysis fold",
+    "address_diversity": "direction 1, the one analysis fold",
     "ks_two_sample": "direction 3, paired penalties with significance",
     "append_records": "direction 5, measure streams its sets",
     "discover_authoritative_ttl": "direction 7, measured authoritative TTLs",

@@ -6,12 +6,17 @@ The number of runs is forced through cli._cpu_count: 1 folds every file
 in this process, more cuts the files into that many runs.
 """
 
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import dnscdn
 from factories import make_set
-from dnscdn import cli
+from dnscdn import cli, storage
 from dnscdn.storage import CampaignRecord, write_records
 from dnscdn.wire import IpVersion
 
@@ -75,9 +80,13 @@ def corpus(tmp_path, case):
     return paths, str(geo)
 
 
+def inputs_argv(command, paths, geo):
+    return [*command, "--geo", geo, *[arg for path in paths for arg in ("--input", path)]]
+
+
 def run(monkeypatch, capsys, caplog, argv, cpus):
     """cli.main(argv) folded in at most cpus runs: (status, stdout, stderr, log)."""
-    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus, raising=False)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     caplog.clear()
     status = cli.main(argv)
     out, err = capsys.readouterr()
@@ -89,7 +98,7 @@ def run(monkeypatch, capsys, caplog, argv, cpus):
 @pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS)
 def test_several_runs_print_what_one_run_prints(tmp_path, monkeypatch, capsys, caplog, command, case, runs):
     paths, geo = corpus(tmp_path, case)
-    argv = [*command, "--geo", geo, *[arg for path in paths for arg in ("--input", path)]]
+    argv = inputs_argv(command, paths, geo)
     one = run(monkeypatch, capsys, caplog, argv, 1)
     assert run(monkeypatch, capsys, caplog, argv, runs) == one
     status, out, err, log = one
@@ -108,3 +117,162 @@ def test_several_runs_print_what_one_run_prints(tmp_path, monkeypatch, capsys, c
             f"error: {paths[4]}: line 2: unparseable record: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked through os.fork, as they come."""
+    assert threading.active_count() == 1, f"analyze and report do not fork beside {threading.enumerate()}"
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_each_run_after_the_first_is_folded_in_a_reaped_child(tmp_path, monkeypatch, capsys, caplog, forks):
+    paths, geo = corpus(tmp_path, "sound")
+    status, out, _, _ = run(monkeypatch, capsys, caplog, inputs_argv(["analyze"], paths, geo), 3)
+    assert status == 0 and out
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_runs_are_contiguous_and_balanced_by_bytes(tmp_path):
+    sizes = (10, 10, 40, 10, 10, 20)
+    paths = []
+    for index, size in enumerate(sizes):
+        paths.append(str(tmp_path / f"f{index}"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(b"x" * size)
+    assert cli._runs(paths, 1) == [paths]
+    assert cli._runs(paths, 2) == [paths[:3], paths[3:]]
+    assert cli._runs(paths, 4) == [paths[:2], paths[2:3], paths[3:4], paths[4:]]
+    assert cli._runs(paths[:1], 4) == [paths[:1]]
+    assert cli._runs([], 4) == [[]]
+
+
+def test_a_child_that_dies_before_sending_has_its_run_folded_here(tmp_path, monkeypatch, capsys, caplog, forks):
+    paths, geo = corpus(tmp_path, "sound")
+    argv = inputs_argv(["report", "--kind", "hit-rate"], paths, geo)
+    status, out, err, log = run(monkeypatch, capsys, caplog, argv, 1)
+    parent, iter_records = os.getpid(), storage.iter_records
+
+    def dying(path):
+        if os.getpid() != parent:
+            os._exit(1)
+        return iter_records(path)
+
+    monkeypatch.setattr(storage, "iter_records", dying)
+    again = run(monkeypatch, capsys, caplog, argv, 2)
+    assert again[:3] == (status, out, err)
+    [warning] = [entry for entry in again[3] if entry[1] == "dnscdn.cli"]
+    assert warning[0] == "WARNING" and "ended with status 1 before sending its fold" in warning[2]
+    assert [entry for entry in again[3] if entry[1] != "dnscdn.cli"] == log
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("ending", ["unusable-first-run", "unusable-last-run", "interrupted"])
+def test_no_child_outlives_main(tmp_path, monkeypatch, capsys, caplog, forks, ending):
+    paths, geo = corpus(tmp_path, "sound")
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    argv = inputs_argv(["analyze"], paths, geo)
+    if ending == "interrupted":
+        parent, iter_records = os.getpid(), storage.iter_records
+
+        def interrupted(path):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return iter_records(path)
+
+        monkeypatch.setattr(storage, "iter_records", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        bad = paths[0] if ending == "unusable-first-run" else paths[-1]
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write('{"schema_version": 99}\n')
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: ")
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("reason", ["one-file", "one-cpu", "no-fork", "other-threads"])
+def test_every_file_is_folded_here_when_forking_cannot_help(tmp_path, monkeypatch, capsys, caplog, forks, reason):
+    paths, geo = corpus(tmp_path, "sound")
+    if reason == "one-file":
+        paths = paths[:1]
+    argv = inputs_argv(["analyze"], paths, geo)
+    expected = run(monkeypatch, capsys, caplog, argv, 1)
+    cpus = 1 if reason == "one-cpu" else 4
+    if reason == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    if reason != "other-threads":
+        assert run(monkeypatch, capsys, caplog, argv, cpus) == expected
+    else:
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert run(monkeypatch, capsys, caplog, argv, cpus) == expected
+        finally:
+            release.set()
+            other.join()
+    assert forks == []
+
+
+def test_a_child_flushes_no_stdio_and_runs_no_exit_handler(tmp_path):
+    paths, geo = corpus(tmp_path, "sound")
+    script = (
+        "import atexit, sys\n"
+        "from dnscdn import cli\n"
+        "cli._cpu_count = lambda: 3\n"
+        "atexit.register(lambda: sys.stderr.write('exit handler\\n'))\n"
+        "sys.stdout.write('before main\\n')\n"
+        "sys.stderr.write('unflushed')\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dnscdn.__file__))}
+    argv = inputs_argv(["analyze"], paths, geo)
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.count("before main") == 1
+    assert done.stdout.count("metric,region") == 1
+    assert done.stderr == "unflushedexit handler\n"
+
+
+def test_hit_rate_skips_are_logged_in_input_order_from_every_run(tmp_path, monkeypatch, capsys, caplog, forks):
+    paths, expected = [], []
+    for index in range(3):
+        sets = [make_set(website=f"www{index}.example.com", ttl=20)]
+        for k in range(3 - index):
+            website = f"bare{index}-{k}.example.org"
+            sets.append(make_set(website=website, cdn="nocdn"))
+            expected.append(("WARNING", "dnscdn.analytics", f"no authoritative TTL for {website} (nocdn), skipped"))
+        paths.append(str(tmp_path / f"campaign-{index}.jsonl"))
+        write_records([CampaignRecord("c1", mset) for mset in sets], paths[-1])
+    geo = tmp_path / "geo.json"
+    geo.write_text("{}")
+    status, out, err, log = run(
+        monkeypatch, capsys, caplog, inputs_argv(["report", "--kind", "hit-rate"], paths, str(geo)), 3
+    )
+    assert (status, err) == (0, "")
+    assert out.splitlines()[1].startswith("akamai,google,v4,3,")
+    assert log == expected
+    assert len(forks) == 2
+    assert_reaped(forks)

@@ -1,7 +1,8 @@
 """Peak memory of analyze and report grows with the keys, not the records.
 
 Four files that repeat one campaign's keys must cost about what one file
-costs: each command folds every set into a per-key summary and drops it.
+costs: each command folds every set into a per-key summary and drops it,
+and a run of files folded in a child sends back only its summaries.
 """
 
 import contextlib
@@ -73,10 +74,7 @@ def peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
-def test_added_sets_cost_at_most_a_few_bytes_each(corpus, command):
-    paths, geo = corpus
-
+def assert_added_sets_cost_at_most_a_few_bytes_each(paths, geo, command):
     def argv(files):
         return [*command, "--geo", geo, *[arg for path in files for arg in ("--input", path)]]
 
@@ -87,3 +85,16 @@ def test_added_sets_cost_at_most_a_few_bytes_each(corpus, command):
     assert per_added_set <= BYTES_PER_ADDED_SET, (
         f"peak {one} B over 1 file, {four} B over 4: {per_added_set:.0f} B per added set"
     )
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_added_sets_cost_at_most_a_few_bytes_each(corpus, command):
+    assert_added_sets_cost_at_most_a_few_bytes_each(*corpus, command)
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_added_sets_cost_at_most_a_few_bytes_each_over_two_runs(corpus, command, monkeypatch):
+    """The four files folded as two runs: the second run's fold comes back
+    from a child and is merged here, so it must stay per key too."""
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert_added_sets_cost_at_most_a_few_bytes_each(*corpus, command)
