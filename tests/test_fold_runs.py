@@ -142,14 +142,6 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_each_run_after_the_first_is_folded_in_a_reaped_child(tmp_path, monkeypatch, capsys, caplog, forks):
-    paths, geo = corpus(tmp_path, "sound")
-    status, out, _, _ = run(monkeypatch, capsys, caplog, inputs_argv(["analyze"], paths, geo), 3)
-    assert status == 0 and out
-    assert len(forks) == 2
-    assert_reaped(forks)
-
-
 def test_runs_are_contiguous_and_balanced_by_bytes(tmp_path):
     sizes = (10, 10, 40, 10, 10, 20)
     paths = []
@@ -183,6 +175,21 @@ def test_a_child_that_dies_before_sending_has_its_run_folded_here(tmp_path, monk
     assert [entry for entry in again[3] if entry[1] != "dnscdn.cli"] == log
     assert len(forks) == 1
     assert_reaped(forks)
+
+
+def test_a_run_that_cannot_be_forked_is_folded_here(tmp_path, monkeypatch, capsys, caplog):
+    paths, geo = corpus(tmp_path, "sound")
+    argv = inputs_argv(["analyze"], paths, geo)
+    expected = run(monkeypatch, capsys, caplog, argv, 1)
+
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    status, out, err, log = run(monkeypatch, capsys, caplog, argv, 2)
+    assert (status, out, err) == expected[:3]
+    assert log == [("WARNING", "dnscdn.cli", f"cannot fork to fold {paths[3]} "
+                    "([Errno 11] Resource temporarily unavailable); folding it here")]
 
 
 @pytest.mark.parametrize("ending", ["unusable-first-run", "unusable-last-run", "interrupted"])
@@ -232,7 +239,8 @@ def test_every_file_is_folded_here_when_forking_cannot_help(tmp_path, monkeypatc
             assert run(monkeypatch, capsys, caplog, argv, cpus) == expected
         finally:
             release.set()
-            other.join()
+            other.join(timeout=10)
+        assert not other.is_alive()
     assert forks == []
 
 
